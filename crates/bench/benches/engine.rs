@@ -11,9 +11,9 @@ use wrm_bench::{
 use wrm_core::Dist;
 use wrm_sim::reference::simulate_reference;
 use wrm_sim::{
-    max_min_rates, mc_run, run_all, simulate, simulate_in, simulate_summary_in, sweep_grid,
-    FlowDemand, McOptions, McResult, Phase, Scenario, SchedulerPolicy, SimArena, SimOptions,
-    SimResult, SweepGrid,
+    max_min_rates, mc_run, run_all, simulate, simulate_summary, simulate_summary_with_base,
+    simulate_with_base, sweep_grid, BaseIndex, FlowDemand, McOptions, McResult, Phase, Scenario,
+    SchedulerPolicy, SimArena, SimOptions, SimResult, SimSummary, SweepGrid,
 };
 
 fn sim_scaling(c: &mut Criterion) {
@@ -230,25 +230,38 @@ fn scaling_scenario(shape: &str, n: usize) -> Scenario {
     }
 }
 
+/// [`simulate`] over a warm arena: the index build stays inside the
+/// measured work, only allocation is amortized.
+fn full_in(scenario: &Scenario, arena: &mut SimArena) -> SimResult {
+    let base = BaseIndex::build(&scenario.machine, &scenario.workflow).unwrap();
+    simulate_with_base(scenario, &base, arena).unwrap()
+}
+
+/// [`simulate_summary`] over a warm arena; see [`full_in`].
+fn summary_in(scenario: &Scenario, arena: &mut SimArena) -> SimSummary {
+    let base = BaseIndex::build(&scenario.machine, &scenario.workflow).unwrap();
+    simulate_summary_with_base(scenario, &base, arena).unwrap()
+}
+
 /// Measures one scaling row. Summary mode always runs; full-result mode
 /// runs when `full` is set, and its makespan must equal the summary's
 /// bit for bit (the streaming aggregates replicate the trace folds).
 fn scaling_row(shape: &'static str, n: usize, full: bool, reps: usize) -> ScalingRow {
     let scenario = scaling_scenario(shape, n);
     let mut arena = SimArena::new();
-    let sum = simulate_summary_in(&scenario, &mut arena).unwrap();
+    let sum = summary_in(&scenario, &mut arena);
     assert_eq!(sum.n_tasks, n);
     let summary_ms = time_ms(reps, || {
-        black_box(simulate_summary_in(&scenario, &mut arena).unwrap().makespan);
+        black_box(summary_in(&scenario, &mut arena).makespan);
     });
     let full_ms = full.then(|| {
-        let r = simulate_in(&scenario, &mut arena).unwrap();
+        let r = full_in(&scenario, &mut arena);
         assert_eq!(
             r.makespan, sum.makespan,
             "summary-mode makespan must match the full engine ({shape}/{n})"
         );
         time_ms(reps, || {
-            black_box(simulate_in(&scenario, &mut arena).unwrap().makespan);
+            black_box(full_in(&scenario, &mut arena).makespan);
         })
     });
     ScalingRow {
@@ -365,9 +378,7 @@ fn assert_mc_correct(scenario: &Scenario, reps: usize, seed: u64) -> McResult {
     }
 
     let pm = point_mass(scenario);
-    let det = simulate_summary_in(scenario, &mut SimArena::new())
-        .unwrap()
-        .makespan;
+    let det = simulate_summary(scenario).unwrap().makespan;
     let collapsed = mc_run(
         &pm,
         &McOptions {

@@ -1,7 +1,7 @@
 //! Optimization guidance (Section III-C and the paper's conclusion):
 //! turns a roofline into concrete, audience-tagged recommendations.
 
-use crate::analysis::bounds::{self, BoundKind};
+use crate::analysis::classify::{self, BoundKind};
 use crate::analysis::zones::{self, Zone};
 use crate::roofline::RooflineModel;
 use serde::{Deserialize, Serialize};
@@ -66,7 +66,7 @@ const OVERHEAD_SUSPECT_EFFICIENCY: f64 = 0.25;
 /// Derives optimization advice from a built model. Works without a
 /// measured dot (plan-time advice), but gives sharper bounds with one.
 pub fn advise(model: &RooflineModel) -> Advice {
-    let report = bounds::classify(model);
+    let report = classify::classify(model);
     let mut recs: Vec<Recommendation> = Vec::new();
     let x = model.workflow.parallel_tasks;
     let wall = model.parallelism_wall as f64;

@@ -3,11 +3,11 @@
 //! optimization advisor (Section III-C).
 
 pub mod advisor;
-pub mod bounds;
+pub mod classify;
 pub mod whatif;
 pub mod zones;
 
 pub use advisor::{advise, Advice, Audience, Direction, Recommendation};
-pub use bounds::{classify as classify_bound, BoundKind, BoundReport};
+pub use classify::{classify as classify_bound, BoundKind, BoundReport};
 pub use whatif::{remove_overhead, scale_intra_task_parallelism, widen_batch};
 pub use zones::{classify as classify_zone, classify_point, Zone, ZoneReport};

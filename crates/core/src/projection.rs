@@ -4,7 +4,7 @@
 //! target?* (the paper's conclusion: for an LCLS-like workflow, network
 //! and storage QOS matter, a faster compute unit does not).
 
-use crate::analysis::bounds::{classify, BoundReport};
+use crate::analysis::classify::{classify, BoundReport};
 use crate::charz::WorkflowCharacterization;
 use crate::error::CoreError;
 use crate::machine::Machine;
@@ -167,7 +167,7 @@ pub fn render_table(projections: &[MachineProjection]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::bounds::BoundKind;
+    use crate::analysis::classify::BoundKind;
     use crate::machines;
     use crate::resource::ids;
     use crate::units::{Bytes, Work};

@@ -9,7 +9,7 @@
 //! [`ChannelIr`]. The DAG structure (dependency edges between task
 //! *groups*) is kept at the AST granularity so diagnostics can point
 //! back at `after` statements; the structural passes that need the
-//! fully expanded replica graph go through [`wrm_lang::compile`]
+//! fully expanded replica graph go through [`wrm_lang::compile()`]
 //! instead.
 
 use crate::diagnostics::Span;

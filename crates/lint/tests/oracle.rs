@@ -10,7 +10,7 @@
 //! fail on exactly the specs the simulator fails on, never certify an
 //! unrunnable workflow.
 
-use wrm_sim::{certify, simulate_makespan, Scenario, SimOptions};
+use wrm_sim::{certify, simulate_summary, Scenario, SimOptions};
 
 fn workflows_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../workflows")
@@ -46,8 +46,9 @@ fn every_compilable_spec_is_bracketed() {
         let scenario = Scenario::new(machine.clone(), compiled.spec.clone());
         match certify(&machine, &compiled.spec, &SimOptions::default()) {
             Ok(cert) => {
-                let makespan =
-                    simulate_makespan(&scenario).unwrap_or_else(|e| panic!("{name}: sim: {e}"));
+                let makespan = simulate_summary(&scenario)
+                    .unwrap_or_else(|e| panic!("{name}: sim: {e}"))
+                    .makespan;
                 assert!(cert.hi.is_finite(), "{name}: hi is not finite");
                 assert!(
                     cert.lo * (1.0 - 1e-6) <= makespan && makespan <= cert.hi * (1.0 + 1e-9) + 1e-9,
@@ -59,7 +60,7 @@ fn every_compilable_spec_is_bracketed() {
                 checked += 1;
             }
             Err(cert_err) => {
-                let sim_err = simulate_makespan(&scenario)
+                let sim_err = simulate_summary(&scenario)
                     .expect_err(&format!("{name}: certify failed but the DES ran"));
                 assert_eq!(cert_err, sim_err, "{name}: error parity");
             }

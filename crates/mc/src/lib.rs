@@ -15,7 +15,7 @@
 //! types — zero cost, zero behavior change, nothing but a `use` path.
 //!
 //! Under **`RUSTFLAGS="--cfg wrm_mc"`** the same paths resolve to
-//! shims that, *inside a [`model`] run*, hand every visible operation
+//! shims that, *inside a `model` run*, hand every visible operation
 //! (lock, unlock, condvar wait/notify, atomic access, spawn, join,
 //! yield) to a cooperative scheduler which:
 //!
@@ -30,7 +30,7 @@
 //!   consumed by a `join`, and **non-termination** (per-schedule step
 //!   limit);
 //! * on failure prints a deterministic **replay seed**: re-running the
-//!   model with `WRM_MC_REPLAY=<seed>` (or [`replay`]) re-executes
+//!   model with `WRM_MC_REPLAY=<seed>` (or `replay`) re-executes
 //!   exactly the failing schedule.
 //!
 //! Outside a model run the `wrm_mc` shims delegate to `std`, so the

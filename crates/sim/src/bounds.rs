@@ -4,8 +4,8 @@
 //! Where `wrm_lint`'s interval dataflow certifies only the *lower* end
 //! (its upper end degenerates to `+inf` under contention), this module
 //! derives a finite contention-aware upper bound directly from the
-//! simulator's own lowered form ([`crate::index::BaseIndex`] +
-//! [`crate::overlay::IndexOverlay`]), so both ends are certified against
+//! simulator's own lowered form ([`crate::index::BaseIndex`] plus its
+//! per-options overlay), so both ends are certified against
 //! the exact semantics the DES executes:
 //!
 //! * **Lower bound** `lo = max(CP_lo, max_ch sum(bytes)/C_ch, W_lo/P)`:
@@ -37,7 +37,7 @@
 //! workflows, every shipped spec, sweep grids, and proptest-random DAGs.
 
 use crate::channel::Sharing;
-use crate::engine::{Engine, Scenario, SimError, SimOptions};
+use crate::engine::{Scenario, SimError, SimOptions};
 use crate::index::{BaseIndex, PhaseIx};
 use crate::overlay::IndexOverlay;
 use crate::spec::{Phase, WorkflowSpec};
@@ -187,21 +187,6 @@ pub fn certify_with_base(
 ) -> Result<Certificate, SimError> {
     let overlay = IndexOverlay::build(base, workflow, options)?;
     Ok(certify_indexed(workflow, options, base, &overlay))
-}
-
-/// Simulates and returns only the makespan: the oracle-side entry point
-/// (skips the per-task result maps the full [`crate::simulate`] builds).
-pub fn simulate_makespan(scenario: &Scenario) -> Result<f64, SimError> {
-    let base = BaseIndex::build(&scenario.machine, &scenario.workflow)?;
-    let overlay = IndexOverlay::build(&base, &scenario.workflow, &scenario.options)?;
-    Engine::new(
-        &scenario.workflow,
-        &scenario.machine.name,
-        &scenario.options,
-        &base,
-        &overlay,
-    )
-    .run_makespan()
 }
 
 fn certify_indexed(
@@ -624,16 +609,6 @@ mod tests {
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap()
         );
-    }
-
-    #[test]
-    fn makespan_only_entry_point_matches_full_simulation() {
-        let machine = machines::cori_haswell();
-        let wf = lcls_like(4);
-        let scenario = Scenario::new(machine, wf);
-        let full = simulate(&scenario).unwrap().makespan;
-        let fast = simulate_makespan(&scenario).unwrap();
-        assert_eq!(full.to_bits(), fast.to_bits());
     }
 
     #[test]

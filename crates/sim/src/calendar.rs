@@ -1,27 +1,23 @@
-//! Completion-event calendars for the event loop.
+//! The completion-event calendar for the event loop: a bucketed
+//! **calendar queue** (R. Brown, CACM 1988). Events hash into a
+//! power-of-two ring of unsorted buckets by `end / width`, so insert is
+//! O(1) and extract-min scans forward from a cursor — O(1) amortized
+//! when the bucket width tracks the mean event spacing, which the queue
+//! re-derives from the live ends at every resize. The binary heap it
+//! replaced survives only as this module's test oracle: the unit fuzz
+//! checks every peek and pop against a `BinaryHeap`, resize storms
+//! included, and `tests/calendar_props.rs` pins whole engine runs
+//! bit-identical to the reference engine.
 //!
-//! The production calendar is a bucketed **calendar queue** (R. Brown,
-//! CACM 1988): events hash into a power-of-two ring of unsorted buckets
-//! by `end / width`, so insert is O(1) and extract-min scans forward
-//! from a cursor — O(1) amortized when the bucket width tracks the mean
-//! event spacing, which the queue re-derives from the live ends at every
-//! resize. The binary heap it replaced is kept behind the same
-//! [`Calendar`] facade as an in-tree equivalence oracle
-//! ([`CalendarKind::Heap`]): the engine's results must be bit-identical
-//! under either calendar, which the proptest suite
-//! (`tests/calendar_props.rs`) enforces.
-//!
-//! Why the choice of calendar cannot affect results: the engine never
+//! Why the calendar's internals cannot affect results: the engine never
 //! relies on pop *order* beyond the minimum end value — `collect_due`
 //! drains every event within the tolerance window into a
 //! position-ordered pending set before any completion is processed, and
 //! events with bit-equal ends land in the same bucket, where the token
 //! tiebreak reproduces the heap's total order locally.
 
-use std::collections::BinaryHeap;
-
-/// A calendar entry: an activity's known completion time. Ordered as a
-/// min-heap on `end` (ties broken by token for a total order). Flow
+/// A calendar entry: an activity's known completion time. Popped in
+/// `(end, token)` order (the token tiebreak makes it total). Flow
 /// entries are not removed on rate change; they are lazily discarded
 /// when popped with an `end` that no longer matches the flow's cached
 /// one.
@@ -31,45 +27,12 @@ pub(crate) struct CalEv {
     pub(crate) token: u32,
 }
 
-impl PartialEq for CalEv {
-    fn eq(&self, other: &Self) -> bool {
-        self.token == other.token && self.end.total_cmp(&other.end).is_eq()
-    }
-}
-impl Eq for CalEv {}
-impl PartialOrd for CalEv {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for CalEv {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest end.
-        other
-            .end
-            .total_cmp(&self.end)
-            .then_with(|| other.token.cmp(&self.token))
-    }
-}
-
 /// `(end, token)` strictly-less, in min-first orientation.
 fn ev_lt(a: CalEv, b: CalEv) -> bool {
     a.end
         .total_cmp(&b.end)
         .then_with(|| a.token.cmp(&b.token))
         .is_lt()
-}
-
-/// Which calendar implementation an engine run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CalendarKind {
-    /// Bucketed calendar queue: O(1) amortized insert and extract-min
-    /// (the production default).
-    #[default]
-    Buckets,
-    /// Binary heap: the pre-calendar-queue implementation, kept as an
-    /// equivalence oracle for tests and benches.
-    Heap,
 }
 
 /// Smallest bucket ring; also the shrink floor.
@@ -259,71 +222,97 @@ impl CalendarQueue {
     }
 }
 
-/// The engine-facing calendar facade: one API over both implementations
-/// so the equivalence oracle can swap them per run.
-#[derive(Debug, Clone)]
-pub(crate) enum Calendar {
-    /// Binary-heap calendar (oracle).
-    Heap(BinaryHeap<CalEv>),
-    /// Bucketed calendar queue (production).
-    Buckets(CalendarQueue),
-}
-
-impl Default for Calendar {
-    fn default() -> Self {
-        Calendar::Buckets(CalendarQueue::default())
-    }
-}
-
-impl Calendar {
-    /// Empties the calendar for a new run of the given kind, keeping
-    /// allocations when the kind matches the current variant.
-    pub(crate) fn reset(&mut self, kind: CalendarKind) {
-        match (kind, &mut *self) {
-            (CalendarKind::Heap, Calendar::Heap(h)) => h.clear(),
-            (CalendarKind::Buckets, Calendar::Buckets(q)) => q.clear(),
-            (CalendarKind::Heap, slot) => *slot = Calendar::Heap(BinaryHeap::new()),
-            (CalendarKind::Buckets, slot) => *slot = Calendar::Buckets(CalendarQueue::default()),
-        }
-    }
-
-    pub(crate) fn push(&mut self, ev: CalEv) {
-        match self {
-            Calendar::Heap(h) => h.push(ev),
-            Calendar::Buckets(q) => q.push(ev),
-        }
-    }
-
-    pub(crate) fn peek(&mut self) -> Option<CalEv> {
-        match self {
-            Calendar::Heap(h) => h.peek().copied(),
-            Calendar::Buckets(q) => q.peek(),
-        }
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<CalEv> {
-        match self {
-            Calendar::Heap(h) => h.pop(),
-            Calendar::Buckets(q) => q.pop(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BinaryHeap;
+
+    // The heap oracle's ordering: `BinaryHeap` is a max-heap, so the
+    // comparison is reversed to pop the earliest `(end, token)` first.
+    impl PartialEq for CalEv {
+        fn eq(&self, other: &Self) -> bool {
+            self.token == other.token && self.end.total_cmp(&other.end).is_eq()
+        }
+    }
+    impl Eq for CalEv {}
+    impl PartialOrd for CalEv {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for CalEv {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            other
+                .end
+                .total_cmp(&self.end)
+                .then_with(|| other.token.cmp(&self.token))
+        }
+    }
 
     fn ev(end: f64, token: u32) -> CalEv {
         CalEv { end, token }
     }
 
-    /// Drains a calendar, returning `(end, token)` pairs in pop order.
-    fn drain(c: &mut Calendar) -> Vec<(f64, u32)> {
+    fn key(e: Option<CalEv>) -> Option<(f64, u32)> {
+        e.map(|e| (e.end, e.token))
+    }
+
+    /// Drains a queue, returning `(end, token)` pairs in pop order.
+    fn drain(q: &mut CalendarQueue) -> Vec<(f64, u32)> {
         let mut out = Vec::new();
-        while let Some(e) = c.pop() {
+        while let Some(e) = q.pop() {
             out.push((e.end, e.token));
         }
         out
+    }
+
+    /// The queue under test and the binary-heap oracle driven in
+    /// lockstep: every push goes to both, and every pop and peek must
+    /// agree. Also counts ring resizes, so tests can assert they
+    /// exercised them.
+    struct Lockstep {
+        q: CalendarQueue,
+        heap: BinaryHeap<CalEv>,
+        ring: usize,
+        grows: usize,
+        shrinks: usize,
+    }
+
+    impl Lockstep {
+        fn new() -> Self {
+            Lockstep {
+                q: CalendarQueue::default(),
+                heap: BinaryHeap::new(),
+                ring: MIN_BUCKETS,
+                grows: 0,
+                shrinks: 0,
+            }
+        }
+
+        fn push(&mut self, e: CalEv) {
+            self.q.push(e);
+            self.heap.push(e);
+            self.after_op();
+        }
+
+        fn pop(&mut self) -> Option<CalEv> {
+            let (a, b) = (self.heap.pop(), self.q.pop());
+            assert_eq!(key(a), key(b), "pop");
+            self.after_op();
+            a
+        }
+
+        fn after_op(&mut self) {
+            assert_eq!(key(self.heap.peek().copied()), key(self.q.peek()), "peek");
+            let n = self.q.buckets.len();
+            self.grows += usize::from(n > self.ring);
+            self.shrinks += usize::from(n < self.ring);
+            self.ring = n;
+        }
+
+        fn drain(&mut self) {
+            while self.pop().is_some() {}
+        }
     }
 
     /// splitmix64, for dependency-free deterministic fuzz.
@@ -337,7 +326,7 @@ mod tests {
 
     #[test]
     fn pops_in_end_then_token_order() {
-        let mut q = Calendar::Buckets(CalendarQueue::default());
+        let mut q = CalendarQueue::default();
         for (end, token) in [(5.0, 1), (1.0, 2), (5.0, 0), (0.5, 3), (2.5, 4)] {
             q.push(ev(end, token));
         }
@@ -351,18 +340,15 @@ mod tests {
     #[test]
     fn matches_heap_on_fuzzed_interleavings() {
         let mut state = 0xC0FF_EE00_u64;
-        for round in 0..50 {
-            let mut heap = Calendar::Heap(BinaryHeap::new());
-            let mut buckets = Calendar::Buckets(CalendarQueue::default());
+        for _ in 0..50 {
+            let mut cal = Lockstep::new();
             let mut now = 0.0f64;
             let n_ops = 20 + (mix(&mut state) % 400) as usize;
             for tok in 0..n_ops as u32 {
                 let r = mix(&mut state);
                 if r.is_multiple_of(5) {
                     // Interleave pops; both must agree at every step.
-                    let (a, b) = (heap.pop(), buckets.pop());
-                    assert_eq!(a.map(|e| (e.end, e.token)), b.map(|e| (e.end, e.token)));
-                    if let Some(e) = a {
+                    if let Some(e) = cal.pop() {
                         if e.end.is_finite() {
                             now = now.max(e.end);
                         }
@@ -377,18 +363,52 @@ mod tests {
                         3 => now + (mix(&mut state) % 1000) as f64 * 1e6,
                         _ => now + (mix(&mut state) % 1_000_000) as f64 * 1e-3,
                     };
-                    heap.push(ev(end, tok));
-                    buckets.push(ev(end, tok));
+                    cal.push(ev(end, tok));
                 }
-                let (a, b) = (heap.peek(), buckets.peek());
-                assert_eq!(
-                    a.map(|e| (e.end, e.token)),
-                    b.map(|e| (e.end, e.token)),
-                    "round {round}"
-                );
             }
-            assert_eq!(drain(&mut heap), drain(&mut buckets), "round {round}");
+            cal.drain();
         }
+
+        // Resize storm: waves of 2,500 clustered, ulp-adjacent,
+        // sub-ulp-spaced and infinite ends with interleaved pops, each
+        // drained almost empty with interleaved pushes, so the ring grows
+        // and shrinks several times.
+        let mut cal = Lockstep::new();
+        let mut tok = 0u32;
+        for wave in 1..=4 {
+            let base = wave as f64 * 1e6;
+            for _ in 0..2_500 {
+                let r = mix(&mut state);
+                let end = match r % 5 {
+                    0 => base,
+                    1 => f64::from_bits(base.to_bits() + r % 8),
+                    // ulp(1e6) is ~1.2e-10, so these collapse onto a few
+                    // distinct values.
+                    2 => base + (r % 1000) as f64 * 1e-12,
+                    3 => f64::INFINITY,
+                    _ => base + (r % 10_000) as f64 * 1e-3,
+                };
+                cal.push(ev(end, tok));
+                tok += 1;
+                if r.is_multiple_of(7) {
+                    cal.pop();
+                }
+            }
+            while cal.q.len > 8 {
+                let e = cal.pop().expect("non-empty");
+                if mix(&mut state).is_multiple_of(9) && e.end.is_finite() {
+                    cal.push(ev(e.end, tok));
+                    tok += 1;
+                }
+            }
+        }
+        cal.drain();
+        assert!(
+            cal.grows >= 4 && cal.shrinks >= 4,
+            "storm resized too little: {} grows, {} shrinks",
+            cal.grows,
+            cal.shrinks
+        );
     }
 
     #[test]
@@ -426,18 +446,5 @@ mod tests {
         }
         assert_eq!(count, 200);
         assert!(last.is_infinite());
-    }
-
-    #[test]
-    fn reset_keeps_kind_and_empties() {
-        let mut c = Calendar::default();
-        c.push(ev(1.0, 0));
-        c.reset(CalendarKind::Buckets);
-        assert!(c.pop().is_none());
-        c.reset(CalendarKind::Heap);
-        assert!(matches!(c, Calendar::Heap(_)));
-        c.push(ev(2.0, 1));
-        c.reset(CalendarKind::Heap);
-        assert!(c.pop().is_none());
     }
 }

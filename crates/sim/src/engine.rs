@@ -17,11 +17,11 @@
 //! loop never walks the flow set per event. The payoff is twofold: the
 //! per-event cost drops from `O(flows)` to `O(log events)`, and an
 //! uncontended flow's end becomes a closed-form spawn-time expression —
-//! which is what lets [`crate::fastpath`] replace the whole DES with a
-//! longest-path computation *bit-exactly* when a sweep point has no
-//! contention.
+//! which is what lets the sweep's analytic fast path replace the whole
+//! DES with a longest-path computation *bit-exactly* when a sweep point
+//! has no contention.
 
-use crate::calendar::{CalEv, Calendar, CalendarKind};
+use crate::calendar::{CalEv, CalendarQueue};
 use crate::channel::{FlowDemand, FlowRate, RateScratch, Sharing};
 use crate::index::{BaseIndex, PhaseIx};
 use crate::overlay::IndexOverlay;
@@ -459,8 +459,8 @@ pub(crate) struct EngineState {
     run: RunSoa,
     /// Token -> current position in `run` ([`DEAD`] once removed).
     pos_of: Vec<u32>,
-    /// Completion calendar (bucketed calendar queue, or the heap oracle).
-    calendar: Calendar,
+    /// Completion calendar.
+    calendar: CalendarQueue,
     /// Tokens of the flows on each channel (unordered).
     members: Vec<Vec<u32>>,
     /// Channels whose demand set or demand order changed since the last
@@ -493,12 +493,12 @@ pub(crate) struct EngineState {
 
 impl EngineState {
     /// Re-initializes every buffer for a fresh run, keeping capacity.
-    fn reset(&mut self, kind: CalendarKind, base: &BaseIndex, overlay: &IndexOverlay) {
+    fn reset(&mut self, base: &BaseIndex, overlay: &IndexOverlay) {
         let n = base.n_tasks();
         let n_channels = overlay.channel_capacity.len();
         self.run.clear();
         self.pos_of.clear();
-        self.calendar.reset(kind);
+        self.calendar.clear();
         for m in &mut self.members {
             m.clear();
         }
@@ -530,10 +530,12 @@ impl EngineState {
 }
 
 /// A reusable simulation arena: owns every growable buffer the engine
-/// needs, so repeated [`simulate_in`] / [`simulate_summary_in`] calls
-/// (sweeps, Monte-Carlo batches) stop allocating once the buffers have
-/// grown to the workload's high-water mark. A fresh arena per call is
-/// exactly [`simulate`].
+/// needs, so repeated [`simulate_with_base`] /
+/// [`simulate_summary_with_base`] calls (sweeps, Monte-Carlo batches,
+/// server workers) stop allocating once the buffers have grown to the
+/// workload's high-water mark. Results never depend on what the arena
+/// ran before; [`simulate`] and [`simulate_summary`] simply pass a fresh
+/// one.
 #[derive(Debug, Default)]
 pub struct SimArena {
     state: EngineState,
@@ -612,18 +614,22 @@ pub struct ChannelSummary {
 
 /// Runs the simulation.
 pub fn simulate(scenario: &Scenario) -> Result<SimResult, SimError> {
-    simulate_in(scenario, &mut SimArena::new())
+    let base = BaseIndex::build(&scenario.machine, &scenario.workflow)?;
+    simulate_with_base(scenario, &base, &mut SimArena::new())
 }
 
-/// [`simulate`] against a reusable [`SimArena`]: bit-identical results,
-/// no allocation once the arena is warm.
-pub fn simulate_in(scenario: &Scenario, arena: &mut SimArena) -> Result<SimResult, SimError> {
-    run_full(scenario, arena, CalendarKind::Buckets)
+/// Runs the simulation in [`RunMode::Summary`]: streaming aggregates
+/// only, O(channels) result memory.
+pub fn simulate_summary(scenario: &Scenario) -> Result<SimSummary, SimError> {
+    let base = BaseIndex::build(&scenario.machine, &scenario.workflow)?;
+    simulate_summary_with_base(scenario, &base, &mut SimArena::new())
 }
 
-/// [`simulate_in`] against a prebuilt [`BaseIndex`] — the resident
-/// server's hot path: an index-cache hit skips spec validation and index
-/// compilation entirely and goes straight to overlay construction.
+/// [`simulate`] against a prebuilt [`BaseIndex`] and a reusable
+/// [`SimArena`] — the hot path of sweeps and of the resident server: an
+/// index-cache hit skips spec validation and index compilation entirely
+/// and goes straight to overlay construction, and a warm arena makes the
+/// run allocation-free.
 ///
 /// `base` must have been built from this scenario's `(machine,
 /// workflow)` pair (e.g. by [`BaseIndex::build`]); results are undefined
@@ -644,112 +650,58 @@ pub fn simulate_with_base(
     )
 }
 
-/// [`simulate_summary_in`] against a prebuilt [`BaseIndex`]; same
-/// contract as [`simulate_with_base`]. Bit-identical to
-/// [`simulate_summary`].
+/// [`simulate_summary`] against a prebuilt [`BaseIndex`] and a reusable
+/// [`SimArena`]; same contract as [`simulate_with_base`]. Bit-identical
+/// to [`simulate_summary`].
 pub fn simulate_summary_with_base(
     scenario: &Scenario,
     base: &BaseIndex,
     arena: &mut SimArena,
 ) -> Result<SimSummary, SimError> {
     let overlay = IndexOverlay::build(base, &scenario.workflow, &scenario.options)?;
-    let mut engine = Engine::new_in(
+    run_point_in(
         &scenario.workflow,
         &scenario.machine.name,
         &scenario.options,
         base,
         &overlay,
-        std::mem::take(&mut arena.state),
-        CalendarKind::Buckets,
-        RunMode::Summary,
-    );
-    let result = match engine.advance() {
-        Ok(Outcome::Done) => Ok(engine.take_summary()),
-        Ok(Outcome::Paused) => unreachable!("no stop_iter set"),
-        Err(e) => Err(e),
-    };
-    arena.state = engine.recycle();
-    result
+        arena,
+    )
 }
 
-/// [`simulate`] with an explicit calendar implementation — the hook the
-/// equivalence oracles use to pin calendar-queue results to the heap's.
-pub fn simulate_with_calendar(
-    scenario: &Scenario,
-    kind: CalendarKind,
-) -> Result<SimResult, SimError> {
-    run_full(scenario, &mut SimArena::new(), kind)
+/// What a run materializes once it reaches [`Outcome::Done`]; the type
+/// picks the [`RunMode`], so a mode and its result cannot mismatch.
+pub(crate) trait RunOutput: Sized {
+    const MODE: RunMode;
+    fn take(engine: &mut Engine<'_>) -> Self;
 }
 
-/// Runs the simulation in [`RunMode::Summary`]: streaming aggregates
-/// only, O(channels) result memory.
-pub fn simulate_summary(scenario: &Scenario) -> Result<SimSummary, SimError> {
-    simulate_summary_in(scenario, &mut SimArena::new())
+impl RunOutput for SimResult {
+    const MODE: RunMode = RunMode::Full;
+    fn take(engine: &mut Engine<'_>) -> Self {
+        engine.take_result()
+    }
 }
 
-/// [`simulate_summary`] against a reusable [`SimArena`].
-pub fn simulate_summary_in(
-    scenario: &Scenario,
-    arena: &mut SimArena,
-) -> Result<SimSummary, SimError> {
-    let base = BaseIndex::build(&scenario.machine, &scenario.workflow)?;
-    let overlay = IndexOverlay::build(&base, &scenario.workflow, &scenario.options)?;
-    let mut engine = Engine::new_in(
-        &scenario.workflow,
-        &scenario.machine.name,
-        &scenario.options,
-        &base,
-        &overlay,
-        std::mem::take(&mut arena.state),
-        CalendarKind::Buckets,
-        RunMode::Summary,
-    );
-    let result = match engine.advance() {
-        Ok(Outcome::Done) => Ok(engine.take_summary()),
-        Ok(Outcome::Paused) => unreachable!("no stop_iter set"),
-        Err(e) => Err(e),
-    };
-    arena.state = engine.recycle();
-    result
+impl RunOutput for SimSummary {
+    const MODE: RunMode = RunMode::Summary;
+    fn take(engine: &mut Engine<'_>) -> Self {
+        engine.take_summary()
+    }
 }
 
-fn run_full(
-    scenario: &Scenario,
-    arena: &mut SimArena,
-    kind: CalendarKind,
-) -> Result<SimResult, SimError> {
-    let base = BaseIndex::build(&scenario.machine, &scenario.workflow)?;
-    let overlay = IndexOverlay::build(&base, &scenario.workflow, &scenario.options)?;
-    let mut engine = Engine::new_in(
-        &scenario.workflow,
-        &scenario.machine.name,
-        &scenario.options,
-        &base,
-        &overlay,
-        std::mem::take(&mut arena.state),
-        kind,
-        RunMode::Full,
-    );
-    let result = match engine.advance() {
-        Ok(Outcome::Done) => Ok(engine.take_result()),
-        Ok(Outcome::Paused) => unreachable!("no stop_iter set"),
-        Err(e) => Err(e),
-    };
-    arena.state = engine.recycle();
-    result
-}
-
-/// Runs one prebuilt `(base, overlay)` point to completion against a
-/// reusable arena — the incremental sweep's cold path. Bit-identical to
-/// constructing a fresh [`Engine`] (same default calendar, same mode).
-pub(crate) fn run_point_in(
+/// The one driver every entry point and the incremental sweep's cold
+/// path share: builds an [`Engine`] for a prebuilt `(base, overlay)`
+/// point over the arena's recycled buffers, runs it to completion, and
+/// hands the buffers back to the arena.
+pub(crate) fn run_point_in<T: RunOutput>(
     workflow: &WorkflowSpec,
     machine_name: &str,
     opts: &SimOptions,
     base: &BaseIndex,
     overlay: &IndexOverlay,
     arena: &mut SimArena,
-) -> Result<SimResult, SimError> {
+) -> Result<T, SimError> {
     let mut engine = Engine::new_in(
         workflow,
         machine_name,
@@ -757,11 +709,10 @@ pub(crate) fn run_point_in(
         base,
         overlay,
         std::mem::take(&mut arena.state),
-        CalendarKind::default(),
-        RunMode::Full,
+        T::MODE,
     );
     let result = match engine.advance() {
-        Ok(Outcome::Done) => Ok(engine.take_result()),
+        Ok(Outcome::Done) => Ok(T::take(&mut engine)),
         Ok(Outcome::Paused) => unreachable!("no stop_iter set"),
         Err(e) => Err(e),
     };
@@ -852,14 +803,12 @@ impl<'a> Engine<'a> {
             base,
             overlay,
             EngineState::default(),
-            CalendarKind::default(),
             RunMode::Full,
         )
     }
 
-    /// [`Engine::new`] over recycled buffers (see [`SimArena`]), with an
-    /// explicit calendar implementation and run mode.
-    #[allow(clippy::too_many_arguments)]
+    /// [`Engine::new`] over recycled buffers (see [`SimArena`]), in an
+    /// explicit run mode.
     pub(crate) fn new_in(
         workflow: &'a WorkflowSpec,
         machine_name: &'a str,
@@ -867,10 +816,9 @@ impl<'a> Engine<'a> {
         base: &'a BaseIndex,
         overlay: &'a IndexOverlay,
         mut state: EngineState,
-        kind: CalendarKind,
         mode: RunMode,
     ) -> Self {
-        state.reset(kind, base, overlay);
+        state.reset(base, overlay);
         Engine {
             workflow,
             opts,
@@ -1402,19 +1350,6 @@ impl<'a> Engine<'a> {
         match self.advance()? {
             Outcome::Done => Ok(self.take_result()),
             Outcome::Paused => unreachable!("run() is never called with stop_iter set"),
-        }
-    }
-
-    /// Runs to completion but materializes only the makespan, skipping
-    /// [`Engine::take_result`]'s per-task map construction. The value is
-    /// identical to `run()?.makespan`; the bracketing oracle calls this
-    /// thousands of times per grid, so the maps would dominate.
-    pub(crate) fn run_makespan(mut self) -> Result<f64, SimError> {
-        match self.advance()? {
-            Outcome::Done => Ok(self.trace.makespan()),
-            Outcome::Paused => {
-                unreachable!("run_makespan() is never called with stop_iter set")
-            }
         }
     }
 

@@ -10,12 +10,12 @@
 //!
 //! 1. **One base index per sweep.** [`BaseIndex`] (topology, the
 //!    dependents CSR, durations) is built once; each point only builds
-//!    a tiny [`IndexOverlay`] (channel capacities/factors, pool size,
+//!    a tiny `IndexOverlay` (channel capacities/factors, pool size,
 //!    background demands) on top of it — bit-identical to a cold build,
 //!    which `overlay::tests` proves.
 //! 2. **Analytic fast path.** Points whose overlay yields no channel
 //!    contention and no node queueing skip the DES entirely
-//!    ([`crate::fastpath`]): the makespan is a longest-path over the
+//!    (the `fastpath` module): the makespan is a longest-path over the
 //!    base CSR, exact to the bit.
 //! 3. **Delta re-simulation.** Points are evaluated in *column* order —
 //!    one column per `(node_limit, policy)` pair, contention factor
@@ -25,8 +25,8 @@
 //!    member join; until that iteration the channel has no members, so
 //!    its capacity and factor are never read and the engine state is
 //!    provably factor-independent. The column then checkpoints one
-//!    engine at that iteration ([`Engine::pause_at`]) and replays only
-//!    the suffix per factor ([`Engine::resume_with`]). When the watched
+//!    engine at that iteration (`Engine::pause_at`) and replays only
+//!    the suffix per factor (`Engine::resume_with`). When the watched
 //!    channel never joins at all, the factor provably never matters and
 //!    the first result is reused outright.
 //!

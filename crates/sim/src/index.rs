@@ -54,7 +54,7 @@ pub(crate) enum PhaseIx {
 
 /// The option-independent part of a lowered scenario: topology, CSR
 /// dependents, durations and cap bases. Built once per `(machine,
-/// workflow)` pair and shared by every [`crate::overlay::IndexOverlay`].
+/// workflow)` pair and shared by every per-options `IndexOverlay`.
 ///
 /// Public as an *opaque* handle so long-lived callers (the `wrm serve`
 /// index cache) can compile once, wrap in an `Arc`, and answer many

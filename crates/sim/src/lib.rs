@@ -57,18 +57,16 @@ pub mod spec;
 pub mod sweep;
 
 pub use bounds::{
-    certify, certify_scenario, certify_with_base, simulate_makespan, Certificate, ChannelFloor,
-    TaskBound, TermBound,
+    certify, certify_scenario, certify_with_base, Certificate, ChannelFloor, TaskBound, TermBound,
 };
-pub use calendar::CalendarKind;
 pub use channel::{
     equal_split_rates, equal_split_rates_into, max_min_rates, max_min_rates_into, FlowDemand,
     FlowRate, RateScratch, Sharing,
 };
 pub use engine::{
-    simulate, simulate_in, simulate_summary, simulate_summary_in, simulate_summary_with_base,
-    simulate_with_base, simulate_with_calendar, BackgroundFlow, ChannelSummary, Jitter, RunMode,
-    Scenario, SchedulerPolicy, SimArena, SimError, SimOptions, SimResult, SimSummary,
+    simulate, simulate_summary, simulate_summary_with_base, simulate_with_base, BackgroundFlow,
+    ChannelSummary, Jitter, RunMode, Scenario, SchedulerPolicy, SimArena, SimError, SimOptions,
+    SimResult, SimSummary,
 };
 pub use incremental::{
     sweep_column, sweep_grid, sweep_grid_with_base, IndexedResult, SweepGrid, SweepOutcome,

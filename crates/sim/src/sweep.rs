@@ -9,7 +9,8 @@
 //! (including one raised by a user closure in [`sweep`]) is re-raised on
 //! the caller thread with its original payload.
 
-use crate::engine::{simulate_in, Scenario, SimArena, SimError, SimResult};
+use crate::engine::{simulate_with_base, Scenario, SimArena, SimError, SimResult};
+use crate::index::BaseIndex;
 use wrm_mc::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default number of scenarios a worker claims per counter increment.
@@ -103,7 +104,7 @@ pub fn run_all_chunked(
         let mut arena = SimArena::new();
         return scenarios
             .iter()
-            .map(|s| simulate_in(s, &mut arena))
+            .map(|s| simulate_warm(s, &mut arena))
             .collect();
     }
     let claim = ChunkClaim::new(scenarios.len(), chunk);
@@ -117,7 +118,7 @@ pub fn run_all_chunked(
                     let mut arena = SimArena::new();
                     while let Some(range) = claim.next_range() {
                         for i in range {
-                            out.push((i, simulate_in(&scenarios[i], &mut arena)));
+                            out.push((i, simulate_warm(&scenarios[i], &mut arena)));
                         }
                     }
                     out
@@ -143,6 +144,12 @@ pub fn run_all_chunked(
         .into_iter()
         .map(|r| r.expect("every index was simulated"))
         .collect()
+}
+
+/// One [`run_all`] scenario over a worker's warm arena.
+fn simulate_warm(scenario: &Scenario, arena: &mut SimArena) -> Result<SimResult, SimError> {
+    let base = BaseIndex::build(&scenario.machine, &scenario.workflow)?;
+    simulate_with_base(scenario, &base, arena)
 }
 
 /// Sweeps one scenario over a parameter, building each variant with

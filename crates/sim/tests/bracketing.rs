@@ -17,8 +17,8 @@ use proptest::prelude::*;
 use wrm_core::{ids, BytesPerSec, FlopsPerSec, Machine, Rate};
 use wrm_dag::generate::random_layered_tasks;
 use wrm_sim::{
-    certify_scenario, simulate_makespan, simulate_summary, Jitter, Phase, Scenario,
-    SchedulerPolicy, Sharing, SimOptions, SweepGrid, TaskSpec, WorkflowSpec,
+    certify_scenario, simulate, simulate_summary, Jitter, Phase, Scenario, SchedulerPolicy,
+    Sharing, SimOptions, SweepGrid, TaskSpec, WorkflowSpec,
 };
 
 fn machine(pool: u64, fs_gbps: f64) -> Machine {
@@ -68,12 +68,14 @@ fn assert_bracketed(scenario: &Scenario, what: &str) {
         Err(cert_err) => {
             // The certificate must reject exactly what the engine
             // rejects — never certify an unrunnable spec.
-            let sim_err = simulate_makespan(scenario).unwrap_err();
+            let sim_err = simulate_summary(scenario).unwrap_err();
             assert_eq!(cert_err, sim_err, "{what}: error parity");
             return;
         }
     };
-    let makespan = simulate_makespan(scenario).unwrap_or_else(|e| panic!("{what}: {e}"));
+    let makespan = simulate_summary(scenario)
+        .unwrap_or_else(|e| panic!("{what}: {e}"))
+        .makespan;
     assert!(
         cert.hi.is_finite(),
         "{what}: hi must be finite, got {}",
@@ -149,7 +151,7 @@ fn hundred_k_task_workload_stays_bracketed() {
     let wf = workload(7, 100_000, 64, 1e10);
     let scenario = Scenario::new(machine(4096, 50.0), wf);
     let cert = certify_scenario(&scenario).expect("certifies");
-    let makespan = simulate_makespan(&scenario).expect("simulates");
+    let makespan = simulate(&scenario).expect("simulates").makespan;
     assert!(cert.hi.is_finite(), "hi must be finite, got {}", cert.hi);
     assert!(
         cert.lo * (1.0 - 1e-6) <= makespan && makespan <= cert.hi * (1.0 + 1e-9) + 1e-9,

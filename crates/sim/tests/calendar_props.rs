@@ -1,13 +1,16 @@
-//! Equivalence oracles for the bucketed calendar queue and the
-//! streaming summary mode.
+//! Equivalence oracles for the calendar-queue engine, arena reuse and
+//! the streaming summary mode.
 //!
-//! The calendar queue is a drop-in replacement for the binary-heap
-//! completion calendar, and the contract is the usual one for this
-//! repo's engine work: *bit-identical* results — same makespan, same
-//! trace spans in the same order, same task times, same errors — across
-//! `CalendarKind::Buckets`, `CalendarKind::Heap`, and the string-keyed
-//! reference engine, on randomly generated layered and fork–join DAGs
-//! under contention, node limits and both schedulers.
+//! The contract is the usual one for this repo's engine work:
+//! *bit-identical* results — same makespan, same trace spans in the
+//! same order, same task times, same errors — between the production
+//! engine (bucketed calendar queue) and the string-keyed reference
+//! engine, on randomly generated layered and fork–join DAGs under
+//! contention, node limits and both schedulers. The same holds for the
+//! `*_with_base` entry points on a [`wrm_sim::SimArena`] that a
+//! differently shaped scenario has already used: a warm arena must
+//! never leak state between runs. (The queue itself is checked against
+//! a binary heap, peek by peek, by the unit fuzz in `calendar.rs`.)
 //!
 //! Summary mode ([`wrm_sim::simulate_summary`]) is checked against
 //! aggregates recomputed from the full result: makespan, span count and
@@ -23,8 +26,8 @@ use wrm_core::{ids, BytesPerSec, FlopsPerSec, Machine, Rate};
 use wrm_dag::generate::{fork_join_tasks, random_layered_tasks};
 use wrm_sim::reference::simulate_reference;
 use wrm_sim::{
-    simulate, simulate_summary, simulate_with_calendar, CalendarKind, Phase, Scenario,
-    SchedulerPolicy, SimOptions, SimResult, TaskSpec, WorkflowSpec,
+    simulate, simulate_summary, simulate_summary_with_base, simulate_with_base, BaseIndex, Phase,
+    Scenario, SchedulerPolicy, SimArena, SimOptions, SimResult, SimSummary, TaskSpec, WorkflowSpec,
 };
 use wrm_trace::SpanKind;
 
@@ -77,8 +80,9 @@ fn workload(seed: u64, n_tasks: usize, max_width: usize, fork_join: bool) -> Wor
     wf
 }
 
-/// Asserts `simulate_summary` agrees with aggregates of the full result.
-fn assert_summary_matches(scenario: &Scenario, full: &SimResult) {
+/// Asserts `simulate_summary` agrees with aggregates of the full result,
+/// and returns that summary.
+fn assert_summary_matches(scenario: &Scenario, full: &SimResult) -> SimSummary {
     let sum = simulate_summary(scenario).expect("summary mode runs where the full engine runs");
     assert_eq!(
         sum.makespan, full.makespan,
@@ -173,39 +177,78 @@ fn assert_summary_matches(scenario: &Scenario, full: &SimResult) {
             );
         }
     }
+    sum
 }
 
-/// Runs one scenario through all three engines plus summary mode and
-/// asserts full equivalence.
+/// An arena that a differently shaped scenario — 17 more tasks than
+/// `n_tasks`, three shared channels instead of two — has already run
+/// through in both modes, so every buffer holds stale state.
+fn used_arena(n_tasks: usize) -> SimArena {
+    let machine = Machine::builder("cal-other", 64)
+        .node(
+            ids::COMPUTE,
+            "CPU",
+            Rate::FlopsPerSec(FlopsPerSec::tflops(1.0)),
+        )
+        .system(ids::FILE_SYSTEM, "fs", BytesPerSec::gbps(3.0))
+        .system(ids::NETWORK, "net", BytesPerSec::gbps(7.0))
+        .system(ids::EXTERNAL, "ext", BytesPerSec::gbps(2.0))
+        .build()
+        .unwrap();
+    let other = Scenario::new(
+        machine,
+        workload(99, n_tasks + 17, 6, n_tasks.is_multiple_of(2)),
+    );
+    let base = BaseIndex::build(&other.machine, &other.workflow).unwrap();
+    let mut arena = SimArena::new();
+    simulate_with_base(&other, &base, &mut arena).unwrap();
+    simulate_summary_with_base(&other, &base, &mut arena).unwrap();
+    arena
+}
+
+/// Runs one scenario through the engine, the reference engine, summary
+/// mode, and both `*_with_base` entry points on used arenas, and asserts
+/// full equivalence.
 fn assert_equivalent(scenario: &Scenario, what: &str) {
-    let buckets = simulate_with_calendar(scenario, CalendarKind::Buckets);
-    let heap = simulate_with_calendar(scenario, CalendarKind::Heap);
-    let default = simulate(scenario);
-    let reference = simulate_reference(scenario);
-    match (buckets, heap, default, reference) {
-        (Ok(b), Ok(h), Ok(d), Ok(r)) => {
-            assert_eq!(b, h, "{what}: calendar queue vs heap");
-            assert_eq!(b, d, "{what}: explicit buckets vs default simulate");
-            assert_eq!(b, r, "{what}: calendar queue vs reference");
-            assert_summary_matches(scenario, &b);
+    let n = scenario.workflow.tasks.len();
+    let warm = BaseIndex::build(&scenario.machine, &scenario.workflow).map(|base| {
+        (
+            simulate_with_base(scenario, &base, &mut used_arena(n)),
+            simulate_summary_with_base(scenario, &base, &mut used_arena(n)),
+        )
+    });
+    match (simulate(scenario), simulate_reference(scenario)) {
+        (Ok(d), Ok(r)) => {
+            assert_eq!(d, r, "{what}: calendar queue vs reference");
+            let sum = assert_summary_matches(scenario, &d);
+            let (warm_full, warm_sum) = warm.expect("the base builds for a runnable scenario");
+            assert_eq!(warm_full, Ok(r), "{what}: used arena vs reference");
+            assert_eq!(warm_sum, Ok(sum), "{what}: used-arena summary vs fresh");
         }
-        (Err(b), Err(h), Err(d), Err(r)) => {
-            assert_eq!(b, h, "{what}: error parity buckets vs heap");
-            assert_eq!(b, d, "{what}: error parity vs default");
-            assert_eq!(b, r, "{what}: error parity vs reference");
+        (Err(d), Err(r)) => {
+            assert_eq!(d, r, "{what}: error parity vs reference");
             let s = simulate_summary(scenario).expect_err("summary rejects what full rejects");
-            assert_eq!(b, s, "{what}: error parity vs summary");
+            assert_eq!(d, s, "{what}: error parity vs summary");
+            match warm {
+                Ok((warm_full, warm_sum)) => {
+                    assert_eq!(
+                        warm_full,
+                        Err(d.clone()),
+                        "{what}: error parity, used arena"
+                    );
+                    assert_eq!(warm_sum, Err(d), "{what}: error parity, used-arena summary");
+                }
+                Err(e) => assert_eq!(e, d, "{what}: error parity, base index"),
+            }
         }
-        (b, h, d, r) => {
-            panic!("{what}: engines disagree on success: {b:?} / {h:?} / {d:?} / {r:?}")
-        }
+        (d, r) => panic!("{what}: engines disagree on success: {d:?} / {r:?}"),
     }
 }
 
 proptest! {
     /// Random layered and fork–join DAGs under contention, node limits
-    /// and both schedulers: calendar queue == heap == reference, and
-    /// summary == full-result aggregates.
+    /// and both schedulers: engine == reference (fresh or used arena),
+    /// and summary == full-result aggregates.
     #[test]
     fn calendars_and_summary_agree_on_random_dags(
         seed in any::<u64>(),
@@ -231,7 +274,7 @@ proptest! {
 
 /// Deterministic larger workloads, sized to force the calendar queue
 /// through several grow/shrink resizes and wide same-instant barrier
-/// drains.
+/// drains, with arenas first used by a larger scenario.
 #[test]
 fn large_generated_dags_agree_across_calendars() {
     for fork_join in [false, true] {

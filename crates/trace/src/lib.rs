@@ -4,7 +4,7 @@
 //! aggregations the Workflow Roofline Model consumes: makespans, time
 //! breakdowns (paper Fig. 5b / Fig. 10b), per-resource data volumes,
 //! Darshan-like I/O digests, and conversion to a
-//! [`wrm_core::WorkflowCharacterization`] via [`characterize`].
+//! [`wrm_core::WorkflowCharacterization`] via [`characterize()`].
 //!
 //! Traces serialize as JSON lines (`Trace::to_jsonl` /
 //! `Trace::from_jsonl`) so simulated and imported runs share one format.

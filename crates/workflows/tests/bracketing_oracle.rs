@@ -9,12 +9,14 @@
 //! paper's Table 1 numbers are actually proofs about the simulator.
 
 use wrm_core::machines;
-use wrm_sim::{certify_scenario, simulate_makespan, Scenario};
+use wrm_sim::{certify_scenario, simulate_summary, Scenario};
 use wrm_workflows::{Bgw, CosmoFlow, Day, GpTune, Lcls, Mode};
 
 fn assert_bracketed(scenario: &Scenario, what: &str) {
     let cert = certify_scenario(scenario).unwrap_or_else(|e| panic!("{what}: certify: {e}"));
-    let makespan = simulate_makespan(scenario).unwrap_or_else(|e| panic!("{what}: sim: {e}"));
+    let makespan = simulate_summary(scenario)
+        .unwrap_or_else(|e| panic!("{what}: sim: {e}"))
+        .makespan;
     assert!(cert.hi.is_finite(), "{what}: hi is not finite");
     assert!(
         cert.lo * (1.0 - 1e-6) <= makespan && makespan <= cert.hi * (1.0 + 1e-9) + 1e-9,
