@@ -5,17 +5,14 @@
 //! [`Diagnostic`]s with source spans.
 //!
 //! Beyond the per-statement checks in [`rules`], the analyzer layer
-//! lowers the workflow into a small IR ([`ir`]), runs DAG dataflow
-//! analyses over it ([`dataflow`], [`passes`]) — including an interval
-//! abstract interpretation ([`interval`]) that certifies a
-//! critical-path lower bound on makespan — and emits
-//! machine-applicable fix-its ([`fixit`]) and SARIF 2.1.0 logs
-//! ([`sarif`]).
+//! lowers the workflow into a small IR ([`ir`]), runs structural and
+//! shared-channel passes over it ([`passes`]), checks the declared
+//! makespan target against the simulator's two-sided certificate
+//! ([`wrm_sim::certify`]), and emits machine-applicable fix-its
+//! ([`fixit`]) and SARIF 2.1.0 logs ([`sarif`]).
 
-pub mod dataflow;
 pub mod diagnostics;
 pub mod fixit;
-pub mod interval;
 pub mod ir;
 pub mod passes;
 pub mod rules;
@@ -23,7 +20,6 @@ pub mod sarif;
 
 pub use diagnostics::{Diagnostic, Severity, Span, SuggestedEdit};
 pub use fixit::{apply as apply_fixes, collect_edits, FixOutcome};
-pub use interval::Interval;
 pub use ir::AnalysisIr;
 pub use rules::{lint_ast, lint_errors, lint_source, max_severity, rule, RuleInfo, RULES};
 pub use sarif::{to_sarif, validate_sarif};

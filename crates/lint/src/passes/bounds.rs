@@ -1,11 +1,11 @@
 //! The certification pass: W010/W011/W012/E010 over the simulator-exact
-//! two-sided makespan certificate ([`wrm_sim::certify`]).
+//! two-sided makespan certificate ([`wrm_sim::certify`]) that
+//! [`AnalysisContext::build`] computes once per lint run.
 //!
-//! Where [`super::makespan`] (W009) reasons on the linter's own interval
-//! dataflow, this pass certifies against the *simulator's* lowered form:
-//! the same validation, the same per-phase semantics, and — new with the
-//! certificate — a finite contention-aware upper bound. That buys three
-//! kinds of statement the one-sided analysis cannot make:
+//! The certificate is built against the *simulator's* lowered form:
+//! the same validation, the same per-phase semantics, and a finite
+//! contention-aware upper bound. That buys statements a one-sided
+//! bound cannot make:
 //!
 //! * **W010** — the declared makespan target falls *inside* the
 //!   certified interval `[lo, hi)`: neither provably met nor provably
@@ -16,7 +16,9 @@
 //! * **E010** — the target is below the certified lower bound *with
 //!   every channel priced at zero*: no channel provisioning, however
 //!   generous, can meet it. Strictly stronger than W009, which it
-//!   suppresses.
+//!   suppresses. On a distributional spec the bound comes from the
+//!   lower envelope ([`AnalysisContext::lower_envelope`]), so it holds
+//!   for every Monte-Carlo sample.
 //! * **W011** — an aggregate channel whose capacity can provably be
 //!   reduced to the sum of its stream caps without moving either end of
 //!   the certified interval: the provisioned headroom is dead. Proved by
@@ -35,18 +37,12 @@ const TOL: f64 = 1e-9;
 /// Runs every certificate-backed rule. Returns `true` when E010 fired,
 /// so the caller can suppress the weaker W009.
 pub fn certified_interval(ctx: &AnalysisContext, out: &mut Vec<Diagnostic>) -> bool {
-    let (Some(machine), Some(compiled)) = (ctx.machine.as_ref(), ctx.compiled.as_ref()) else {
+    let Some(cert) = &ctx.certificate else {
         return false;
     };
-    let options = SimOptions::default();
-    // Scenarios the simulator rejects (e.g. unknown resources, already
-    // surfaced as W001) have no certificate; stay quiet.
-    let Ok(cert) = certify(machine, &compiled.spec, &options) else {
-        return false;
-    };
-    channel_independent(ctx, &cert, out);
-    overprovisioned(ctx, machine, compiled, &options, &cert, out);
-    target_interval(ctx, &cert, out)
+    channel_independent(ctx, cert, out);
+    overprovisioned(ctx, cert, out);
+    target_interval(ctx, cert, out)
 }
 
 /// W012: the certified lower bound survives zeroing every channel.
@@ -83,14 +79,10 @@ fn channel_independent(ctx: &AnalysisContext, cert: &Certificate, out: &mut Vec<
 /// W011: per aggregate channel, all streams capped and the caps sum
 /// below capacity — and re-certifying on a machine scaled down to that
 /// sum provably leaves both ends of the interval in place.
-fn overprovisioned(
-    ctx: &AnalysisContext,
-    machine: &wrm_core::Machine,
-    compiled: &wrm_lang::Compiled,
-    options: &SimOptions,
-    cert: &Certificate,
-    out: &mut Vec<Diagnostic>,
-) {
+fn overprovisioned(ctx: &AnalysisContext, cert: &Certificate, out: &mut Vec<Diagnostic>) {
+    let (Some(machine), Some(compiled)) = (&ctx.machine, &ctx.compiled) else {
+        return;
+    };
     let ir = &ctx.ir;
     for (ci, ch) in ir.channels.iter().enumerate() {
         if !ch.shared || ch.capacity <= 0.0 || !ch.capacity.is_finite() {
@@ -110,7 +102,7 @@ fn overprovisioned(
         let Ok(reduced) = machine.with_scaled_resource(&ch.id, cap_sum / ch.capacity) else {
             continue;
         };
-        let Ok(again) = certify(&reduced, &compiled.spec, options) else {
+        let Ok(again) = certify(&reduced, &compiled.spec, &SimOptions::default()) else {
             continue;
         };
         let unmoved = |a: f64, b: f64| (a - b).abs() <= a.abs() * TOL;
@@ -159,20 +151,21 @@ fn target_interval(ctx: &AnalysisContext, cert: &Certificate, out: &mut Vec<Diag
 
     // E010: below the zero-channel bound — infeasible under ANY channel
     // provisioning. Strictly stronger than W009's chain bound.
-    if cert.lo_zero_channel.is_finite() && target < cert.lo_zero_channel * (1.0 - TOL) {
+    let floor = ctx.lower_envelope.as_ref().unwrap_or(cert);
+    if floor.lo_zero_channel.is_finite() && target < floor.lo_zero_channel * (1.0 - TOL) {
         let mut diag = Diagnostic::error(
             "E010",
             target_span,
             format!(
                 "makespan target {target}s is infeasible under any channel provisioning: \
                  with every channel infinitely fast, fixed phases alone still need {:.3}s",
-                cert.lo_zero_channel
+                floor.lo_zero_channel
             ),
         )
         .with_help(format!(
             "the zero-channel bound is max(fixed-phase chain, node-pool floor {:.3}s); \
              the full certified interval is [{:.3}s, {:.3}s]",
-            cert.pool_floor_fixed, cert.lo, cert.hi
+            floor.pool_floor_fixed, cert.lo, cert.hi
         ));
         if target_span.has_range() && cert.lo.is_finite() {
             let raised = format!("{}s", cert.lo.ceil());
@@ -190,7 +183,7 @@ fn target_interval(ctx: &AnalysisContext, cert: &Certificate, out: &mut Vec<Diag
     // W009/E010 territory; at or above `hi` the target is certified met
     // and needs no diagnostic.
     if cert.lo.is_finite() && target >= cert.lo * (1.0 - TOL) && target < cert.hi * (1.0 - TOL) {
-        let witness = cert.cp_witness.join(" -> ");
+        let witness = cert.cp_lo_witness.join(" -> ");
         let mut floors: Vec<String> = cert
             .channel_floors
             .iter()

@@ -1,15 +1,13 @@
-//! W009: the interval abstract-interpretation pass.
+//! W009: the certified critical-path lower bound vs. the makespan target.
 //!
-//! Propagates per-task duration intervals through the DAG with the
-//! earliest-finish dataflow analysis and compares the *certified lower
-//! end* of the critical path against the declared makespan target.
-//! This is strictly stronger than W005's aggregate roofline bound on
-//! heterogeneous multi-stage chains: the roofline prices total volume
-//! against total bandwidth, while the chain bound prices the
-//! *sequencing*.
+//! Reads `cp_lo` and its witness chain from the context's certificate
+//! (the lower envelope's on a distributional spec, so the bound holds
+//! for every Monte-Carlo sample). This is strictly stronger than W005's
+//! aggregate roofline bound on heterogeneous multi-stage chains: the
+//! roofline prices total volume against total bandwidth, while the
+//! chain bound prices the *sequencing*.
 
 use super::AnalysisContext;
-use crate::dataflow;
 use crate::diagnostics::{Diagnostic, SuggestedEdit};
 
 /// Emits W009 when the critical-path lower bound provably exceeds the
@@ -17,33 +15,22 @@ use crate::diagnostics::{Diagnostic, SuggestedEdit};
 /// strictly stronger statement (infeasible even with channels zeroed),
 /// so repeating the weaker chain bound would be noise.
 pub fn interval_bound(ctx: &AnalysisContext, out: &mut Vec<Diagnostic>, suppressed: bool) {
-    if suppressed || ctx.compiled.is_none() {
+    if suppressed {
         return;
     }
-    let ir = &ctx.ir;
-    let Some((target, target_span)) = ir.makespan else {
+    let Some(cert) = ctx.lower_envelope.as_ref().or(ctx.certificate.as_ref()) else {
+        return;
+    };
+    let Some((target, target_span)) = ctx.ir.makespan else {
         return;
     };
     if target <= 0.0 || target.is_nan() {
         return;
     }
-    let topo = dataflow::topo(ir);
-    if !topo.stuck.is_empty() {
-        return; // cycles already surfaced as E004/E009
-    }
-    let ef = dataflow::earliest_finish(ir, &topo);
-    let (chain, bound) = dataflow::critical_path(ir, &ef);
-    if chain.is_empty() || !bound.lo.is_finite() {
+    if !cert.cp_lo.is_finite() || target >= cert.cp_lo * (1.0 - 1e-9) {
         return;
     }
-    if target >= bound.lo * (1.0 - 1e-9) {
-        return;
-    }
-    let witness = chain
-        .iter()
-        .map(|&i| ir.tasks[i].name.as_str())
-        .collect::<Vec<_>>()
-        .join(" -> ");
+    let witness = cert.cp_lo_witness.join(" -> ");
     // The roofline bound may be even tighter; the fix-it raises the
     // target past both.
     let model_lb = ctx
@@ -53,9 +40,13 @@ pub fn interval_bound(ctx: &AnalysisContext, out: &mut Vec<Diagnostic>, suppress
         .map(wrm_core::Seconds::get)
         .filter(|lb| lb.is_finite());
     let mut help = format!(
-        "interval analysis certifies the critical path takes {bound} s \
-         even with every channel to itself"
+        "interval analysis certifies the critical path takes [{:.3}, {:.3}] s \
+         even with every channel to itself",
+        cert.cp_lo, cert.cp_hi
     );
+    if ctx.lower_envelope.is_some() {
+        help.push_str(" and every distribution at the low end of its support");
+    }
     if let Some(lb) = model_lb {
         let binding = ctx
             .model
@@ -66,14 +57,14 @@ pub fn interval_bound(ctx: &AnalysisContext, out: &mut Vec<Diagnostic>, suppress
             "; the roofline lower bound is {lb:.3}s (binding ceiling: {binding})"
         ));
     }
-    let certified = model_lb.map_or(bound.lo, |lb| lb.max(bound.lo));
+    let certified = model_lb.map_or(cert.cp_lo, |lb| lb.max(cert.cp_lo));
     let mut diag = Diagnostic::warning(
         "W009",
         target_span,
         format!(
             "makespan target {target}s is infeasible: the dependency chain {witness} alone \
              needs at least {:.3}s",
-            bound.lo
+            cert.cp_lo
         ),
     )
     .with_help(help);

@@ -1,8 +1,9 @@
 //! The analyzer pass pipeline.
 //!
 //! [`AnalysisContext::build`] lowers the parsed workflow once (AST ->
-//! [`AnalysisIr`], plus the compiled spec and roofline model when the
-//! spec is error-free), and [`run`] feeds it to every pass:
+//! [`AnalysisIr`], plus the compiled spec, the roofline model and the
+//! simulator's makespan certificate when the spec is error-free), and
+//! [`run`] feeds it to every pass:
 //!
 //! * [`structure`] — DAG shape: unreachable tasks (E009), redundant
 //!   transitive `after` edges (W006);
@@ -13,9 +14,9 @@
 //!   inside the certified interval (W010), provably reducible channel
 //!   capacity (W011), channel-independent lower bounds (W012), and
 //!   targets infeasible under any channel provisioning (E010);
-//! * [`makespan`] — interval abstract interpretation: a certified
-//!   critical-path lower bound vs. the declared target (W009,
-//!   suppressed when E010 makes the stronger statement).
+//! * [`makespan`] — the certificate's critical-path lower bound vs. the
+//!   declared target (W009, suppressed when E010 makes the stronger
+//!   statement).
 
 pub mod bounds;
 pub mod channels;
@@ -27,6 +28,7 @@ use crate::ir::AnalysisIr;
 use wrm_core::{Machine, RooflineModel};
 use wrm_lang::ast::WorkflowAst;
 use wrm_lang::Compiled;
+use wrm_sim::{certify, Certificate, SimOptions};
 
 /// Everything the passes share, built once per lint run.
 pub struct AnalysisContext {
@@ -41,11 +43,21 @@ pub struct AnalysisContext {
     pub compiled: Option<Compiled>,
     /// The workflow's roofline model on `machine`, when it builds.
     pub model: Option<RooflineModel>,
+    /// The two-sided makespan certificate of `compiled` on `machine`
+    /// (default simulation options). `None` without both, or when the
+    /// simulator rejects the scenario (e.g. an unknown resource,
+    /// already surfaced as W001).
+    pub certificate: Option<Certificate>,
+    /// The certificate of the lower envelope, where every distribution
+    /// is replaced by the low end of its support: its lower bounds hold
+    /// for every Monte-Carlo sample. Built only when the spec declares
+    /// a makespan target and at least one distribution.
+    pub lower_envelope: Option<Certificate>,
 }
 
 impl AnalysisContext {
-    /// Lowers `ast` and, when `has_errors` is false, compiles it and
-    /// builds the roofline model.
+    /// Lowers `ast` and, when `has_errors` is false, compiles it,
+    /// builds the roofline model and certifies it.
     pub fn build(ast: &WorkflowAst, machine: Option<Machine>, has_errors: bool) -> Self {
         let ir = AnalysisIr::lower(ast, machine.as_ref());
         let compiled = if has_errors {
@@ -53,19 +65,29 @@ impl AnalysisContext {
         } else {
             wrm_lang::compile(ast).ok()
         };
-        let model = match (&compiled, &machine) {
-            (Some(c), Some(m)) => c
-                .characterization()
-                .ok()
-                .and_then(|wf| RooflineModel::build_lenient(m, &wf).ok()),
-            _ => None,
-        };
-        Self {
+        let mut ctx = Self {
             machine,
             ir,
             compiled,
-            model,
+            model: None,
+            certificate: None,
+            lower_envelope: None,
+        };
+        let (Some(m), Some(c)) = (&ctx.machine, &ctx.compiled) else {
+            return ctx;
+        };
+        ctx.model = c
+            .characterization()
+            .ok()
+            .and_then(|wf| RooflineModel::build_lenient(m, &wf).ok());
+        let options = SimOptions::default();
+        ctx.certificate = certify(m, &c.spec, &options).ok();
+        let distributional = c.spec.tasks.iter().any(|t| !t.dists.is_empty());
+        if ctx.certificate.is_some() && ctx.ir.makespan.is_some() && distributional {
+            let envelope = wrm_sim::mc::envelope(&c.spec, false);
+            ctx.lower_envelope = certify(m, &envelope, &options).ok();
         }
+        ctx
     }
 }
 

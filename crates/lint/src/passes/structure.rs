@@ -2,8 +2,8 @@
 //! transitive edges (W006).
 
 use super::AnalysisContext;
-use crate::dataflow;
 use crate::diagnostics::{Diagnostic, SuggestedEdit};
+use crate::ir::AnalysisIr;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use wrm_lang::ast::{AfterRef, WorkflowAst};
@@ -14,11 +14,11 @@ use wrm_lang::ast::{AfterRef, WorkflowAst};
 /// start them.
 pub fn unreachable_tasks(ctx: &AnalysisContext, out: &mut Vec<Diagnostic>) {
     let ir = &ctx.ir;
-    let topo = dataflow::topo(ir);
-    if topo.stuck.is_empty() {
+    let stuck_order = stuck(ir);
+    if stuck_order.is_empty() {
         return;
     }
-    let stuck: BTreeSet<usize> = topo.stuck.iter().copied().collect();
+    let stuck: BTreeSet<usize> = stuck_order.iter().copied().collect();
     // Forward adjacency restricted to the stuck cone.
     let mut succs: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for &v in &stuck {
@@ -41,7 +41,7 @@ pub fn unreachable_tasks(ctx: &AnalysisContext, out: &mut Vec<Diagnostic>) {
         }
         false
     };
-    for &v in &topo.stuck {
+    for &v in &stuck_order {
         if on_cycle(v) {
             continue; // the cycle members already carry E004
         }
@@ -59,6 +59,31 @@ pub fn unreachable_tasks(ctx: &AnalysisContext, out: &mut Vec<Diagnostic>) {
             .with_help("break the cycle reported by E004 to make this task schedulable"),
         );
     }
+}
+
+/// Kahn's algorithm over the task-group dependency edges: the groups it
+/// never schedules (on a dependency cycle, or downstream of one), in
+/// index order. Runs on the AST-level IR because a cyclic spec has no
+/// compiled DAG.
+fn stuck(ir: &AnalysisIr) -> Vec<usize> {
+    let n = ir.tasks.len();
+    let mut indegree: Vec<usize> = ir.tasks.iter().map(|t| t.deps.len()).collect();
+    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (i, t) in ir.tasks.iter().enumerate() {
+        for d in &t.deps {
+            succs[d.target].push(i);
+        }
+    }
+    let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+    while let Some(v) = ready.pop() {
+        for &s in &succs[v] {
+            indegree[s] -= 1;
+            if indegree[s] == 0 {
+                ready.push(s);
+            }
+        }
+    }
+    (0..n).filter(|&i| indegree[i] > 0).collect()
 }
 
 /// W006: `after` edges already implied by the rest of the graph
@@ -171,4 +196,23 @@ fn duplicate_edge(task: &str, shown: &str, dep: &AfterRef) -> Diagnostic {
         "",
         format!("remove the duplicate `after {shown}`"),
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cycles_leave_their_cone_stuck() {
+        let ast = wrm_lang::parse(
+            "workflow w {
+               task a { after b }
+               task b { after a }
+               task c { after b }
+               task d { }
+             }",
+        )
+        .unwrap();
+        assert_eq!(stuck(&AnalysisIr::lower(&ast, None)), vec![0, 1, 2]);
+    }
 }

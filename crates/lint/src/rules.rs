@@ -21,7 +21,7 @@
 //! | W006 | warning  | `after` edge already implied by other dependencies (fixable) |
 //! | W007 | warning  | shared channel whose capped streams can never saturate it |
 //! | W008 | warning  | max-min fair share too small for a task's bytes within the makespan target |
-//! | W009 | warning  | interval critical-path lower bound exceeds the makespan target (fixable) |
+//! | W009 | warning  | certified critical-path lower bound exceeds the makespan target (fixable) |
 //! | W010 | warning  | makespan target falls inside the certified interval `[lo, hi)` — undetermined |
 //! | W011 | warning  | channel capacity provably reducible to the stream-cap sum without moving the certified interval |
 //! | W012 | warning  | certified lower bound unchanged with every channel zeroed — channel sweeps cannot help |
@@ -30,8 +30,8 @@
 //!
 //! E000–E008, E011 and W001–W005 are per-statement checks implemented here;
 //! E009, E010 and W006–W012 are the analyzer passes in [`crate::passes`],
-//! driven by the lowered IR, the DAG dataflow engine, and the
-//! simulator's two-sided makespan certificate ([`wrm_sim::certify`]).
+//! driven by the lowered IR and the simulator's two-sided makespan
+//! certificate ([`wrm_sim::certify`]).
 
 use crate::diagnostics::{Diagnostic, Severity, Span, SuggestedEdit};
 use crate::passes;
@@ -172,8 +172,8 @@ pub const RULES: &[RuleInfo] = &[
         code: "W009",
         name: "infeasible-critical-path",
         severity: Severity::Warning,
-        summary: "interval abstract interpretation certifies the dependency-chain lower bound \
-                  on makespan exceeds the declared target",
+        summary: "the certified dependency-chain lower bound on makespan exceeds the declared \
+                  target",
     },
     RuleInfo {
         code: "W010",

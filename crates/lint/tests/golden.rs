@@ -135,8 +135,8 @@ const GOLDENS: &[Golden] = &[
         code: "W009",
         line: 7,
         col: 22,
-        message: "makespan target 1500s is infeasible: the dependency chain fetch -> crunch \
-                  alone needs at least 2000.000s",
+        message: "makespan target 1500s is infeasible: the dependency chain fetch -> \
+                  crunch[0] alone needs at least 2000.000s",
     },
     Golden {
         file: "bad/certified_interval.wrm",
@@ -214,7 +214,7 @@ fn infeasible_target_fixture_names_the_binding_ceiling() {
         shape,
         vec![
             ("W005", 5, 22), // makespan below the roofline lower bound
-            ("W009", 5, 22), // ...and below the interval critical-path bound
+            ("W009", 5, 22), // ...and below the certified critical-path bound
             ("W005", 5, 38), // throughput above the envelope
             ("W008", 8, 5),  // the shared link also starves each replica
         ],
@@ -365,6 +365,68 @@ fn w009_fires_without_e010_when_channels_drive_the_infeasibility() {
     let (_, diags) = lint_file("bad/infeasible_interval.wrm");
     let codes: Vec<&str> = diags.iter().map(|d| d.code.as_str()).collect();
     assert_eq!(codes, vec!["W009"], "{diags:?}");
+}
+
+#[test]
+fn replica_edge_into_a_chain_waits_for_one_replica_only() {
+    // `early` waits for iter[0] alone, so the chain bound is
+    // 10 s + 100 s = 110 s, not the whole 50 s chain plus 100 s. The
+    // 120 s target sits inside the certified [110 s, 128.75 s]: W010,
+    // never a W009 claiming 150 s.
+    let diags = lint_source(
+        "machine m { nodes 8 node compute 1TFLOPS }
+         workflow w on m {
+           targets { makespan 120s }
+           task iter[5] chain { overhead step 10s }
+           task early { overhead wait 100s after iter[0] }
+         }",
+    );
+    let codes: Vec<&str> = diags.iter().map(|d| d.code.as_str()).collect();
+    assert_eq!(codes, vec!["W010"], "{diags:?}");
+    assert!(
+        diags[0].message.ends_with("[110.000s, 128.750s]"),
+        "{}",
+        diags[0].message
+    );
+}
+
+#[test]
+fn w010_names_the_chain_that_attains_the_lower_bound() {
+    // `a` takes 80 s; each capped `b` replica takes 60 s alone but up
+    // to 90 s contended. The lower-bound chain is `a`, the upper-bound
+    // chain a `b` replica.
+    let diags = lint_source(
+        "machine m { nodes 8 node compute 1TFLOPS system ext 2GB/s }
+         workflow w on m {
+           targets { makespan 100s }
+           task a { overhead think 80s }
+           task b[3] { system_bytes ext 60GB cap 1GB/s }
+         }",
+    );
+    let w010 = diags
+        .iter()
+        .find(|d| d.code == "W010")
+        .unwrap_or_else(|| panic!("no W010: {diags:?}"));
+    let help = w010.help.as_deref().expect("W010 carries the witness");
+    assert!(help.contains("chain a = 80.000s"), "{help}");
+    assert!(help.contains("chain 90.000s + "), "{help}");
+}
+
+#[test]
+fn distributions_price_e010_at_the_low_end_of_their_support() {
+    // The setup time is triangular on [3 s, 10 s] with mean 6 s; about
+    // 29% of samples finish under the 5 s target, so it is not
+    // infeasible.
+    let diags = lint_source(
+        "workflow w on pm-cpu {
+           targets { makespan 5s }
+           task a { overhead setup triangular(3s, 5s, 10s) }
+         }",
+    );
+    assert!(
+        !diags.iter().any(|d| d.code == "E010" || d.code == "W009"),
+        "{diags:?}"
+    );
 }
 
 #[test]

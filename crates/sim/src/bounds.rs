@@ -1,12 +1,10 @@
 //! Two-sided makespan certification: `lo <= makespan <= hi` for every
 //! admissible schedule of a scenario, with a witness decomposition.
 //!
-//! Where `wrm_lint`'s interval dataflow certifies only the *lower* end
-//! (its upper end degenerates to `+inf` under contention), this module
-//! derives a finite contention-aware upper bound directly from the
-//! simulator's own lowered form ([`crate::index::BaseIndex`] plus its
-//! per-options overlay), so both ends are certified against
-//! the exact semantics the DES executes:
+//! Both ends are derived directly from the simulator's own lowered
+//! form ([`crate::index::BaseIndex`] plus its per-options overlay), so
+//! they are certified against the exact semantics the DES executes, and
+//! the upper end stays finite under contention:
 //!
 //! * **Lower bound** `lo = max(CP_lo, max_ch sum(bytes)/C_ch, W_lo/P)`:
 //!   the critical path with every task alone on every channel, each
@@ -107,6 +105,8 @@ pub struct Certificate {
     pub cp_lo: f64,
     /// Critical-path length under `hi`-end task durations.
     pub cp_hi: f64,
+    /// The chain attaining `cp_lo`, in dependency order.
+    pub cp_lo_witness: Vec<String>,
     /// The chain attaining `cp_hi`, in dependency order.
     pub cp_witness: Vec<String>,
     /// Full-serialization upper bound (`sum d_hi`).
@@ -296,7 +296,7 @@ fn certify_indexed(
         }
     }
 
-    let (cp_lo, _) = longest_path(base, &d_lo);
+    let (cp_lo, lo_witness) = longest_path(base, &d_lo);
     let (cp_hi, witness) = longest_path(base, &d_hi);
     let (cp_fixed_lo, _) = longest_path(base, &d_fixed_lo);
 
@@ -354,15 +354,19 @@ fn certify_indexed(
         })
         .collect();
 
+    let names = |chain: Vec<usize>| -> Vec<String> {
+        chain
+            .into_iter()
+            .map(|t| workflow.tasks[t].name.clone())
+            .collect()
+    };
     Certificate {
         lo,
         hi,
         cp_lo,
         cp_hi,
-        cp_witness: witness
-            .into_iter()
-            .map(|t| workflow.tasks[t].name.clone())
-            .collect(),
+        cp_lo_witness: names(lo_witness),
+        cp_witness: names(witness),
         serial_hi,
         graham_hi,
         work_hi,
@@ -596,6 +600,32 @@ mod tests {
         let cert = certify(&machine, &wf, &SimOptions::default()).unwrap();
         assert!(cert.lo >= 200.0, "flow dominates lo: {}", cert.lo);
         assert!((cert.lo_zero_channel - 50.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn each_critical_path_end_names_its_own_chain() {
+        // `a` takes 80 s whatever the contention; each capped `b` takes
+        // 60 s alone but 90 s at its 2/3 GB/s floor rate. The lower
+        // end's chain is `a`, the upper end's a `b` replica.
+        let machine = Machine::builder("m", 8)
+            .system("ext", "ext", wrm_core::BytesPerSec::gbps(2.0))
+            .build()
+            .unwrap();
+        let mut wf =
+            WorkflowSpec::new("w").task(TaskSpec::new("a", 1).phase(Phase::overhead("o", 80.0)));
+        for i in 0..3 {
+            wf = wf.task(
+                TaskSpec::new(format!("b[{i}]"), 1).phase(Phase::SystemData {
+                    resource: "ext".into(),
+                    bytes: 60e9,
+                    stream_cap: Some(1e9),
+                }),
+            );
+        }
+        let cert = certify(&machine, &wf, &SimOptions::default()).unwrap();
+        assert!((cert.cp_lo - 80.0).abs() < 1e-9 && (cert.cp_hi - 90.0).abs() < 1e-9);
+        assert_eq!(cert.cp_lo_witness, ["a"]);
+        assert_eq!(cert.cp_witness, ["b[0]"]);
     }
 
     #[test]

@@ -291,7 +291,13 @@ fn run_rep(
 /// The bound-substituted envelope workflow: every dist-bearing phase
 /// quantity replaced by its support bound (`hi = true` for the upper
 /// end). Dist tables are dropped — the envelope is deterministic.
-fn envelope(workflow: &WorkflowSpec, hi: bool) -> WorkflowSpec {
+///
+/// Every certificate bound is monotone nondecreasing in every phase
+/// quantity and every Monte-Carlo sample is clamped into its support,
+/// so a lower bound certified on the `hi = false` envelope holds for
+/// every replication (and an upper bound on the `hi = true` one).
+#[must_use]
+pub fn envelope(workflow: &WorkflowSpec, hi: bool) -> WorkflowSpec {
     let mut wf = workflow.clone();
     for t in &mut wf.tasks {
         let dists = std::mem::take(&mut t.dists);
@@ -310,9 +316,7 @@ fn envelope(workflow: &WorkflowSpec, hi: bool) -> WorkflowSpec {
     wf
 }
 
-/// Certifies the analytic `[lo, hi]` envelope: the certificate's bounds
-/// are monotone nondecreasing in every phase quantity, and samples are
-/// clamped into their distribution supports, so
+/// Certifies the analytic `[lo, hi]` envelope (see [`envelope`]):
 /// `lo(lo-envelope) <= makespan(sample) <= hi(hi-envelope)` for every
 /// replication.
 fn bracket(scenario: &Scenario) -> Result<(f64, f64), SimError> {
