@@ -1,23 +1,23 @@
 //! `wrm sweep` — parameter sweeps over a workflow scenario.
 //!
 //! Builds the cartesian grid of contention factor x node limit x
-//! scheduler policy and simulates every cell, printing one row per cell
-//! as JSON, JSON lines, or CSV. By default the grid runs on the
-//! incremental sweep engine (`wrm_sim::sweep_grid`) — one shared base
-//! index, an analytic fast path for uncontended cells, and
-//! checkpoint/replay along the factor axis — which is bit-identical to
-//! per-point simulation; `--no-incremental` forces the per-point runner
-//! (`wrm_sim::run_all`). Scenario errors land in the row's `error`
-//! column instead of aborting the whole sweep.
+//! scheduler policy and simulates every cell on the incremental sweep
+//! engine (`wrm_sim::sweep_grid`) — one shared base index, an analytic
+//! fast path for uncontended cells, and checkpoint/replay along the
+//! factor axis — printing one row per cell as JSON, JSON lines, or
+//! CSV. Every row is bit-identical to per-point simulation, which the
+//! `sweep_matches_per_point_simulation` CLI test checks end to end.
+//! Scenario errors land in the row's `error` column instead of aborting
+//! the whole sweep.
 //!
 //! Grid construction and row formatting live in `wrm_serve::render` —
 //! the same functions the server streams `POST /v1/sweep` responses
 //! with — so output rows are always in canonical coordinate order and
-//! the bytes are identical regardless of `--threads`, `--incremental`,
-//! input axis order, or which front end produced them.
+//! the bytes are identical regardless of `--threads`, input axis order,
+//! or which front end produced them.
 
 use wrm_serve::render;
-use wrm_sim::{run_all, Scenario};
+use wrm_sim::Scenario;
 
 use crate::Flags;
 
@@ -57,24 +57,7 @@ pub fn cmd_sweep(args: &[String]) -> Result<(), String> {
     )?;
     let cells = render::grid_cells(&grid);
 
-    let (results, stats) = if flags.incremental {
-        let outcome = wrm_sim::sweep_grid(&base, &grid, flags.threads);
-        (outcome.results, Some(outcome.stats))
-    } else {
-        let scenarios: Vec<Scenario> = (0..grid.factors.len())
-            .flat_map(|fi| {
-                let base = &base;
-                let grid = &grid;
-                (0..grid.node_limits.len()).flat_map(move |ni| {
-                    (0..grid.policies.len()).map(move |pi| {
-                        base.clone()
-                            .with_options(grid.point_options(&base.options, fi, ni, pi))
-                    })
-                })
-            })
-            .collect();
-        (run_all(&scenarios, flags.threads), None)
-    };
+    let wrm_sim::SweepOutcome { results, stats } = wrm_sim::sweep_grid(&base, &grid, flags.threads);
 
     let workflow = base.workflow.name.as_str();
     let machine = base.machine.name.as_str();
@@ -127,21 +110,14 @@ pub fn cmd_sweep(args: &[String]) -> Result<(), String> {
     // worker count reported is the resolved one (0 = auto, explicit
     // values capped at the host core count and the job count).
     if !flags.quiet {
-        let jobs = if flags.incremental {
-            // The incremental engine parallelizes over (node, policy)
-            // columns, replaying the factor axis within each.
-            grid.node_limits.len() * grid.policies.len()
-        } else {
-            cells.len()
-        };
-        let workers = wrm_sim::effective_workers(flags.threads, jobs);
-        let engine = match &stats {
-            Some(s) => format!(
-                "incremental: {} analytic, {} replayed, {} cold, {} reused, {} error(s)",
-                s.fastpath, s.replayed, s.cold, s.reused, s.errors
-            ),
-            None => "per-point".to_owned(),
-        };
+        // The engine parallelizes over (node, policy) columns,
+        // replaying the factor axis within each.
+        let columns = grid.node_limits.len() * grid.policies.len();
+        let workers = wrm_sim::effective_workers(flags.threads, columns);
+        let engine = format!(
+            "incremental: {} analytic, {} replayed, {} cold, {} reused, {} error(s)",
+            stats.fastpath, stats.replayed, stats.cold, stats.reused, stats.errors
+        );
         match &flags.out {
             Some(path) => eprintln!(
                 "wrote {} sweep row(s) to {path} ({workers} thread(s); {engine})",

@@ -2,6 +2,8 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use wrm_serve::render;
+use wrm_sim::SchedulerPolicy;
 
 fn wrm() -> Command {
     Command::new(env!("CARGO_BIN_EXE_wrm"))
@@ -443,9 +445,9 @@ fn sweep_output_order_is_deterministic() {
     std::fs::write(&wf_path, LCLS_WRM).expect("write");
     let wf = wf_path.to_str().expect("utf8");
 
-    // The same grid under different thread counts, engines, and axis
-    // input orders must produce byte-identical output: rows are sorted
-    // by grid coordinates before serializing.
+    // The same grid under different thread counts and axis input
+    // orders must produce byte-identical output: rows are sorted by
+    // grid coordinates before serializing.
     let run = |factors: &str, extra: &[&str]| -> String {
         let mut args = vec![
             "sweep",
@@ -488,12 +490,77 @@ fn sweep_output_order_is_deterministic() {
     for (factors, extra) in [
         ("0.25,0.5,1.0", &["--threads", "4"][..]),
         ("1.0,0.25,0.5", &["--threads", "2"][..]),
-        ("0.25,0.5,1.0", &["--threads", "1", "--no-incremental"][..]),
-        ("1.0,0.25,0.5", &["--threads", "4", "--no-incremental"][..]),
-        ("0.25,0.5,1.0", &["--incremental"][..]),
+        ("0.25,0.5,1.0", &[][..]),
     ] {
         assert_eq!(run(factors, extra), golden, "variant {factors} {extra:?}");
     }
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sweep_matches_per_point_simulation() {
+    // The incremental engine behind `wrm sweep` (shared index, analytic
+    // fast path, checkpoint replay) must print exactly the rows that
+    // simulating every grid point from scratch yields.
+    let out = wrm()
+        .args([
+            "sweep",
+            "lcls",
+            "--resource",
+            "ext",
+            "--factors",
+            "0.2,0.5,1.0",
+            "--nodes",
+            "64,161",
+            "--policies",
+            "fifo,backfill",
+            "--threads",
+            "2",
+            "--format",
+            "json",
+        ])
+        .output()
+        .expect("runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let base = wrm_serve::resolve::builtin_scenario("lcls").expect("builtin");
+    let grid = render::build_grid(
+        &base,
+        Some("ext".to_owned()),
+        &[0.2, 0.5, 1.0],
+        &[64, 161],
+        &[SchedulerPolicy::Fifo, SchedulerPolicy::Backfill],
+    )
+    .expect("valid grid");
+    let mut rows = Vec::new();
+    for fi in 0..grid.factors.len() {
+        for ni in 0..grid.node_limits.len() {
+            for pi in 0..grid.policies.len() {
+                let cell = render::SweepCell {
+                    factor: grid.factors[fi],
+                    node_limit: grid.node_limits[ni],
+                    policy: grid.policies[pi],
+                };
+                let point =
+                    base.clone()
+                        .with_options(grid.point_options(&base.options, fi, ni, pi));
+                let result = wrm_sim::simulate(&point);
+                rows.push(render::sweep_row_value(
+                    &base.workflow.name,
+                    &base.machine.name,
+                    "ext",
+                    &cell,
+                    &result,
+                ));
+            }
+        }
+    }
+    assert_eq!(rows.len(), 12);
+    let expected = render::sweep_json(rows).expect("serializes");
+    assert_eq!(String::from_utf8(out.stdout).expect("utf8"), expected);
 }

@@ -47,7 +47,7 @@ use crate::engine::{
 use crate::fastpath::try_fastpath;
 use crate::index::BaseIndex;
 use crate::overlay::IndexOverlay;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::sweep::fan_out;
 
 /// The cross product a sweep evaluates: `factors x node_limits x
 /// policies`, applied to a base scenario.
@@ -213,61 +213,19 @@ pub fn sweep_grid_with_base(
         };
     }
 
-    let columns: Vec<(usize, usize)> = (0..grid.node_limits.len())
-        .flat_map(|ni| (0..grid.policies.len()).map(move |pi| (ni, pi)))
-        .collect();
-
-    let workers = crate::sweep::effective_workers(threads, columns.len());
+    // One `(node_limit, policy)` column per job, node-limit major; the
+    // cold DES runs across one worker's columns share a warm arena.
+    let n_policies = grid.policies.len();
+    let columns = grid.node_limits.len() * n_policies;
+    let column_outputs = fan_out(columns, threads, 1, SimArena::new, |arena, c| {
+        sweep_column(scenario, grid, base, c / n_policies, c % n_policies, arena)
+    });
     let mut results: Vec<Option<Result<SimResult, SimError>>> = (0..n).map(|_| None).collect();
     let mut stats = SweepStats::default();
-
-    if workers == 1 {
-        let mut arena = SimArena::new();
-        for &(ni, pi) in &columns {
-            let (out, col_stats) = sweep_column(scenario, grid, base, ni, pi, &mut arena);
-            stats.absorb(col_stats);
-            for (i, r) in out {
-                results[i] = Some(r);
-            }
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let worker_outputs = crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        let mut out = Vec::new();
-                        let mut local = SweepStats::default();
-                        // One arena per worker: cold DES runs across all
-                        // of this worker's columns share warmed buffers.
-                        let mut arena = SimArena::new();
-                        loop {
-                            let c = next.fetch_add(1, Ordering::Relaxed);
-                            if c >= columns.len() {
-                                break;
-                            }
-                            let (ni, pi) = columns[c];
-                            let (col, col_stats) =
-                                sweep_column(scenario, grid, base, ni, pi, &mut arena);
-                            local.absorb(col_stats);
-                            out.extend(col);
-                        }
-                        (out, local)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(std::thread::ScopedJoinHandle::join)
-                .collect::<Vec<_>>()
-        })
-        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        for joined in worker_outputs {
-            let (out, local) = joined.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            stats.absorb(local);
-            for (i, r) in out {
-                results[i] = Some(r);
-            }
+    for (out, col_stats) in column_outputs {
+        stats.absorb(col_stats);
+        for (i, r) in out {
+            results[i] = Some(r);
         }
     }
 

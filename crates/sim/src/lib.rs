@@ -73,6 +73,6 @@ pub use incremental::{
     SweepStats,
 };
 pub use index::BaseIndex;
-pub use mc::{mc_run, mc_run_with_base, McOptions, McResult, Percentile, RepClaim};
+pub use mc::{mc_run, mc_run_with_base, McOptions, McResult, Percentile};
 pub use spec::{Phase, PhaseDist, SpecError, TaskSpec, WorkflowSpec};
-pub use sweep::{effective_workers, run_all, run_all_chunked, sweep, ChunkClaim};
+pub use sweep::{effective_workers, run_all, ChunkClaim};

@@ -24,10 +24,11 @@
 //!   `seed ^ i` (scrambled through SplitMix64 by `seed_from_u64`), so
 //!   workers share no RNG state and the sample sequence of a given rep
 //!   is independent of which worker ran it.
-//! * **Deterministic merge.** Workers claim rep ranges through
-//!   [`RepClaim`] and emit `(rep, makespan)` pairs merged in rep order,
-//!   so results are byte-identical across thread counts — the standing
-//!   invariant the sweep grid already enforces.
+//! * **Deterministic merge.** Replications run through the crate's
+//!   shared fan-out: workers claim rep ranges through
+//!   [`crate::ChunkClaim`] and their makespans are merged in rep order,
+//!   so results are byte-identical across thread counts — the same
+//!   invariant the sweep grid and [`crate::run_all`] rely on.
 //!
 //! Two fast paths guard the common cases:
 //!
@@ -47,53 +48,15 @@ use crate::bounds::certify;
 use crate::engine::{simulate_summary_with_base, Scenario, SimArena, SimError};
 use crate::index::{BaseIndex, PhaseIx};
 use crate::spec::{Phase, WorkflowSpec};
-use crate::sweep::effective_workers;
+use crate::sweep::fan_out;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use wrm_core::Dist;
-use wrm_mc::sync::atomic::{AtomicUsize, Ordering};
 
-/// Replications claimed per [`RepClaim`] increment: large enough that
-/// the counter is uncontended for sub-millisecond replications, small
-/// enough to balance uneven tails.
+/// Replications a worker claims per counter increment: large enough
+/// that the counter is uncontended for sub-millisecond replications,
+/// small enough to balance uneven tails.
 const REP_CHUNK: usize = 8;
-
-/// The Monte-Carlo runner's work claimer: a shared cursor over `total`
-/// replication ids, handed out `chunk` at a time per atomic increment —
-/// the mc counterpart of the sweep's `ChunkClaim`, extracted onto the
-/// `wrm_mc` facade so the model checker can prove the protocol: every
-/// replication is claimed exactly once regardless of interleaving, and
-/// the rep-id merge order is independent of which worker ran what.
-pub struct RepClaim {
-    next: AtomicUsize,
-    total: usize,
-    chunk: usize,
-}
-
-impl RepClaim {
-    /// A cursor over `total` replication ids claimed `chunk` at a time
-    /// (`chunk == 0` is treated as 1).
-    #[must_use]
-    pub fn new(total: usize, chunk: usize) -> Self {
-        Self {
-            next: AtomicUsize::new(0),
-            total,
-            chunk: chunk.max(1),
-        }
-    }
-
-    /// Claims the next replication range; `None` once exhausted. The
-    /// single fetch-add makes each rep id the property of exactly one
-    /// caller (Relaxed suffices: uniqueness comes from the RMW's
-    /// atomicity, and each rep's inputs are derived from its id alone).
-    pub fn next_range(&self) -> Option<std::ops::Range<usize>> {
-        let lo = self.next.fetch_add(self.chunk, Ordering::Relaxed);
-        if lo >= self.total {
-            return None;
-        }
-        Some(lo..(lo + self.chunk).min(self.total))
-    }
-}
 
 /// Monte-Carlo run options.
 #[derive(Debug, Clone)]
@@ -418,56 +381,15 @@ pub fn mc_run_with_base(
     }
 
     let reps = opts.reps.max(1);
-    let workers = effective_workers(opts.threads, reps);
-    let outcomes: Vec<Result<f64, SimError>> = if workers == 1 {
-        let mut local = base.clone();
-        let mut arena = SimArena::new();
-        (0..reps)
-            .map(|rep| run_rep(scenario, &mut local, &slots, opts.seed, rep, &mut arena))
-            .collect()
-    } else {
-        let claim = RepClaim::new(reps, REP_CHUNK);
-        let worker_outputs = crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        let mut out: Vec<(usize, Result<f64, SimError>)> = Vec::new();
-                        // One cloned base + one arena per worker: every
-                        // replication after the first patches warm
-                        // buffers instead of re-lowering the spec.
-                        let mut local = base.clone();
-                        let mut arena = SimArena::new();
-                        while let Some(range) = claim.next_range() {
-                            for rep in range {
-                                let r = run_rep(
-                                    scenario, &mut local, &slots, opts.seed, rep, &mut arena,
-                                );
-                                out.push((rep, r));
-                            }
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(std::thread::ScopedJoinHandle::join)
-                .collect::<Vec<_>>()
-        })
-        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-
-        let mut merged: Vec<Option<Result<f64, SimError>>> = (0..reps).map(|_| None).collect();
-        for joined in worker_outputs {
-            let out = joined.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-            for (rep, r) in out {
-                merged[rep] = Some(r);
-            }
-        }
-        merged
-            .into_iter()
-            .map(|r| r.expect("every replication was claimed"))
-            .collect()
-    };
+    // One cloned base + one arena per worker: every replication after
+    // the first patches warm buffers instead of re-lowering the spec.
+    let outcomes = fan_out(
+        reps,
+        opts.threads,
+        REP_CHUNK,
+        || (base.clone(), SimArena::new()),
+        |(local, arena), rep| run_rep(scenario, local, &slots, opts.seed, rep, arena),
+    );
 
     let mut makespans = Vec::with_capacity(reps);
     for r in outcomes {
@@ -674,16 +596,5 @@ mod tests {
                 assert!(lo <= v && v <= hi, "{d:?}: {v} outside [{lo}, {hi}]");
             }
         }
-    }
-
-    #[test]
-    fn rep_claim_is_exhaustive_inline() {
-        let claim = RepClaim::new(5, 2);
-        let mut all = Vec::new();
-        while let Some(r) = claim.next_range() {
-            all.extend(r);
-        }
-        assert_eq!(all, vec![0, 1, 2, 3, 4]);
-        assert_eq!(claim.next_range(), None);
     }
 }

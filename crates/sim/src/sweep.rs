@@ -1,22 +1,26 @@
-//! Parallel scenario sweeps: run many simulations across OS threads.
+//! Parallel fan-out: the one scoped worker loop behind every batch
+//! runner in this crate.
 //!
-//! Parameter sweeps (CosmoFlow's instance scaling, contention sweeps,
-//! scheduler ablations, the `wrm sweep` grids) are embarrassingly
-//! parallel; this driver fans scenarios out over a crossbeam scope with
-//! a work-stealing chunk index. Each worker accumulates `(index,
-//! result)` pairs in its own vector — there is no shared results lock —
-//! and the driver merges them once at join time. A panic in any worker
-//! (including one raised by a user closure in [`sweep`]) is re-raised on
-//! the caller thread with its original payload.
+//! Scenario batches ([`run_all`]), sweep grids
+//! ([`crate::sweep_grid`], one `(node_limit, policy)` column per job)
+//! and Monte-Carlo batches ([`crate::mc_run`], one replication per job)
+//! are embarrassingly parallel. All three go through `fan_out`, which
+//! hands job indices to scoped workers through a [`ChunkClaim`]. Each
+//! worker builds one private state (a warm [`SimArena`], plus a cloned
+//! base index for Monte-Carlo) and accumulates `(index, result)` pairs
+//! in its own vector — there is no shared results lock — and the
+//! driver merges them by index once at join time, so results never
+//! depend on the thread count or the schedule. A panic in any worker is
+//! re-raised on the caller thread with its original payload.
 
 use crate::engine::{simulate_with_base, Scenario, SimArena, SimError, SimResult};
 use crate::index::BaseIndex;
 use wrm_mc::sync::atomic::{AtomicUsize, Ordering};
 
-/// Default number of scenarios a worker claims per counter increment.
-/// Small enough to balance uneven scenario costs, large enough that the
+/// Scenarios a [`run_all`] worker claims per counter increment. Small
+/// enough to balance uneven scenario costs, large enough that the
 /// atomic counter is not contended for sub-millisecond simulations.
-const DEFAULT_CHUNK: usize = 4;
+const RUN_ALL_CHUNK: usize = 4;
 
 /// Resolves a requested thread count to the worker count actually
 /// spawned for `jobs` work units.
@@ -38,12 +42,12 @@ pub fn effective_workers(requested: usize, jobs: usize) -> usize {
     want.min(jobs).max(1)
 }
 
-/// The sweep's work-stealing column claimer: a shared cursor over
-/// `total` work items, handed out in chunks of `chunk` consecutive
-/// indices per atomic increment. Extracted from the sweep loop (and
-/// built on the `wrm_mc` facade) so the model checker can verify the
-/// claiming protocol: every index is claimed exactly once, no matter
-/// how the workers interleave.
+/// The fan-out's work-stealing claimer: a shared cursor over `total`
+/// job indices, handed out in chunks of `chunk` consecutive indices per
+/// atomic increment. Built on the `wrm_mc` facade so the model checker
+/// can verify the claiming protocol that sweep columns, [`run_all`]
+/// scenarios and Monte-Carlo replications all share: every index is
+/// claimed exactly once, no matter how the workers interleave.
 pub struct ChunkClaim {
     next: AtomicUsize,
     total: usize,
@@ -65,8 +69,7 @@ impl ChunkClaim {
     /// Claims the next chunk; `None` once the range is exhausted. The
     /// single fetch-add makes each index the property of exactly one
     /// caller (Relaxed suffices: uniqueness comes from the RMW's
-    /// atomicity, and the scenarios read through the indices are
-    /// shared immutably).
+    /// atomicity, and every job's inputs are shared immutably).
     pub fn next_range(&self) -> Option<std::ops::Range<usize>> {
         let lo = self.next.fetch_add(self.chunk, Ordering::Relaxed);
         if lo >= self.total {
@@ -76,49 +79,42 @@ impl ChunkClaim {
     }
 }
 
-/// Runs every scenario, using up to `threads` worker threads, and
-/// returns the results in input order.
+/// Runs `work(state, i)` for every job index `i in 0..jobs` on up to
+/// `threads` workers (resolved by [`effective_workers`]) and returns
+/// the results in index order.
 ///
-/// `threads == 0` means auto (one worker per available CPU); `1` runs
-/// inline; explicit counts are capped at the available parallelism
-/// ([`effective_workers`]). If a worker panics, the panic is propagated
-/// to the caller with its original payload.
-pub fn run_all(scenarios: &[Scenario], threads: usize) -> Vec<Result<SimResult, SimError>> {
-    run_all_chunked(scenarios, threads, DEFAULT_CHUNK)
-}
-
-/// [`run_all`] with an explicit work-stealing chunk size: each worker
-/// claims `chunk` consecutive scenarios per atomic increment. `chunk ==
-/// 1` maximizes balance; larger chunks amortize counter traffic when
-/// individual simulations are very cheap. `chunk == 0` is treated as 1.
-pub fn run_all_chunked(
-    scenarios: &[Scenario],
+/// Each worker calls `init` once and threads that state through every
+/// job it claims, `chunk` indices at a time. With one worker the jobs
+/// run inline on the caller thread over a single `init()` state —
+/// no thread is spawned. A worker panic is re-raised on the caller with
+/// its original payload.
+pub(crate) fn fan_out<S, T, I, W>(
+    jobs: usize,
     threads: usize,
     chunk: usize,
-) -> Vec<Result<SimResult, SimError>> {
-    if scenarios.is_empty() {
-        return Vec::new();
-    }
-    let workers = effective_workers(threads, scenarios.len());
+    init: I,
+    work: W,
+) -> Vec<T>
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    W: Fn(&mut S, usize) -> T + Sync,
+{
+    let workers = effective_workers(threads, jobs);
     if workers == 1 {
-        let mut arena = SimArena::new();
-        return scenarios
-            .iter()
-            .map(|s| simulate_warm(s, &mut arena))
-            .collect();
+        let mut state = init();
+        return (0..jobs).map(|i| work(&mut state, i)).collect();
     }
-    let claim = ChunkClaim::new(scenarios.len(), chunk);
+    let claim = ChunkClaim::new(jobs, chunk);
     let worker_outputs = crossbeam::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|_| {
-                    let mut out: Vec<(usize, Result<SimResult, SimError>)> = Vec::new();
-                    // One arena per worker: every simulation after the
-                    // first reuses the warmed buffers.
-                    let mut arena = SimArena::new();
+                    let mut state = init();
+                    let mut out = Vec::new();
                     while let Some(range) = claim.next_range() {
                         for i in range {
-                            out.push((i, simulate_warm(&scenarios[i], &mut arena)));
+                            out.push((i, work(&mut state, i)));
                         }
                     }
                     out
@@ -132,8 +128,7 @@ pub fn run_all_chunked(
     })
     .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
 
-    let mut results: Vec<Option<Result<SimResult, SimError>>> =
-        (0..scenarios.len()).map(|_| None).collect();
+    let mut results: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
     for joined in worker_outputs {
         let out = joined.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
         for (i, r) in out {
@@ -142,25 +137,30 @@ pub fn run_all_chunked(
     }
     results
         .into_iter()
-        .map(|r| r.expect("every index was simulated"))
+        .map(|r| r.expect("every job index was claimed"))
         .collect()
 }
 
-/// One [`run_all`] scenario over a worker's warm arena.
-fn simulate_warm(scenario: &Scenario, arena: &mut SimArena) -> Result<SimResult, SimError> {
-    let base = BaseIndex::build(&scenario.machine, &scenario.workflow)?;
-    simulate_with_base(scenario, &base, arena)
-}
-
-/// Sweeps one scenario over a parameter, building each variant with
-/// `make`, in parallel. A panicking `make` closure unwinds on the caller
-/// thread before any worker starts, so it cannot poison the driver.
-pub fn sweep<P: Sync, F>(params: &[P], threads: usize, make: F) -> Vec<Result<SimResult, SimError>>
-where
-    F: Fn(&P) -> Scenario + Sync,
-{
-    let scenarios: Vec<Scenario> = params.iter().map(&make).collect();
-    run_all(&scenarios, threads)
+/// Runs every scenario, using up to `threads` worker threads, and
+/// returns the results in input order.
+///
+/// `threads == 0` means auto (one worker per available CPU); `1` runs
+/// inline; explicit counts are capped at the available parallelism
+/// ([`effective_workers`]). Each worker simulates over one warm
+/// [`SimArena`]. If a worker panics, the panic is propagated to the
+/// caller with its original payload.
+pub fn run_all(scenarios: &[Scenario], threads: usize) -> Vec<Result<SimResult, SimError>> {
+    fan_out(
+        scenarios.len(),
+        threads,
+        RUN_ALL_CHUNK,
+        SimArena::new,
+        |arena, i| {
+            let scenario = &scenarios[i];
+            let base = BaseIndex::build(&scenario.machine, &scenario.workflow)?;
+            simulate_with_base(scenario, &base, arena)
+        },
+    )
 }
 
 #[cfg(test)]
@@ -193,25 +193,27 @@ mod tests {
 
     #[test]
     fn chunk_sizes_do_not_change_results() {
-        let scenarios: Vec<Scenario> = (1..20).map(scenario).collect();
-        let baseline = run_all_chunked(&scenarios, 1, 1);
+        let square = |_: &mut (), i: usize| i * i;
+        let baseline = fan_out(19, 1, 1, || (), square);
+        assert_eq!(baseline, (0..19).map(|i| i * i).collect::<Vec<_>>());
         for chunk in [0, 1, 3, 64] {
-            let chunked = run_all_chunked(&scenarios, 4, chunk);
-            assert_eq!(chunked.len(), baseline.len());
-            for (a, b) in baseline.iter().zip(chunked.iter()) {
-                assert_eq!(a.as_ref().unwrap().makespan, b.as_ref().unwrap().makespan);
-            }
+            assert_eq!(
+                fan_out(19, 4, chunk, || (), square),
+                baseline,
+                "chunk {chunk}"
+            );
         }
     }
 
     #[test]
-    fn sweep_builds_variants() {
-        let params: Vec<usize> = vec![1, 2, 3, 4];
-        let results = sweep(&params, 2, |&n| scenario(n));
-        for (i, r) in results.iter().enumerate() {
-            let r = r.as_ref().unwrap();
-            assert_eq!(r.task_times.len(), params[i]);
+    fn chunk_claim_is_exhaustive_inline() {
+        let claim = ChunkClaim::new(5, 2);
+        let mut all = Vec::new();
+        while let Some(r) = claim.next_range() {
+            all.extend(r);
         }
+        assert_eq!(all, vec![0, 1, 2, 3, 4]);
+        assert_eq!(claim.next_range(), None);
     }
 
     #[test]
@@ -256,24 +258,32 @@ mod tests {
     }
 
     #[test]
-    fn panicking_make_does_not_poison_or_deadlock() {
-        // A panicking `make` closure must unwind cleanly out of sweep()…
-        let params: Vec<usize> = vec![1, 2, 3];
+    fn worker_panic_reraises_its_payload() {
+        // A panic inside a worker (not on the caller thread) must come
+        // back to the caller with its original payload… (On a 1-CPU
+        // host `effective_workers` runs the jobs inline instead.)
         let caught = std::panic::catch_unwind(|| {
-            sweep(&params, 2, |&n| {
-                assert!(n != 2, "boom at {n}");
-                scenario(n)
-            })
+            fan_out(
+                6,
+                2,
+                1,
+                || (),
+                |_: &mut (), i| {
+                    assert!(i != 3, "boom at {i}");
+                    i
+                },
+            )
         });
-        let payload = caught.expect_err("sweep must propagate the panic");
+        let payload = caught.expect_err("fan_out must propagate the panic");
         let msg = payload
             .downcast_ref::<String>()
             .cloned()
             .unwrap_or_default();
-        assert!(msg.contains("boom at 2"), "payload: {msg}");
-        // …and the driver must still work afterwards.
-        let results = sweep(&params, 2, |&n| scenario(n));
-        assert_eq!(results.len(), 3);
-        assert!(results.iter().all(Result::is_ok));
+        assert!(msg.contains("boom at 3"), "payload: {msg}");
+        // …and the next fan-out must still complete normally.
+        assert_eq!(
+            fan_out(6, 2, 1, || (), |_: &mut (), i| i),
+            vec![0, 1, 2, 3, 4, 5]
+        );
     }
 }

@@ -11,17 +11,21 @@
 
 use workflow_roofline::core::analysis::scale_intra_task_parallelism;
 use workflow_roofline::prelude::*;
-use workflow_roofline::sim::sweep;
+use workflow_roofline::sim::run_all;
 use workflow_roofline::workflows::CosmoFlow;
 
 fn main() {
     // Sweep 1..=12 concurrent instances across worker threads.
     let instance_counts: Vec<usize> = (1..=12).collect();
-    let results = sweep(&instance_counts, 4, |&n| {
-        let mut cf = CosmoFlow::throughput_benchmark(n);
-        cf.epochs_per_instance = 5; // shorter runs, identical rates
-        cf.scenario()
-    });
+    let scenarios: Vec<_> = instance_counts
+        .iter()
+        .map(|&n| {
+            let mut cf = CosmoFlow::throughput_benchmark(n);
+            cf.epochs_per_instance = 5; // shorter runs, identical rates
+            cf.scenario()
+        })
+        .collect();
+    let results = run_all(&scenarios, 4);
 
     println!("== CosmoFlow throughput sweep (128 PM-GPU nodes per instance) ==");
     println!("{:>10} {:>14} {:>12}", "instances", "epochs/s", "linearity");
