@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Once;
 use wrm_core::{ids, machines, RooflineModel, Seconds, TaskView};
-use wrm_dag::{list_schedule, GanttChart, Policy};
+use wrm_dag::{list_schedule, GanttChart};
 use wrm_sim::simulate;
 use wrm_workflows::{example, table1, Bgw, CosmoFlow, Day, GpTune, Lcls, Mode};
 
@@ -148,7 +148,7 @@ fn f7_bgw(c: &mut Criterion) {
         view.best_optimization_candidate().unwrap().name
     );
     let dag = Bgw::si998_64().dag();
-    let sched = list_schedule(&dag, 1792, Policy::Fifo).unwrap();
+    let sched = list_schedule(&dag, 1792).unwrap();
     let gantt = GanttChart::build(&dag, &sched).unwrap();
     println!(
         "[F7d] critical-path coverage {:.0}% (paper: CP unchanged across scales)",

@@ -50,7 +50,7 @@ mod sweep;
 use std::io::Write as _;
 use std::process::ExitCode;
 use wrm_core::{machines, RooflineModel, Seconds};
-use wrm_dag::{list_schedule, GanttChart, ParallelismProfile, Policy};
+use wrm_dag::{list_schedule, GanttChart, ParallelismProfile};
 use wrm_sim::{simulate, Scenario, SimOptions};
 use wrm_trace::{characterize, Structure};
 
@@ -616,8 +616,7 @@ fn build_html_report(
                 dag.task_mut(id).duration = t;
             }
         }
-        let sched =
-            list_schedule(&dag, machine.total_nodes, Policy::Fifo).map_err(|e| e.to_string())?;
+        let sched = list_schedule(&dag, machine.total_nodes).map_err(|e| e.to_string())?;
         if let Ok(chart) = GanttChart::build(&dag, &sched) {
             sections.push(Section::Heading("Gantt chart".into()));
             sections.push(Section::Svg(wrm_plot::gantt_plot::render_svg(
@@ -716,8 +715,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
                 dag.task_mut(id).duration = t;
             }
         }
-        let sched =
-            list_schedule(&dag, machine.total_nodes, Policy::Fifo).map_err(|e| e.to_string())?;
+        let sched = list_schedule(&dag, machine.total_nodes).map_err(|e| e.to_string())?;
         let chart = GanttChart::build(&dag, &sched).map_err(|e| e.to_string())?;
         println!("\n{}", wrm_plot::ascii::gantt(&chart, 72));
     }
@@ -844,8 +842,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
             dag.task_mut(id).duration = t;
         }
     }
-    let sched =
-        list_schedule(&dag, machine.total_nodes, Policy::Fifo).map_err(|e| e.to_string())?;
+    let sched = list_schedule(&dag, machine.total_nodes).map_err(|e| e.to_string())?;
     let profile = ParallelismProfile::from_schedule(&sched);
     println!(
         "{} on {}: makespan {:.2} s",

@@ -96,14 +96,14 @@ impl GanttChart {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{list_schedule, Policy};
+    use crate::schedule::list_schedule;
 
     fn bgw(nodes: u64, te: f64, ts: f64) -> (Dag, Schedule) {
         let mut d = Dag::new("BGW");
         let e = d.add_task("Epsilon", nodes, te).unwrap();
         let s = d.add_task("Sigma", nodes, ts).unwrap();
         d.add_dep(e, s).unwrap();
-        let sched = list_schedule(&d, 1792, Policy::Fifo).unwrap();
+        let sched = list_schedule(&d, 1792).unwrap();
         (d, sched)
     }
 
@@ -127,7 +127,7 @@ mod tests {
         for i in 0..4 {
             ids.push(d.add_task(format!("t{i}"), 2, 10.0 + i as f64).unwrap());
         }
-        let sched = list_schedule(&d, 4, Policy::LongestFirst).unwrap();
+        let sched = list_schedule(&d, 4).unwrap();
         let g = GanttChart::build(&d, &sched).unwrap();
         for w in g.rows.windows(2) {
             assert!(w[0].start <= w[1].start);
@@ -140,7 +140,7 @@ mod tests {
         let mut d = Dag::new("w");
         let long = d.add_task("long", 1, 100.0).unwrap();
         let short = d.add_task("short", 1, 1.0).unwrap();
-        let sched = list_schedule(&d, 2, Policy::Fifo).unwrap();
+        let sched = list_schedule(&d, 2).unwrap();
         let g = GanttChart::build(&d, &sched).unwrap();
         let row_long = g.rows.iter().find(|r| r.task == long).unwrap();
         let row_short = g.rows.iter().find(|r| r.task == short).unwrap();
@@ -153,7 +153,7 @@ mod tests {
     #[test]
     fn empty_chart() {
         let d = Dag::new("empty");
-        let sched = list_schedule(&d, 4, Policy::Fifo).unwrap();
+        let sched = list_schedule(&d, 4).unwrap();
         let g = GanttChart::build(&d, &sched).unwrap();
         assert!(g.rows.is_empty());
         assert_eq!(g.critical_path_coverage(), 0.0);

@@ -6,7 +6,7 @@
 //! paths, resource-constrained schedules, and Gantt charts (Fig. 7d).
 //!
 //! ```
-//! use wrm_dag::{Dag, list_schedule, Policy, GanttChart};
+//! use wrm_dag::{Dag, list_schedule, GanttChart};
 //!
 //! // The LCLS skeleton: five 32-node analyses, then a merge.
 //! let mut dag = Dag::new("LCLS");
@@ -18,7 +18,7 @@
 //! assert_eq!(dag.max_width().unwrap(), 5);
 //! assert_eq!(dag.critical_path_length().unwrap(), 2);
 //!
-//! let schedule = list_schedule(&dag, 2388, Policy::Fifo).unwrap();
+//! let schedule = list_schedule(&dag, 2388).unwrap();
 //! let gantt = GanttChart::build(&dag, &schedule).unwrap();
 //! assert!((gantt.makespan - 1020.0).abs() < 1e-9);
 //! ```
@@ -37,4 +37,4 @@ pub use csr::{longest_path_ends, max_coschedulable, resource_work};
 pub use gantt::{GanttChart, GanttRow};
 pub use graph::{Dag, DagError, Task, TaskId};
 pub use profile::{ParallelismProfile, ProfileStep};
-pub use schedule::{list_schedule, Policy, Schedule, ScheduleError, Span};
+pub use schedule::{list_schedule, Schedule, ScheduleError, Span};

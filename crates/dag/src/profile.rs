@@ -129,7 +129,7 @@ impl ParallelismProfile {
 mod tests {
     use super::*;
     use crate::graph::Dag;
-    use crate::schedule::{list_schedule, Policy};
+    use crate::schedule::list_schedule;
 
     fn lcls_profile(pool: u64) -> ParallelismProfile {
         let mut d = Dag::new("LCLS");
@@ -138,7 +138,7 @@ mod tests {
             let a = d.add_task(format!("a{i}"), 32, 1000.0).unwrap();
             d.add_dep(a, merge).unwrap();
         }
-        let sched = list_schedule(&d, pool, Policy::Fifo).unwrap();
+        let sched = list_schedule(&d, pool).unwrap();
         ParallelismProfile::from_schedule(&sched)
     }
 
@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn empty_profile() {
         let d = Dag::new("empty");
-        let sched = list_schedule(&d, 4, Policy::Fifo).unwrap();
+        let sched = list_schedule(&d, 4).unwrap();
         let p = ParallelismProfile::from_schedule(&sched);
         assert!(p.steps.is_empty());
         assert_eq!(p.peak_tasks(), 0);

@@ -1,6 +1,7 @@
 //! Resource-constrained list scheduling: places a [`Dag`]'s tasks onto a
 //! fixed pool of nodes, respecting dependencies and per-task node
-//! requirements.
+//! requirements. Ready tasks start in FIFO order (task id, i.e.
+//! submission order), the Slurm-like default the simulator also uses.
 //!
 //! This is the planning-side counterpart of the simulator in `wrm-sim`:
 //! the simulator *executes* phases against shared bandwidths, while the
@@ -10,19 +11,6 @@
 use crate::graph::{Dag, DagError, TaskId};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Task ordering policy for ready tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Policy {
-    /// First-in-first-out by task id (submission order), the Slurm-like
-    /// default.
-    #[default]
-    Fifo,
-    /// Longest processing time first.
-    LongestFirst,
-    /// Largest upward rank first (critical-path-aware, HEFT-like).
-    CriticalPathFirst,
-}
 
 /// Errors from scheduling.
 #[derive(Debug, Clone, PartialEq)]
@@ -140,31 +128,12 @@ impl Schedule {
     }
 }
 
-fn upward_ranks(dag: &Dag) -> Result<Vec<f64>, DagError> {
-    let order = dag.topo_order()?;
-    let mut rank = vec![0.0f64; dag.len()];
-    for &id in order.iter().rev() {
-        let best_succ = dag
-            .successors(id)
-            .iter()
-            .map(|s| rank[s.0])
-            .fold(0.0f64, f64::max);
-        rank[id.0] = dag.task(id).duration + best_succ;
-    }
-    Ok(rank)
-}
-
-/// Computes a greedy list schedule of `dag` on `total_nodes` nodes under
-/// `policy`.
+/// Computes a greedy list schedule of `dag` on `total_nodes` nodes.
 ///
 /// The scheduler is event driven: at each completion time it starts every
-/// ready task that fits, in policy order (no backfilling past the head
+/// ready task that fits, in task-id order (no backfilling past the head
 /// beyond what node availability admits).
-pub fn list_schedule(
-    dag: &Dag,
-    total_nodes: u64,
-    policy: Policy,
-) -> Result<Schedule, ScheduleError> {
+pub fn list_schedule(dag: &Dag, total_nodes: u64) -> Result<Schedule, ScheduleError> {
     if total_nodes == 0 {
         return Err(ScheduleError::EmptyPool);
     }
@@ -179,11 +148,6 @@ pub fn list_schedule(
             });
         }
     }
-
-    let ranks = match policy {
-        Policy::CriticalPathFirst => upward_ranks(dag)?,
-        _ => Vec::new(),
-    };
 
     let n = dag.len();
     let mut remaining_preds: Vec<usize> = dag
@@ -200,26 +164,9 @@ pub fn list_schedule(
     let mut now = 0.0f64;
     let mut done = 0usize;
 
-    let order_ready = |ready: &mut Vec<TaskId>| match policy {
-        Policy::Fifo => ready.sort_by_key(|id| id.0),
-        Policy::LongestFirst => ready.sort_by(|a, b| {
-            dag.task(*b)
-                .duration
-                .partial_cmp(&dag.task(*a).duration)
-                .expect("finite")
-                .then(a.0.cmp(&b.0))
-        }),
-        Policy::CriticalPathFirst => ready.sort_by(|a, b| {
-            ranks[b.0]
-                .partial_cmp(&ranks[a.0])
-                .expect("finite")
-                .then(a.0.cmp(&b.0))
-        }),
-    };
-
     while done < n {
-        // Start everything that fits, in policy order.
-        order_ready(&mut ready);
+        // Start everything that fits, in task-id order.
+        ready.sort_by_key(|id| id.0);
         let mut i = 0;
         while i < ready.len() {
             let id = ready[i];
@@ -299,7 +246,7 @@ mod tests {
     #[test]
     fn wide_pool_runs_level0_in_parallel() {
         let d = lcls();
-        let s = list_schedule(&d, 160, Policy::Fifo).unwrap();
+        let s = list_schedule(&d, 160).unwrap();
         assert!((s.makespan - 1020.0).abs() < 1e-9);
         assert_eq!(s.peak_concurrency(), 5);
         // The merge starts exactly when the analyses end.
@@ -311,7 +258,7 @@ mod tests {
     fn narrow_pool_serializes() {
         let d = lcls();
         // Only one 32-node analysis fits at a time.
-        let s = list_schedule(&d, 32, Policy::Fifo).unwrap();
+        let s = list_schedule(&d, 32).unwrap();
         assert!((s.makespan - 5020.0).abs() < 1e-9);
         assert_eq!(s.peak_concurrency(), 1);
         // Utilization is nearly 1 (the 1-node merge wastes 31 nodes briefly).
@@ -322,7 +269,7 @@ mod tests {
     fn half_pool_runs_two_waves() {
         let d = lcls();
         // 64 nodes: two analyses at a time -> waves of 2,2,1 then merge.
-        let s = list_schedule(&d, 64, Policy::Fifo).unwrap();
+        let s = list_schedule(&d, 64).unwrap();
         assert!((s.makespan - 3020.0).abs() < 1e-9);
         assert_eq!(s.peak_concurrency(), 2);
     }
@@ -333,7 +280,7 @@ mod tests {
         let a = d.add_task("a", 2, 5.0).unwrap();
         let b = d.add_task("b", 2, 3.0).unwrap();
         d.add_dep(a, b).unwrap();
-        let s = list_schedule(&d, 100, Policy::Fifo).unwrap();
+        let s = list_schedule(&d, 100).unwrap();
         assert!(s.spans[b.0].start >= s.spans[a.0].end - 1e-12);
         assert!((s.makespan - 8.0).abs() < 1e-9);
     }
@@ -344,57 +291,21 @@ mod tests {
         for i in 0..10 {
             d.add_task(format!("t{i}"), 3, 7.0).unwrap();
         }
-        let s = list_schedule(&d, 10, Policy::Fifo).unwrap();
+        let s = list_schedule(&d, 10).unwrap();
         // 3 tasks fit at once (9 nodes): 10 tasks -> 4 waves.
         assert!((s.makespan - 28.0).abs() < 1e-9);
         assert_eq!(s.peak_concurrency(), 3);
     }
 
     #[test]
-    fn longest_first_beats_fifo_on_adversarial_input() {
-        let mut d = Dag::new("adv");
-        // One long task and many short ones; FIFO starts the short ones
-        // first and the long task tail-ends the makespan.
-        for i in 0..4 {
-            d.add_task(format!("short{i}"), 1, 1.0).unwrap();
-        }
-        d.add_task("long", 1, 10.0).unwrap();
-        let fifo = list_schedule(&d, 2, Policy::Fifo).unwrap();
-        let lpt = list_schedule(&d, 2, Policy::LongestFirst).unwrap();
-        assert!(lpt.makespan <= fifo.makespan);
-        assert!((lpt.makespan - 10.0).abs() < 1e-9);
-        assert!((fifo.makespan - 12.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn critical_path_first_prioritizes_deep_chains() {
-        let mut d = Dag::new("cp");
-        // A deep chain a->b->c (durations 1 each) and a shallow heavy task.
-        let a = d.add_task("a", 1, 1.0).unwrap();
-        let b = d.add_task("b", 1, 1.0).unwrap();
-        let c = d.add_task("c", 1, 1.0).unwrap();
-        d.add_dep(a, b).unwrap();
-        d.add_dep(b, c).unwrap();
-        d.add_task("heavy", 1, 2.5).unwrap();
-        let cp = list_schedule(&d, 1, Policy::CriticalPathFirst).unwrap();
-        // Chain head rank 3.0 > heavy 2.5, so `a` runs first; after it,
-        // the greedy pass prefers heavy (2.5) over b (2.0).
-        assert!((cp.spans[a.0].start - 0.0).abs() < 1e-12);
-        let heavy = d.task_by_name("heavy").unwrap();
-        assert!((cp.spans[heavy.0].start - 1.0).abs() < 1e-9);
-        assert!((cp.spans[b.0].start - 3.5).abs() < 1e-9);
-        assert!((cp.spans[c.0].start - 4.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn errors() {
         let d = lcls();
         assert!(matches!(
-            list_schedule(&d, 0, Policy::Fifo),
+            list_schedule(&d, 0),
             Err(ScheduleError::EmptyPool)
         ));
         assert!(matches!(
-            list_schedule(&d, 16, Policy::Fifo),
+            list_schedule(&d, 16),
             Err(ScheduleError::TaskTooLarge { .. })
         ));
         let mut cyc = Dag::new("c");
@@ -402,10 +313,7 @@ mod tests {
         let b = cyc.add_task("b", 1, 1.0).unwrap();
         cyc.add_dep(a, b).unwrap();
         cyc.add_dep(b, a).unwrap();
-        assert!(matches!(
-            list_schedule(&cyc, 4, Policy::Fifo),
-            Err(ScheduleError::Dag(_))
-        ));
+        assert!(matches!(list_schedule(&cyc, 4), Err(ScheduleError::Dag(_))));
     }
 
     #[test]
@@ -414,7 +322,7 @@ mod tests {
         let a = d.add_task("a", 1, 0.0).unwrap();
         let b = d.add_task("b", 1, 1.0).unwrap();
         d.add_dep(a, b).unwrap();
-        let s = list_schedule(&d, 1, Policy::Fifo).unwrap();
+        let s = list_schedule(&d, 1).unwrap();
         assert!((s.makespan - 1.0).abs() < 1e-12);
         assert_eq!(s.peak_concurrency(), 1); // zero-length spans ignored
     }
@@ -422,7 +330,7 @@ mod tests {
     #[test]
     fn concurrency_metrics_on_empty_schedule() {
         let d = Dag::new("empty");
-        let s = list_schedule(&d, 4, Policy::Fifo).unwrap();
+        let s = list_schedule(&d, 4).unwrap();
         assert_eq!(s.makespan, 0.0);
         assert_eq!(s.peak_concurrency(), 0);
         assert_eq!(s.avg_concurrency(), 0.0);

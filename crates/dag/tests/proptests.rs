@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use wrm_dag::generate::random_layered;
-use wrm_dag::{list_schedule, Dag, GanttChart, Policy};
+use wrm_dag::{list_schedule, Dag, GanttChart};
 
 prop_compose! {
     fn dag_strategy()(
@@ -60,10 +60,9 @@ proptest! {
     }
 
     #[test]
-    fn schedule_invariants(dag in dag_strategy(), extra in 0u64..32, policy_idx in 0usize..3) {
-        let policy = [Policy::Fifo, Policy::LongestFirst, Policy::CriticalPathFirst][policy_idx];
+    fn schedule_invariants(dag in dag_strategy(), extra in 0u64..32) {
         let pool = dag.max_task_nodes().max(1) + extra;
-        let sched = list_schedule(&dag, pool, policy).unwrap();
+        let sched = list_schedule(&dag, pool).unwrap();
 
         // Every task is scheduled exactly once with its own duration.
         prop_assert_eq!(sched.spans.len(), dag.len());
@@ -108,7 +107,7 @@ proptest! {
     #[test]
     fn gantt_covers_every_task(dag in dag_strategy()) {
         let pool = dag.max_task_nodes().max(1) * 4;
-        let sched = list_schedule(&dag, pool, Policy::Fifo).unwrap();
+        let sched = list_schedule(&dag, pool).unwrap();
         let g = GanttChart::build(&dag, &sched).unwrap();
         prop_assert_eq!(g.rows.len(), dag.len());
         prop_assert!((g.makespan - sched.makespan).abs() < 1e-12);
@@ -137,8 +136,8 @@ proptest! {
         }
         let small = pool1.min(pool2);
         let large = pool1.max(pool2);
-        let ms_small = list_schedule(&dag, small, Policy::Fifo).unwrap().makespan;
-        let ms_large = list_schedule(&dag, large, Policy::Fifo).unwrap().makespan;
+        let ms_small = list_schedule(&dag, small).unwrap().makespan;
+        let ms_large = list_schedule(&dag, large).unwrap().makespan;
         prop_assert!(ms_large <= ms_small + 1e-9);
     }
 }

@@ -211,7 +211,7 @@ pub fn breakdown(breakdowns: &[wrm_trace::TimeBreakdown], width: usize) -> Strin
 mod tests {
     use super::*;
     use wrm_core::{ids, machines, Bytes, Flops, Seconds, Work, WorkflowCharacterization};
-    use wrm_dag::{list_schedule, Dag, Policy};
+    use wrm_dag::{list_schedule, Dag};
     use wrm_trace::TimeBreakdown;
 
     fn model() -> RooflineModel {
@@ -252,7 +252,7 @@ mod tests {
         let e = d.add_task("Epsilon", 64, 180.0).unwrap();
         let s = d.add_task("Sigma", 64, 225.0).unwrap();
         d.add_dep(e, s).unwrap();
-        let sched = list_schedule(&d, 1792, Policy::Fifo).unwrap();
+        let sched = list_schedule(&d, 1792).unwrap();
         let chart = GanttChart::build(&d, &sched).unwrap();
         let text = gantt(&chart, 60);
         assert!(text.contains("BGW"));
@@ -272,7 +272,7 @@ mod tests {
     #[test]
     fn gantt_empty() {
         let d = Dag::new("empty");
-        let sched = list_schedule(&d, 4, Policy::Fifo).unwrap();
+        let sched = list_schedule(&d, 4).unwrap();
         let chart = GanttChart::build(&d, &sched).unwrap();
         assert!(gantt(&chart, 40).contains("(empty)"));
     }

@@ -145,14 +145,13 @@ impl Certificate {
 struct ChannelCtx {
     /// Effective capacity (contention-scaled).
     capacity: f64,
-    /// Max concurrent demands: co-schedulable flow tasks + background.
+    /// Max concurrent demands: co-schedulable flow tasks.
     n_tot: usize,
-    /// Sum of the *finite* per-task caps plus background rates; a flow
-    /// subtracts its own task's cap to get its `S_other`.
+    /// Sum of the *finite* per-task caps; a flow subtracts its own
+    /// task's cap to get its `S_other`.
     finite_cap_sum: f64,
-    /// Number of unbounded (infinite) per-task caps and background
-    /// rates: any competitor without a cap voids the work-conservation
-    /// refinement.
+    /// Number of unbounded (infinite) per-task caps: any competitor
+    /// without a cap voids the work-conservation refinement.
     inf_caps: usize,
     /// Total bytes through the channel (for the aggregate floor).
     bytes: f64,
@@ -197,7 +196,6 @@ fn certify_indexed(
 ) -> Certificate {
     let n = base.n_tasks();
     let pool = overlay.pool_total;
-    let amplitude = options.jitter.map_or(0.0, |j| j.amplitude);
 
     // Per-channel contention context. A task with several flow phases on
     // one channel runs them sequentially, so it contributes one
@@ -228,14 +226,10 @@ fn certify_indexed(
                 .filter(|&t| task_cap_on[t].contains_key(&(ch as u32)))
                 .map(|t| base.nodes[t])
                 .collect();
-            let bg = &overlay.background[ch];
             let k_pool = wrm_dag::max_coschedulable(&nodes_on, pool);
             let mut finite_cap_sum = 0.0f64;
             let mut inf_caps = 0usize;
-            for c in (0..n)
-                .filter_map(|t| task_cap_on[t].get(&(ch as u32)))
-                .chain(bg.iter())
-            {
+            for c in (0..n).filter_map(|t| task_cap_on[t].get(&(ch as u32))) {
                 if c.is_finite() {
                     finite_cap_sum += c;
                 } else {
@@ -244,7 +238,7 @@ fn certify_indexed(
             }
             ChannelCtx {
                 capacity: overlay.channel_capacity[ch],
-                n_tot: nodes_on.len().min(k_pool) + bg.len(),
+                n_tot: nodes_on.len().min(k_pool),
                 finite_cap_sum,
                 inf_caps,
                 bytes: channel_bytes[ch],
@@ -260,7 +254,7 @@ fn certify_indexed(
             let (lo, hi) = match base.phases[slot] {
                 PhaseIx::Fixed { duration } => {
                     let d = duration.max(0.0);
-                    (d * (1.0 - amplitude), d * (1.0 + amplitude))
+                    (d, d)
                 }
                 PhaseIx::Flow {
                     channel,
@@ -639,32 +633,5 @@ mod tests {
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap()
         );
-    }
-
-    #[test]
-    fn jitter_widens_fixed_phases_only() {
-        let machine = machines::perlmutter_cpu();
-        let wf = WorkflowSpec::new("j").task(
-            TaskSpec::new("a", 1)
-                .phase(Phase::overhead("o", 100.0))
-                .phase(Phase::system_data(wrm_core::ids::FILE_SYSTEM, 1e9)),
-        );
-        let opts = SimOptions {
-            jitter: Some(crate::engine::Jitter {
-                seed: 7,
-                amplitude: 0.2,
-            }),
-            ..SimOptions::default()
-        };
-        let cert = certify(&machine, &wf, &opts).unwrap();
-        let t = &cert.tasks[0];
-        let overhead = t.terms.iter().find(|x| x.class == "overhead").unwrap();
-        assert!((overhead.lo - 80.0).abs() < 1e-9 && (overhead.hi - 120.0).abs() < 1e-9);
-        let flow = t
-            .terms
-            .iter()
-            .find(|x| x.class == "system-channel")
-            .unwrap();
-        assert!((flow.lo - flow.hi).abs() < 1e-12, "flows are not jittered");
     }
 }

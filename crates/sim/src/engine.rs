@@ -26,8 +26,6 @@ use crate::channel::{FlowDemand, FlowRate, RateScratch, Sharing};
 use crate::index::{BaseIndex, PhaseIx};
 use crate::overlay::IndexOverlay;
 use crate::spec::{Phase, SpecError, WorkflowSpec};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -47,28 +45,6 @@ pub enum SchedulerPolicy {
     Backfill,
 }
 
-/// Multiplicative duration noise, for robustness experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Jitter {
-    /// RNG seed (runs are deterministic per seed).
-    pub seed: u64,
-    /// Relative amplitude in `[0, 1)`: each fixed phase duration is
-    /// scaled by a factor drawn uniformly from `[1-a, 1+a]`.
-    pub amplitude: f64,
-}
-
-/// A persistent competing flow on a shared channel, modelling traffic
-/// from *other* workflows sharing the system (the source of the paper's
-/// LCLS "bad days"). A background flow never completes: it competes for
-/// max-min fair bandwidth up to its rate for the whole run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BackgroundFlow {
-    /// The shared resource it loads.
-    pub resource: String,
-    /// Its demand ceiling in bytes/s (`f64::INFINITY` = greedy).
-    pub rate: f64,
-}
-
 /// Simulation options.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimOptions {
@@ -83,12 +59,8 @@ pub struct SimOptions {
     /// stream caps on that channel, matching "the achievable rate drops
     /// 5x" as observed end to end.
     pub contention: BTreeMap<String, f64>,
-    /// Optional duration noise.
-    pub jitter: Option<Jitter>,
     /// Scheduler policy.
     pub scheduler: SchedulerPolicy,
-    /// Persistent competing flows from other workloads.
-    pub background: Vec<BackgroundFlow>,
 }
 
 impl Default for SimOptions {
@@ -97,9 +69,7 @@ impl Default for SimOptions {
             node_limit: None,
             sharing: Sharing::MaxMin,
             contention: BTreeMap::new(),
-            jitter: None,
             scheduler: SchedulerPolicy::Fifo,
-            background: Vec::new(),
         }
     }
 }
@@ -108,15 +78,6 @@ impl SimOptions {
     /// Adds a contention factor for one resource.
     pub fn with_contention(mut self, resource: impl Into<String>, factor: f64) -> Self {
         self.contention.insert(resource.into(), factor);
-        self
-    }
-
-    /// Adds a persistent background flow competing on `resource`.
-    pub fn with_background(mut self, resource: impl Into<String>, rate: f64) -> Self {
-        self.background.push(BackgroundFlow {
-            resource: resource.into(),
-            rate,
-        });
         self
     }
 }
@@ -767,8 +728,6 @@ pub(crate) struct Engine<'a> {
     opts: &'a SimOptions,
     base: &'a BaseIndex,
     overlay: &'a IndexOverlay,
-    rng: Option<StdRng>,
-    amplitude: f64,
     mode: RunMode,
     /// Every growable buffer, arena-recyclable (see [`SimArena`]).
     st: EngineState,
@@ -824,8 +783,6 @@ impl<'a> Engine<'a> {
             opts,
             base,
             overlay,
-            rng: opts.jitter.map(|j| StdRng::seed_from_u64(j.seed)),
-            amplitude: opts.jitter.map_or(0.0, |j| j.amplitude),
             mode,
             st: state,
             free: overlay.pool_total,
@@ -852,15 +809,6 @@ impl<'a> Engine<'a> {
         self
     }
 
-    /// One multiplicative jitter factor; the draw sequence matches the
-    /// reference (one draw per non-zero-phase phase spawn).
-    fn jitter(&mut self) -> f64 {
-        match self.rng.as_mut() {
-            Some(r) => 1.0 + self.amplitude * r.random_range(-1.0..=1.0),
-            None => 1.0,
-        }
-    }
-
     fn mark_dirty(&mut self, channel: u32) {
         let ch = channel as usize;
         if !self.st.dirty[ch] {
@@ -874,14 +822,14 @@ impl<'a> Engine<'a> {
     /// birth (zero duration within tolerance, or a zero-byte flow) goes
     /// straight onto the pending set so it is processed by the same scan,
     /// exactly where the reference's forward sweep would reach it.
-    fn spawn(&mut self, ti: u32, pi: u32, jf: f64, in_scan: bool) {
+    fn spawn(&mut self, ti: u32, pi: u32, in_scan: bool) {
         let slot = (self.base.phase_off[ti as usize] + pi) as usize;
         let token = self.st.pos_of.len() as u32;
         let pos = self.st.run.len() as u32;
         self.st.pos_of.push(pos);
         match self.base.phases[slot] {
             PhaseIx::Fixed { duration } => {
-                let end = self.now + duration * jf;
+                let end = self.now + duration;
                 if in_scan && end <= self.now + time_eps(self.now) {
                     self.st.pending.insert(pos);
                 } else {
@@ -966,8 +914,7 @@ impl<'a> Engine<'a> {
                 }
             }
         } else {
-            let jf = self.jitter();
-            self.spawn(ti, 0, jf, false);
+            self.spawn(ti, 0, false);
         }
     }
 
@@ -1034,20 +981,13 @@ impl<'a> Engine<'a> {
                 });
             }
             self.st.demand_scratch.sort_unstable_by_key(|d| d.id);
-            let first_bg = self.st.demand_scratch.len();
-            for (k, &rate) in self.overlay.background[ch].iter().enumerate() {
-                self.st.demand_scratch.push(FlowDemand {
-                    id: usize::MAX - k,
-                    cap: rate,
-                });
-            }
             sharing.rates_into(
                 self.overlay.channel_capacity[ch],
                 &self.st.demand_scratch,
                 &mut self.st.rate_scratch,
                 &mut self.st.rates_out,
             );
-            for k in 0..first_bg {
+            for k in 0..self.st.rates_out.len() {
                 let fr = self.st.rates_out[k];
                 let i = fr.id;
                 if fr.rate != self.st.run.rate[i] {
@@ -1200,8 +1140,7 @@ impl<'a> Engine<'a> {
             }
             let next_phase = phase_ix + 1;
             if next_phase < self.base.n_phases(t) {
-                let jf = self.jitter();
-                self.spawn(task_ix, next_phase, jf, true);
+                self.spawn(task_ix, next_phase, true);
             } else {
                 self.st.ends[t] = self.now;
                 self.free += self.base.nodes[t];

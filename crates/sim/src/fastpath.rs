@@ -26,12 +26,12 @@
 //!    cannot pull an activity to an earlier event than the analytic
 //!    schedule assigns it.
 //!
-//! Any violation — or jitter, non-max-min sharing, background flows, a
-//! dependency cycle, a starved or unbounded flow — returns `None` and
-//! the caller falls back to the DES. The returned result matches the
-//! DES in every scalar and in the trace span *set*; span order within a
-//! shared completion instant may differ (the `Trace` contract documents
-//! spans as unordered), so comparisons sort spans first.
+//! Any violation — or non-max-min sharing, a dependency cycle, a
+//! starved or unbounded flow — returns `None` and the caller falls back
+//! to the DES. The returned result matches the DES in every scalar and
+//! in the trace span *set*; span order within a shared completion
+//! instant may differ (the `Trace` contract documents spans as
+//! unordered), so comparisons sort spans first.
 
 use crate::channel::Sharing;
 use crate::engine::{flow_finished, span_kind, time_eps, SimOptions, SimResult};
@@ -57,10 +57,7 @@ pub(crate) fn try_fastpath(
     base: &BaseIndex,
     overlay: &IndexOverlay,
 ) -> Option<SimResult> {
-    if opts.jitter.is_some() || opts.sharing != Sharing::MaxMin {
-        return None;
-    }
-    if overlay.background.iter().any(|b| !b.is_empty()) {
+    if opts.sharing != Sharing::MaxMin {
         return None;
     }
 
@@ -80,8 +77,7 @@ pub(crate) fn try_fastpath(
             for (k, slot) in (base.phase_off[t]..base.phase_off[t + 1]).enumerate() {
                 let end = match base.phases[slot as usize] {
                     PhaseIx::Fixed { duration } => {
-                        // The engine computes `now + duration * jf`; with
-                        // no jitter `jf == 1.0` and `x * 1.0 == x`.
+                        // The engine's `now + duration`, verbatim.
                         let mut end = cur + duration;
                         // A later phase born within tolerance completes
                         // inside the same scan, at the current time.
@@ -403,29 +399,23 @@ mod tests {
         assert!(run_fastpath(&scenario).is_none());
     }
 
-    /// Jitter and background flows disable the fast path outright.
+    /// Equal-split sharing disables the fast path outright, even on a
+    /// workflow the max-min fast path would take.
     #[test]
-    fn bails_on_jitter_and_background() {
+    fn bails_on_equal_split() {
         let wf =
-            WorkflowSpec::new("j").task(TaskSpec::new("t", 1).phase(Phase::overhead("o", 1.0)));
+            WorkflowSpec::new("e").task(TaskSpec::new("t", 1).phase(Phase::overhead("o", 1.0)));
         let machine = machines::cori_haswell();
-        let jitter = SimOptions {
-            jitter: Some(crate::engine::Jitter {
-                seed: 1,
-                amplitude: 0.1,
-            }),
+        assert!(run_fastpath(&Scenario::new(machine.clone(), wf.clone())).is_some());
+        let equal = SimOptions {
+            sharing: crate::channel::Sharing::EqualSplit,
             ..SimOptions::default()
         };
-        assert!(
-            run_fastpath(&Scenario::new(machine.clone(), wf.clone()).with_options(jitter))
-                .is_none()
-        );
-        let bg = SimOptions::default().with_background(wrm_core::ids::EXTERNAL, 1e9);
-        assert!(run_fastpath(&Scenario::new(machine, wf).with_options(bg)).is_none());
+        assert!(run_fastpath(&Scenario::new(machine, wf).with_options(equal)).is_none());
     }
 
     /// Generator for scenarios that are uncontended by construction:
-    /// small stream-capped flows, loose pool, no jitter/background. The
+    /// small stream-capped flows, loose pool. The
     /// fast path must engage and match both engines bit-identically.
     fn uncontended_workflow(seed: u64, n_tasks: usize) -> WorkflowSpec {
         let mut s = seed;

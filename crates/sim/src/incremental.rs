@@ -10,9 +10,9 @@
 //!
 //! 1. **One base index per sweep.** [`BaseIndex`] (topology, the
 //!    dependents CSR, durations) is built once; each point only builds
-//!    a tiny `IndexOverlay` (channel capacities/factors, pool size,
-//!    background demands) on top of it — bit-identical to a cold build,
-//!    which `overlay::tests` proves.
+//!    a tiny `IndexOverlay` (channel capacities/factors, pool size) on
+//!    top of it — bit-identical to a cold build, which `overlay::tests`
+//!    proves.
 //! 2. **Analytic fast path.** Points whose overlay yields no channel
 //!    contention and no node queueing skip the DES entirely
 //!    (the `fastpath` module): the makespan is a longest-path over the

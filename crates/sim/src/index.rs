@@ -7,8 +7,8 @@
 //!   lists, unscaled channel capacities and flow-cap bases — so a sweep
 //!   over thousands of option points builds it exactly once;
 //! * [`crate::overlay::IndexOverlay`] holds the per-point deltas
-//!   (contention-scaled capacities, the usable node pool, background
-//!   demands) and is cheap to rebuild per grid point.
+//!   (contention-scaled capacities and the usable node pool) and is
+//!   cheap to rebuild per grid point.
 //!
 //! Validation is split the same way without changing what error a caller
 //! sees: the reference engine interleaves `TaskTooLarge` (which needs
@@ -34,7 +34,7 @@ pub(crate) enum PhaseIx {
     /// A fixed-duration phase (compute, node-local data, overhead); the
     /// duration is pre-divided by the allocation's peak rate.
     Fixed {
-        /// Unjittered duration in seconds.
+        /// Duration in seconds.
         duration: f64,
     },
     /// A flow on a shared channel.

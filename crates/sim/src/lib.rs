@@ -64,9 +64,8 @@ pub use channel::{
     FlowRate, RateScratch, Sharing,
 };
 pub use engine::{
-    simulate, simulate_summary, simulate_summary_with_base, simulate_with_base, BackgroundFlow,
-    ChannelSummary, Jitter, RunMode, Scenario, SchedulerPolicy, SimArena, SimError, SimOptions,
-    SimResult, SimSummary,
+    simulate, simulate_summary, simulate_summary_with_base, simulate_with_base, ChannelSummary,
+    RunMode, Scenario, SchedulerPolicy, SimArena, SimError, SimOptions, SimResult, SimSummary,
 };
 pub use incremental::{
     sweep_column, sweep_grid, sweep_grid_with_base, IndexedResult, SweepGrid, SweepOutcome,

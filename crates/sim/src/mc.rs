@@ -352,11 +352,6 @@ pub fn mc_run_with_base(
     base: &BaseIndex,
     opts: &McOptions,
 ) -> Result<McResult, SimError> {
-    if scenario.options.jitter.is_some() {
-        return Err(SimError::InvalidOption(
-            "monte-carlo replication replaces jitter; clear options.jitter".into(),
-        ));
-    }
     let slots = lower_slots(scenario);
     let brk = bracket(scenario)?;
 
@@ -547,19 +542,6 @@ mod tests {
         .unwrap();
         assert_eq!(a, a2);
         assert_ne!(a.makespans, b.makespans);
-    }
-
-    #[test]
-    fn jitter_is_rejected() {
-        let mut scenario = dist_scenario();
-        scenario.options.jitter = Some(crate::engine::Jitter {
-            seed: 1,
-            amplitude: 0.1,
-        });
-        assert!(matches!(
-            mc_run(&scenario, &McOptions::default()),
-            Err(SimError::InvalidOption(_))
-        ));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Per-grid-point deltas over a shared [`BaseIndex`].
 //!
 //! An [`IndexOverlay`] is everything about a scenario that the sweep
-//! knobs can change: the usable node pool (`node_limit`), the
-//! contention-scaled channel capacities and cap factors, and background
-//! demands. Building one is `O(channels + background + log tasks)` —
-//! against the `O(workflow)` cost of a full index build — which is what
-//! makes a 4,096-point sweep do one base build instead of 4,096.
+//! knobs can change: the usable node pool (`node_limit`) and the
+//! contention-scaled channel capacities and cap factors. Building one is
+//! `O(channels + log tasks)` — against the `O(workflow)` cost of a full
+//! index build — which is what makes a 4,096-point sweep do one base
+//! build instead of 4,096.
 //!
 //! Validation here reproduces the reference engine's error *order*
 //! exactly (option checks first, then one forward scan over tasks that
@@ -28,8 +28,6 @@ pub(crate) struct IndexOverlay {
     pub channel_capacity: Vec<f64>,
     /// Contention factor per channel (applied to flow caps at spawn).
     pub channel_factor: Vec<f64>,
-    /// Background demand rates per channel.
-    pub background: Vec<Vec<f64>>,
 }
 
 impl IndexOverlay {
@@ -46,28 +44,6 @@ impl IndexOverlay {
                 return Err(SimError::InvalidOption(format!(
                     "contention factor for {res} must be positive, got {f}"
                 )));
-            }
-        }
-        if let Some(j) = &opts.jitter {
-            if !(j.amplitude.is_finite() && (0.0..1.0).contains(&j.amplitude)) {
-                return Err(SimError::InvalidOption(format!(
-                    "jitter amplitude must be in [0,1), got {}",
-                    j.amplitude
-                )));
-            }
-        }
-        for bg in &opts.background {
-            if bg.rate.is_nan() || bg.rate <= 0.0 {
-                return Err(SimError::InvalidOption(format!(
-                    "background flow on {} must have a positive rate, got {}",
-                    bg.resource, bg.rate
-                )));
-            }
-            if !base.channel_idx.contains_key(&bg.resource) {
-                return Err(SimError::UnknownResource {
-                    task: "<background>".into(),
-                    resource: bg.resource.clone(),
-                });
             }
         }
 
@@ -104,16 +80,10 @@ impl IndexOverlay {
             channel_capacity.push(base.capacity_base[ci] * factor);
         }
 
-        let mut background = vec![Vec::new(); base.capacity_base.len()];
-        for bg in &opts.background {
-            background[base.channel_idx[bg.resource.as_str()] as usize].push(bg.rate);
-        }
-
         Ok(IndexOverlay {
             pool_total,
             channel_capacity,
             channel_factor,
-            background,
         })
     }
 }
@@ -150,8 +120,6 @@ mod tests {
         let cases = vec![
             SimOptions::default().with_contention(wrm_core::ids::EXTERNAL, 0.0),
             SimOptions::default().with_contention(wrm_core::ids::EXTERNAL, f64::NAN),
-            SimOptions::default().with_background("no-such-channel", 1e9),
-            SimOptions::default().with_background(wrm_core::ids::EXTERNAL, -1.0),
             SimOptions {
                 node_limit: Some(8),
                 ..SimOptions::default()
@@ -211,9 +179,7 @@ mod tests {
         let wf = sample_workflow();
         let base = BaseIndex::build(&machine, &wf).expect("valid workflow");
         for f in [0.2, 0.5, 1.0, 1.7] {
-            let opts = SimOptions::default()
-                .with_contention(wrm_core::ids::EXTERNAL, f)
-                .with_background(wrm_core::ids::EXTERNAL, 2e9);
+            let opts = SimOptions::default().with_contention(wrm_core::ids::EXTERNAL, f);
             let overlay = IndexOverlay::build(&base, &wf, &opts).expect("valid options");
             // A cold build goes through the same code today; the test
             // pins the contract that sharing one base across points
@@ -223,7 +189,6 @@ mod tests {
             assert_eq!(overlay.pool_total, cold.pool_total);
             assert_eq!(overlay.channel_factor, cold.channel_factor);
             assert_eq!(overlay.channel_capacity, cold.channel_capacity);
-            assert_eq!(overlay.background, cold.background);
         }
     }
 }

@@ -16,8 +16,6 @@ use crate::engine::{
     flow_finished, span_kind, time_eps, Scenario, SchedulerPolicy, SimError, SimResult,
 };
 use crate::spec::{Phase, TaskSpec};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
 use wrm_core::SystemScaling;
 use wrm_trace::{Trace, TraceSpan};
@@ -62,28 +60,6 @@ pub fn simulate_reference(scenario: &Scenario) -> Result<SimResult, SimError> {
             return Err(SimError::InvalidOption(format!(
                 "contention factor for {res} must be positive, got {f}"
             )));
-        }
-    }
-    if let Some(j) = &opts.jitter {
-        if !(j.amplitude.is_finite() && (0.0..1.0).contains(&j.amplitude)) {
-            return Err(SimError::InvalidOption(format!(
-                "jitter amplitude must be in [0,1), got {}",
-                j.amplitude
-            )));
-        }
-    }
-    for bg in &opts.background {
-        if bg.rate.is_nan() || bg.rate <= 0.0 {
-            return Err(SimError::InvalidOption(format!(
-                "background flow on {} must have a positive rate, got {}",
-                bg.resource, bg.rate
-            )));
-        }
-        if machine.system_resource(&bg.resource).is_none() {
-            return Err(SimError::UnknownResource {
-                task: "<background>".into(),
-                resource: bg.resource.clone(),
-            });
         }
     }
 
@@ -146,15 +122,6 @@ pub fn simulate_reference(scenario: &Scenario) -> Result<SimResult, SimError> {
         channels.push(Channel { capacity });
     }
 
-    let mut rng = opts.jitter.map(|j| StdRng::seed_from_u64(j.seed));
-    let amplitude = opts.jitter.map_or(0.0, |j| j.amplitude);
-    let mut jitter_factor = move || -> f64 {
-        match rng.as_mut() {
-            Some(r) => 1.0 + amplitude * r.random_range(-1.0..=1.0),
-            None => 1.0,
-        }
-    };
-
     // Fixed-phase duration for a task on this machine.
     let fixed_duration = |task: &TaskSpec, phase: &Phase| -> Option<f64> {
         match phase {
@@ -210,7 +177,7 @@ pub fn simulate_reference(scenario: &Scenario) -> Result<SimResult, SimError> {
 
     // Begins a task's phase `phase_idx` at time `at`, producing the
     // Activity.
-    let make_activity = |task: &TaskSpec, phase_idx: usize, jf: f64, at: f64| -> Activity {
+    let make_activity = |task: &TaskSpec, phase_idx: usize, at: f64| -> Activity {
         let phase = &task.phases[phase_idx];
         match phase {
             Phase::SystemData {
@@ -247,17 +214,10 @@ pub fn simulate_reference(scenario: &Scenario) -> Result<SimResult, SimError> {
                 }
             }
             _ => Activity::Fixed {
-                end: at + fixed_duration(task, phase).expect("fixed phase") * jf,
+                end: at + fixed_duration(task, phase).expect("fixed phase"),
             },
         }
     };
-
-    // Background demands per channel (persistent pseudo-flows with ids
-    // past the running-task range).
-    let mut background_per_channel: Vec<Vec<f64>> = vec![Vec::new(); channels.len()];
-    for bg in &opts.background {
-        background_per_channel[channel_idx[bg.resource.as_str()]].push(bg.rate);
-    }
 
     // Recomputes all flow rates per channel. A flow whose rate actually
     // changes has its progress materialized (`remaining` brought up to
@@ -266,7 +226,7 @@ pub fn simulate_reference(scenario: &Scenario) -> Result<SimResult, SimError> {
     let recompute =
         |running: &mut [RunningTask], channels: &[Channel], sharing: Sharing, now: f64| {
             for (ci, ch) in channels.iter().enumerate() {
-                let mut demands: Vec<FlowDemand> = running
+                let demands: Vec<FlowDemand> = running
                     .iter()
                     .enumerate()
                     .filter_map(|(i, r)| match &r.activity {
@@ -279,15 +239,7 @@ pub fn simulate_reference(scenario: &Scenario) -> Result<SimResult, SimError> {
                 if demands.is_empty() {
                     continue;
                 }
-                let first_bg = demands.len();
-                for (k, &rate) in background_per_channel[ci].iter().enumerate() {
-                    demands.push(FlowDemand {
-                        id: usize::MAX - k,
-                        cap: rate,
-                    });
-                }
-                let rates = sharing.rates(ch.capacity, &demands);
-                for fr in rates.into_iter().take(first_bg) {
+                for fr in sharing.rates(ch.capacity, &demands) {
                     if let Activity::Flow {
                         remaining,
                         rate,
@@ -339,12 +291,11 @@ pub fn simulate_reference(scenario: &Scenario) -> Result<SimResult, SimError> {
                     qi = 0;
                     continue;
                 }
-                let jf = jitter_factor();
                 running.push(RunningTask {
                     spec_idx: ti,
                     phase_idx: 0,
                     phase_start: now,
-                    activity: make_activity(&tasks[ti], 0, jf, now),
+                    activity: make_activity(&tasks[ti], 0, now),
                 });
             } else if opts.scheduler == SchedulerPolicy::Fifo {
                 break; // head blocks
@@ -399,12 +350,11 @@ pub fn simulate_reference(scenario: &Scenario) -> Result<SimResult, SimError> {
             ));
             let next_phase = r.phase_idx + 1;
             if next_phase < task.phases.len() {
-                let jf = jitter_factor();
                 running.push(RunningTask {
                     spec_idx: r.spec_idx,
                     phase_idx: next_phase,
                     phase_start: now,
-                    activity: make_activity(task, next_phase, jf, now),
+                    activity: make_activity(task, next_phase, now),
                 });
                 // The pushed activity lands at the end; do not advance i
                 // past the element swapped into position i.
@@ -441,7 +391,7 @@ pub fn simulate_reference(scenario: &Scenario) -> Result<SimResult, SimError> {
 #[cfg(test)]
 mod tests {
     use super::simulate_reference;
-    use crate::engine::{simulate, Jitter, Scenario, SchedulerPolicy, SimOptions};
+    use crate::engine::{simulate, Scenario, SchedulerPolicy, SimOptions};
     use crate::spec::{Phase, TaskSpec, WorkflowSpec};
     use proptest::prelude::*;
     use wrm_core::{machines, Machine};
@@ -529,10 +479,7 @@ mod tests {
             n_tasks in 1usize..16,
             machine_ix in 0usize..2,
             backfill in any::<bool>(),
-            jitter_seed in prop::option::of(any::<u64>()),
-            amplitude in 0.0f64..0.9,
             contention in prop::option::of(0.1f64..1.5),
-            background in any::<bool>(),
             node_limit in prop::option::of(1u64..32),
         ) {
             let machine = if machine_ix == 0 {
@@ -548,14 +495,10 @@ mod tests {
                 } else {
                     SchedulerPolicy::Fifo
                 },
-                jitter: jitter_seed.map(|s| Jitter { seed: s, amplitude }),
                 ..SimOptions::default()
             };
             if let Some(f) = contention {
                 opts = opts.with_contention(wrm_core::ids::EXTERNAL, f);
-            }
-            if background {
-                opts = opts.with_background(wrm_core::ids::EXTERNAL, 2e9);
             }
             let scenario = Scenario::new(machine, wf).with_options(opts);
             let optimized = simulate(&scenario);

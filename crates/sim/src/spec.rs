@@ -1,5 +1,5 @@
 //! Simulation input: workflow specifications as DAGs of phase-structured
-//! tasks, plus the scenario knobs (contention, jitter, scheduling).
+//! tasks, plus the scenario knobs (contention, node limit, scheduling).
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;

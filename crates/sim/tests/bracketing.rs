@@ -4,7 +4,7 @@
 //! `lo <= makespan <= hi` for the *same* scenario the discrete-event
 //! engine runs. These tests enforce that bracket against the DES on
 //! randomly generated layered DAGs (arbitrary widths, node counts,
-//! mixed phase types, caps, jitter, background traffic, both sharing
+//! mixed phase types, caps, contention, node limits, both sharing
 //! disciplines and both scheduler policies) and across a full 8x8
 //! contention x node-limit sweep grid, so a regression in either the
 //! bounds or the engine breaks the build rather than a paper claim.
@@ -17,8 +17,8 @@ use proptest::prelude::*;
 use wrm_core::{ids, BytesPerSec, FlopsPerSec, Machine, Rate};
 use wrm_dag::generate::random_layered_tasks;
 use wrm_sim::{
-    certify_scenario, simulate, simulate_summary, Jitter, Phase, Scenario, SchedulerPolicy,
-    Sharing, SimOptions, SweepGrid, TaskSpec, WorkflowSpec,
+    certify_scenario, simulate, simulate_summary, Phase, Scenario, SchedulerPolicy, Sharing,
+    SimOptions, SweepGrid, TaskSpec, WorkflowSpec,
 };
 
 fn machine(pool: u64, fs_gbps: f64) -> Machine {
@@ -114,24 +114,18 @@ proptest! {
         n_tasks in 1usize..14,
         pool in 8u64..40,
         factor in 0.05f64..1.0,
-        jitter_amp in 0.0f64..0.4,
-        bg_gbps in 0.0f64..5.0,
         equal_split in any::<bool>(),
         backfill in any::<bool>(),
         limit in any::<bool>(),
     ) {
         let wf = workload(seed, n_tasks, 4, 1e10);
-        let mut opts = SimOptions {
+        let opts = SimOptions {
             sharing: if equal_split { Sharing::EqualSplit } else { Sharing::MaxMin },
             scheduler: if backfill { SchedulerPolicy::Backfill } else { SchedulerPolicy::Fifo },
-            jitter: Some(Jitter { seed, amplitude: jitter_amp }),
             node_limit: limit.then_some(8),
             ..SimOptions::default()
-        };
-        opts = opts.with_contention(ids::FILE_SYSTEM, factor);
-        if bg_gbps > 0.0 {
-            opts = opts.with_background(ids::FILE_SYSTEM, bg_gbps * 1e9);
         }
+        .with_contention(ids::FILE_SYSTEM, factor);
         let scenario = Scenario::new(machine(pool, 10.0), wf).with_options(opts);
         assert_bracketed(&scenario, "knobs");
     }

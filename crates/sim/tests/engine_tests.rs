@@ -3,7 +3,7 @@
 
 use wrm_core::{ids, machines};
 use wrm_sim::{
-    simulate, Jitter, Phase, Scenario, SchedulerPolicy, Sharing, SimError, SimOptions, TaskSpec,
+    simulate, Phase, Scenario, SchedulerPolicy, Sharing, SimError, SimOptions, TaskSpec,
     WorkflowSpec,
 };
 
@@ -206,28 +206,6 @@ fn node_limit_serializes_parallel_tasks() {
 }
 
 #[test]
-fn jitter_is_deterministic_per_seed_and_bounded() {
-    let wf = WorkflowSpec::new("j").task(TaskSpec::new("a", 1).phase(Phase::overhead("w", 100.0)));
-    let opts = |seed| SimOptions {
-        jitter: Some(Jitter {
-            seed,
-            amplitude: 0.1,
-        }),
-        ..SimOptions::default()
-    };
-    let r1 = simulate(&Scenario::new(machines::perlmutter_cpu(), wf.clone()).with_options(opts(7)))
-        .unwrap();
-    let r2 = simulate(&Scenario::new(machines::perlmutter_cpu(), wf.clone()).with_options(opts(7)))
-        .unwrap();
-    let r3 =
-        simulate(&Scenario::new(machines::perlmutter_cpu(), wf).with_options(opts(8))).unwrap();
-    assert_eq!(r1.makespan, r2.makespan);
-    assert!(r1.makespan >= 90.0 - 1e-9 && r1.makespan <= 110.0 + 1e-9);
-    // Different seed, almost surely different draw.
-    assert_ne!(r1.makespan, r3.makespan);
-}
-
-#[test]
 fn equal_split_underutilizes_vs_max_min() {
     // One capped flow + one open flow: equal split wastes bandwidth.
     let m = wrm_core::Machine::builder("tiny", 8)
@@ -279,19 +257,6 @@ fn error_paths() {
     // Bad contention factor.
     let wf = WorkflowSpec::new("c").task(TaskSpec::new("t", 1));
     let bad = SimOptions::default().with_contention(ids::FILE_SYSTEM, 0.0);
-    assert!(matches!(
-        simulate(&Scenario::new(machines::perlmutter_gpu(), wf).with_options(bad)),
-        Err(SimError::InvalidOption(_))
-    ));
-    // Bad jitter.
-    let wf = WorkflowSpec::new("j").task(TaskSpec::new("t", 1));
-    let bad = SimOptions {
-        jitter: Some(Jitter {
-            seed: 0,
-            amplitude: 1.5,
-        }),
-        ..SimOptions::default()
-    };
     assert!(matches!(
         simulate(&Scenario::new(machines::perlmutter_gpu(), wf).with_options(bad)),
         Err(SimError::InvalidOption(_))
@@ -383,62 +348,6 @@ fn gptune_rci_vs_spawn_modes() {
     );
     let speedup = r_rci.makespan / r_spawn.makespan;
     assert!((speedup - 2.4).abs() < 0.2, "speedup {speedup}");
-}
-
-#[test]
-fn background_flows_steal_fair_share() {
-    // One task pulls 10 GB from a 2 GB/s channel while a greedy
-    // background flow competes: fair share 1 GB/s each -> 10 s.
-    let m = wrm_core::Machine::builder("tiny", 4)
-        .system(ids::FILE_SYSTEM, "fs", wrm_core::BytesPerSec::gbps(2.0))
-        .build()
-        .unwrap();
-    let wf = WorkflowSpec::new("bg")
-        .task(TaskSpec::new("t", 1).phase(Phase::system_data(ids::FILE_SYSTEM, 10e9)));
-    let opts = SimOptions::default().with_background(ids::FILE_SYSTEM, f64::INFINITY);
-    let r = simulate(&Scenario::new(m.clone(), wf.clone()).with_options(opts)).unwrap();
-    assert!((r.makespan - 10.0).abs() < 1e-6, "makespan {}", r.makespan);
-
-    // A rate-limited background (0.5 GB/s) leaves 1.5 GB/s -> ~6.67 s.
-    let opts = SimOptions::default().with_background(ids::FILE_SYSTEM, 0.5e9);
-    let r = simulate(&Scenario::new(m.clone(), wf.clone()).with_options(opts)).unwrap();
-    assert!(
-        (r.makespan - 10.0 / 1.5).abs() < 1e-6,
-        "makespan {}",
-        r.makespan
-    );
-
-    // No background: full 2 GB/s -> 5 s.
-    let r = simulate(&Scenario::new(m, wf)).unwrap();
-    assert!((r.makespan - 5.0).abs() < 1e-6);
-}
-
-#[test]
-fn two_backgrounds_and_validation() {
-    let m = wrm_core::Machine::builder("tiny", 4)
-        .system(ids::FILE_SYSTEM, "fs", wrm_core::BytesPerSec::gbps(3.0))
-        .build()
-        .unwrap();
-    let wf = WorkflowSpec::new("bg")
-        .task(TaskSpec::new("t", 1).phase(Phase::system_data(ids::FILE_SYSTEM, 10e9)));
-    // Two greedy backgrounds: the task gets a third of 3 GB/s.
-    let opts = SimOptions::default()
-        .with_background(ids::FILE_SYSTEM, f64::INFINITY)
-        .with_background(ids::FILE_SYSTEM, f64::INFINITY);
-    let r = simulate(&Scenario::new(m.clone(), wf.clone()).with_options(opts)).unwrap();
-    assert!((r.makespan - 10.0).abs() < 1e-6, "makespan {}", r.makespan);
-
-    // Invalid rate / unknown resource are rejected.
-    let bad = SimOptions::default().with_background(ids::FILE_SYSTEM, 0.0);
-    assert!(matches!(
-        simulate(&Scenario::new(m.clone(), wf.clone()).with_options(bad)),
-        Err(SimError::InvalidOption(_))
-    ));
-    let unknown = SimOptions::default().with_background("warp", 1.0);
-    assert!(matches!(
-        simulate(&Scenario::new(m, wf).with_options(unknown)),
-        Err(SimError::UnknownResource { .. })
-    ));
 }
 
 #[test]

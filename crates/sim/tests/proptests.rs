@@ -4,12 +4,22 @@
 use proptest::prelude::*;
 use wrm_core::{ids, BytesPerSec, Dist, Machine};
 use wrm_sim::{
-    max_min_rates, mc_run, simulate, FlowDemand, McOptions, Phase, Scenario, SimOptions, TaskSpec,
-    WorkflowSpec,
+    max_min_rates, mc_run, simulate, FlowDemand, McOptions, Phase, Scenario, SchedulerPolicy,
+    Sharing, SimOptions, TaskSpec, WorkflowSpec,
 };
 
+/// One step of a splitmix64 stream, for seeded uneven test quantities.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// A random layered DAG with distributional phase quantities: every
-/// task in layer `l > 0` depends on all of layer `l - 1`.
+/// task in layer `l > 0` depends on all of layer `l - 1`. Tasks hold 3
+/// nodes, so a layer of three overflows an 8-node limit and queues.
 fn layered_mc_scenario(layers: usize, width: usize, bytes: f64, spread: f64) -> Scenario {
     let machine = Machine::builder("mc-pool", 64)
         .system(ids::FILE_SYSTEM, "fs", BytesPerSec::gbps(10.0))
@@ -18,7 +28,7 @@ fn layered_mc_scenario(layers: usize, width: usize, bytes: f64, spread: f64) -> 
     let mut wf = WorkflowSpec::new("mc");
     for l in 0..layers {
         for i in 0..width {
-            let mut t = TaskSpec::new(format!("l{l}t{i}"), 1)
+            let mut t = TaskSpec::new(format!("l{l}t{i}"), 3)
                 .phase(Phase::overhead("setup", 5.0))
                 .dist(
                     0,
@@ -216,21 +226,22 @@ proptest! {
             .system(ids::FILE_SYSTEM, "fs", BytesPerSec::gbps(5.0))
             .build()
             .unwrap();
-        let mut wf = WorkflowSpec::new("w");
-        for i in 0..n_tasks {
-            wf = wf.task(
-                TaskSpec::new(format!("t{i}"), 2)
-                    .phase(Phase::overhead("o", (i as f64) + 1.0))
-                    .phase(Phase::system_data(ids::FILE_SYSTEM, bytes)),
-            );
-        }
-        let opts = SimOptions {
-            jitter: Some(wrm_sim::Jitter { seed, amplitude: 0.2 }),
-            ..SimOptions::default()
+        // The seed drives uneven overhead durations, so two builds from
+        // the same seed must also agree on the workflow they simulate.
+        let build = |mut s: u64| {
+            let mut wf = WorkflowSpec::new("w");
+            for i in 0..n_tasks {
+                let secs = (i as f64) + 1.0 + (splitmix(&mut s) % 1000) as f64 / 250.0;
+                wf = wf.task(
+                    TaskSpec::new(format!("t{i}"), 2)
+                        .phase(Phase::overhead("o", secs))
+                        .phase(Phase::system_data(ids::FILE_SYSTEM, bytes)),
+                );
+            }
+            wf
         };
-        let a = simulate(&Scenario::new(machine.clone(), wf.clone()).with_options(opts.clone()))
-            .unwrap();
-        let b = simulate(&Scenario::new(machine, wf).with_options(opts)).unwrap();
+        let a = simulate(&Scenario::new(machine.clone(), build(seed))).unwrap();
+        let b = simulate(&Scenario::new(machine, build(seed))).unwrap();
         prop_assert_eq!(a.trace, b.trace);
         prop_assert_eq!(a.makespan, b.makespan);
     }
@@ -273,8 +284,21 @@ proptest! {
         bytes in 1e8f64..1e11,
         spread in 0.05f64..0.5,
         seed in any::<u64>(),
+        fs_factor in 0.05f64..1.5,
+        equal_split in any::<bool>(),
+        backfill in any::<bool>(),
+        limit in any::<bool>(),
     ) {
-        let scenario = layered_mc_scenario(layers, width, bytes, spread);
+        // Every sample is checked against the certified bracket under
+        // each scenario option: contention, sharing, scheduler, limit.
+        let options = SimOptions {
+            sharing: if equal_split { Sharing::EqualSplit } else { Sharing::MaxMin },
+            scheduler: if backfill { SchedulerPolicy::Backfill } else { SchedulerPolicy::Fifo },
+            node_limit: limit.then_some(8),
+            ..SimOptions::default()
+        }
+        .with_contention(ids::FILE_SYSTEM, fs_factor);
+        let scenario = layered_mc_scenario(layers, width, bytes, spread).with_options(options);
         let mc = mc_run(&scenario, &McOptions { reps: 24, seed, threads: 1 }).unwrap();
         prop_assert_eq!(mc.makespans.len(), 24);
         // Percentiles are monotone in q: p50 <= p90 <= p99, each inside

@@ -245,7 +245,7 @@ fn gantt_from_simulation() {
         let name = dag.task(id).name.clone();
         dag.task_mut(id).duration = run.trace.task_time(&name).expect("task ran");
     }
-    let sched = list_schedule(&dag, 1792, Policy::Fifo).expect("schedules");
+    let sched = list_schedule(&dag, 1792).expect("schedules");
     let chart = GanttChart::build(&dag, &sched).expect("builds");
     assert!((chart.makespan - run.makespan).abs() / run.makespan < 1e-9);
     assert!((chart.critical_path_coverage() - 1.0).abs() < 1e-9);
