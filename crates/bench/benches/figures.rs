@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Once;
 use wrm_core::{ids, machines, RooflineModel, Seconds, TaskView};
-use wrm_dag::{list_schedule, GanttChart};
+use wrm_dag::GanttChart;
 use wrm_sim::simulate;
 use wrm_workflows::{example, table1, Bgw, CosmoFlow, Day, GpTune, Lcls, Mode};
 
@@ -147,9 +147,10 @@ fn f7_bgw(c: &mut Criterion) {
         view.dominant_task().unwrap().name,
         view.best_optimization_candidate().unwrap().name
     );
-    let dag = Bgw::si998_64().dag();
-    let sched = list_schedule(&dag, 1792).unwrap();
-    let gantt = GanttChart::build(&dag, &sched).unwrap();
+    let bgw = Bgw::si998_64();
+    let dag = bgw.dag();
+    let run = simulate(&bgw.scenario()).unwrap();
+    let gantt = GanttChart::build(&dag, &run.task_intervals(&dag).unwrap()).unwrap();
     println!(
         "[F7d] critical-path coverage {:.0}% (paper: CP unchanged across scales)",
         gantt.critical_path_coverage() * 100.0

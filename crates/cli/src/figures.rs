@@ -5,7 +5,7 @@
 
 use wrm_core::analysis::{classify_zone, remove_overhead, scale_intra_task_parallelism};
 use wrm_core::{ids, machines, RooflineModel, Seconds, TaskView, TasksPerSec};
-use wrm_dag::{list_schedule, GanttChart};
+use wrm_dag::GanttChart;
 use wrm_plot::{breakdown_plot, gantt_plot, skeleton, ExtraDot, RooflinePlot};
 use wrm_sim::simulate;
 use wrm_trace::TimeBreakdown;
@@ -436,10 +436,11 @@ fn f7c() -> Figure {
 fn f7d() -> Figure {
     let mut charts = Vec::new();
     for bgw in [Bgw::si998_64(), Bgw::si998_1024()] {
+        let run = simulate(&bgw.scenario()).expect("BGW simulates");
         let mut dag = bgw.dag();
         dag.name = format!("BGW ({} nodes/task)", bgw.nodes);
-        let sched = list_schedule(&dag, 1792).expect("schedules");
-        charts.push(GanttChart::build(&dag, &sched).expect("valid"));
+        let intervals = run.task_intervals(&dag).expect("both BGW tasks ran");
+        charts.push(GanttChart::build(&dag, &intervals).expect("valid"));
     }
     let refs: Vec<&GanttChart> = charts.iter().collect();
     let svg = gantt_plot::render_svg(&refs, 820.0);

@@ -50,7 +50,7 @@ mod sweep;
 use std::io::Write as _;
 use std::process::ExitCode;
 use wrm_core::{machines, RooflineModel, Seconds};
-use wrm_dag::{list_schedule, GanttChart, ParallelismProfile};
+use wrm_dag::{Dag, GanttChart, ParallelismProfile};
 use wrm_sim::{simulate, Scenario, SimOptions};
 use wrm_trace::{characterize, Structure};
 
@@ -609,21 +609,13 @@ fn build_html_report(
         let scenario =
             Scenario::new(machine.clone(), compiled.spec.clone()).with_options(sim_options(flags));
         let result = simulate(&scenario).map_err(|e| e.to_string())?;
-        let mut dag = compiled.dag(machine).map_err(|e| e.to_string())?;
-        for id in dag.task_ids().collect::<Vec<_>>() {
-            let name = dag.task(id).name.clone();
-            if let Some(t) = result.trace.task_time(&name) {
-                dag.task_mut(id).duration = t;
-            }
-        }
-        let sched = list_schedule(&dag, machine.total_nodes).map_err(|e| e.to_string())?;
-        if let Ok(chart) = GanttChart::build(&dag, &sched) {
-            sections.push(Section::Heading("Gantt chart".into()));
-            sections.push(Section::Svg(wrm_plot::gantt_plot::render_svg(
-                &[&chart],
-                860.0,
-            )));
-        }
+        let (dag, intervals) = run_intervals(compiled, machine, &result)?;
+        let chart = GanttChart::build(&dag, &intervals).map_err(|e| e.to_string())?;
+        sections.push(Section::Heading("Gantt chart".into()));
+        sections.push(Section::Svg(wrm_plot::gantt_plot::render_svg(
+            &[&chart],
+            860.0,
+        )));
         sections.push(Section::Heading("Time breakdown".into()));
         sections.push(Section::Svg(wrm_plot::breakdown_plot::render_svg(
             "phase time by category",
@@ -631,7 +623,7 @@ fn build_html_report(
             680.0,
             420.0,
         )));
-        let profile = ParallelismProfile::from_schedule(&sched);
+        let profile = ParallelismProfile::build(&dag, &intervals);
         sections.push(Section::Heading("Parallelism profile".into()));
         sections.push(Section::Svg(wrm_plot::profile_plot::render_svg(
             "concurrency over time",
@@ -643,6 +635,21 @@ fn build_html_report(
         &format!("{} on {}", model.workflow.name, machine.name),
         &sections,
     ))
+}
+
+/// The workflow graph and each task's `(start, end)` in `result`, the
+/// input of the Gantt chart and parallelism profile: both draw the
+/// simulated run itself.
+fn run_intervals(
+    compiled: &wrm_lang::Compiled,
+    machine: &wrm_core::Machine,
+    result: &wrm_sim::SimResult,
+) -> Result<(Dag, Vec<(f64, f64)>), String> {
+    let dag = compiled.dag(machine).map_err(|e| e.to_string())?;
+    let intervals = result
+        .task_intervals(&dag)
+        .ok_or("the simulated run is missing a task of the workflow graph")?;
+    Ok((dag, intervals))
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
@@ -708,15 +715,8 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     );
 
     if flags.gantt {
-        let mut dag = compiled.dag(&machine).map_err(|e| e.to_string())?;
-        for id in dag.task_ids().collect::<Vec<_>>() {
-            let name = dag.task(id).name.clone();
-            if let Some(t) = result.trace.task_time(&name) {
-                dag.task_mut(id).duration = t;
-            }
-        }
-        let sched = list_schedule(&dag, machine.total_nodes).map_err(|e| e.to_string())?;
-        let chart = GanttChart::build(&dag, &sched).map_err(|e| e.to_string())?;
+        let (dag, intervals) = run_intervals(&compiled, &machine, &result)?;
+        let chart = GanttChart::build(&dag, &intervals).map_err(|e| e.to_string())?;
         println!("\n{}", wrm_plot::ascii::gantt(&chart, 72));
     }
     if let Some(path) = &flags.jsonl {
@@ -834,16 +834,8 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
         Scenario::new(machine.clone(), compiled.spec.clone()).with_options(sim_options(&flags));
     let result = simulate(&scenario).map_err(|e| e.to_string())?;
 
-    // Build the profile from the simulated task times.
-    let mut dag = compiled.dag(&machine).map_err(|e| e.to_string())?;
-    for id in dag.task_ids().collect::<Vec<_>>() {
-        let name = dag.task(id).name.clone();
-        if let Some(t) = result.trace.task_time(&name) {
-            dag.task_mut(id).duration = t;
-        }
-    }
-    let sched = list_schedule(&dag, machine.total_nodes).map_err(|e| e.to_string())?;
-    let profile = ParallelismProfile::from_schedule(&sched);
+    let (dag, intervals) = run_intervals(&compiled, &machine, &result)?;
+    let profile = ParallelismProfile::build(&dag, &intervals);
     println!(
         "{} on {}: makespan {:.2} s",
         compiled.spec.name, machine.name, result.makespan

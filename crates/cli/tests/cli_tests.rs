@@ -1,5 +1,6 @@
 //! Black-box tests of the `wrm` binary.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::Command;
 use wrm_serve::render;
@@ -563,4 +564,141 @@ fn sweep_matches_per_point_simulation() {
     assert_eq!(rows.len(), 12);
     let expected = render::sweep_json(rows).expect("serializes");
     assert_eq!(String::from_utf8(out.stdout).expect("utf8"), expected);
+}
+
+/// Each task's `(start, end, nodes)` in a `--jsonl` trace: its first
+/// span's start to its last span's end.
+fn trace_intervals(trace: &wrm_trace::Trace) -> BTreeMap<String, (f64, f64, u64)> {
+    let mut out: BTreeMap<String, (f64, f64, u64)> = BTreeMap::new();
+    for s in &trace.spans {
+        let iv = out
+            .entry(s.task.clone())
+            .or_insert((s.start, s.end, s.nodes));
+        iv.0 = iv.0.min(s.start);
+        iv.1 = iv.1.max(s.end);
+    }
+    out
+}
+
+/// The SVG as `Section::Svg` inlines it into the HTML report.
+fn inline_svg(svg: &str) -> String {
+    svg.lines()
+        .skip_while(|l| l.starts_with("<?xml"))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// On the node-pressure spec, where FIFO holds the independent `c`
+/// tasks behind the queue head, the Gantt chart, parallelism profile
+/// and HTML report draw the simulated run: every chart row is its
+/// task's interval in the `--jsonl` trace, and the marked chain is the
+/// run's own.
+#[test]
+fn charts_draw_the_simulated_run() {
+    let spec = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../workflows/node_pressure.wrm"
+    );
+    let dir = tmpdir("charts");
+    let jsonl = dir.join("trace.jsonl");
+    let out = wrm()
+        .args(["simulate", spec, "--gantt", "--jsonl"])
+        .arg(&jsonl)
+        .output()
+        .expect("runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("node_pressure (makespan 70.00 s, critical path 15.00 s)"),
+        "{text}"
+    );
+    let trace = wrm_trace::Trace::from_jsonl(&std::fs::read_to_string(&jsonl).expect("jsonl"))
+        .expect("trace parses");
+    let want = trace_intervals(&trace);
+    let rows: Vec<&str> = text.lines().filter(|l| l.contains('\u{2502}')).collect();
+    assert_eq!(rows.len(), want.len(), "{text}");
+    let mut chain = Vec::new();
+    for row in rows {
+        let (head, tail) = row.split_once('\u{2502}').expect("bar");
+        let name = head[1..].trim();
+        let (start, end, nodes) = want[name];
+        let column = tail.rsplit('\u{2502}').next().expect("time column");
+        assert_eq!(
+            column.split_whitespace().collect::<Vec<_>>().join(" "),
+            format!("{start:.1}s..{end:.1}s ({nodes} nodes)"),
+            "{row}"
+        );
+        if head.starts_with('*') {
+            chain.push(name);
+        }
+    }
+    assert_eq!(chain, ["a[4]", "b[3]"]);
+    // FIFO holds `c` behind the head until the last `a` starts.
+    assert_eq!(want["c[0]"], (40.0, 45.0, 2));
+    assert_eq!(want["c[1]"], (40.0, 45.0, 2));
+    assert_eq!(want["c[2]"], (45.0, 50.0, 2));
+
+    // The same intervals drive the profile and the HTML report.
+    let compiled =
+        wrm_lang::compile_source(&std::fs::read_to_string(spec).expect("spec")).expect("compiles");
+    let dag = compiled
+        .dag(compiled.machine.as_ref().expect("inline machine"))
+        .expect("dag");
+    let intervals: Vec<(f64, f64)> = dag
+        .tasks()
+        .iter()
+        .map(|t| (want[&t.name].0, want[&t.name].1))
+        .collect();
+    let chart = wrm_dag::GanttChart::build(&dag, &intervals).expect("chart");
+    let profile = wrm_dag::ParallelismProfile::build(&dag, &intervals);
+
+    let svg_path = dir.join("profile.svg");
+    let out = wrm()
+        .args(["profile", spec, "--svg"])
+        .arg(&svg_path)
+        .output()
+        .expect("runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("peak concurrency: 3 tasks / 7 nodes"),
+        "{text}"
+    );
+    assert!(text.contains("serial fraction:  29%"), "{text}");
+    assert_eq!(
+        std::fs::read_to_string(&svg_path).expect("svg"),
+        wrm_plot::profile_plot::render_svg("node_pressure parallelism profile", &profile, 760.0)
+    );
+
+    let html_path = dir.join("report.html");
+    let out = wrm()
+        .args(["analyze", spec, "--simulate", "--html"])
+        .arg(&html_path)
+        .output()
+        .expect("runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let html = std::fs::read_to_string(&html_path).expect("html");
+    let gantt = wrm_plot::gantt_plot::render_svg(&[&chart], 860.0);
+    let profile = wrm_plot::profile_plot::render_svg("concurrency over time", &profile, 760.0);
+    assert!(
+        html.contains(&inline_svg(&gantt)),
+        "HTML Gantt differs from the trace"
+    );
+    assert!(
+        html.contains(&inline_svg(&profile)),
+        "HTML profile differs from the trace"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

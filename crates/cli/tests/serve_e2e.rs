@@ -236,6 +236,25 @@ fn server_responses_match_cli_output_byte_for_byte() {
         .expect("lint");
     assert_eq!(r.body, lint_cli, "lint != CLI bytes");
 
+    // Every shipped spec, simulated and certified both ways.
+    let shipped = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../workflows");
+    for entry in std::fs::read_dir(&shipped).expect("read workflows/") {
+        let path = entry.expect("dir entry").path();
+        if path.extension().is_none_or(|e| e != "wrm") {
+            continue;
+        }
+        let body = source_body(&std::fs::read_to_string(&path).expect("read spec"), "");
+        let file = path.to_str().expect("utf8");
+        for (endpoint, cmd) in [("/v1/simulate", "simulate"), ("/v1/certify", "certify")] {
+            let r = conn.request("POST", endpoint, Some(&body)).expect(endpoint);
+            assert_eq!(
+                r.body,
+                cli_stdout(&[cmd, file]),
+                "{endpoint} != CLI on {file}"
+            );
+        }
+    }
+
     let drain = server.stop();
     assert!(drain.contains("drained"), "no drain report in {drain:?}");
 

@@ -286,8 +286,7 @@ mod tests {
         let d = chain(9, 4, 2.0).unwrap();
         assert_eq!(d.max_width().unwrap(), 1);
         assert_eq!(d.critical_path_length().unwrap(), 9);
-        let (_, total) = d.critical_path().unwrap();
-        assert!((total - 18.0).abs() < 1e-9);
+        assert!((d.total_duration() - 18.0).abs() < 1e-9);
     }
 
     #[test]
@@ -303,8 +302,12 @@ mod tests {
         let d = iterative_map_reduce(3, 4, 1, 10.0, 1.0).unwrap();
         assert_eq!(d.len(), 3 * 5);
         assert_eq!(d.critical_path_length().unwrap(), 6);
-        let (_, total) = d.critical_path().unwrap();
-        assert!((total - 33.0).abs() < 1e-9);
+        // Every mapper of round 1 waits on round 0's reducer.
+        let reduce0 = d.task_by_name("reduce[0]").unwrap();
+        for i in 0..4 {
+            let m = d.task_by_name(&format!("map[1.{i}]")).unwrap();
+            assert_eq!(d.predecessors(m), &[reduce0]);
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! A [`Dag`] is the workflow skeleton of the paper's Fig. 4/Fig. 9: tasks
 //! with node requirements and (estimated or measured) durations, connected
-//! by happens-before edges. Levels, widths and critical paths defined here
-//! feed the characterization metrics of the Workflow Roofline Model
+//! by happens-before edges. Levels, widths and critical-path lengths
+//! defined here feed the characterization metrics of the Workflow Roofline Model
 //! (number of parallel tasks, critical path length).
 
 use serde::{Deserialize, Serialize};
@@ -263,39 +263,6 @@ impl Dag {
         Ok(self.level_groups()?.iter().map(Vec::len).max().unwrap_or(0))
     }
 
-    /// The critical path by *duration*: the dependency chain with the
-    /// largest total duration, and that total.
-    pub fn critical_path(&self) -> Result<(Vec<TaskId>, f64), DagError> {
-        let order = self.topo_order()?;
-        let mut dist: Vec<f64> = vec![0.0; self.len()];
-        let mut via: Vec<Option<TaskId>> = vec![None; self.len()];
-        for &id in &order {
-            let d = dist[id.0] + self.tasks[id.0].duration;
-            for &s in &self.succs[id.0] {
-                if d > dist[s.0] {
-                    dist[s.0] = d;
-                    via[s.0] = Some(id);
-                }
-            }
-        }
-        let Some(end) = self.task_ids().max_by(|a, b| {
-            let fa = dist[a.0] + self.tasks[a.0].duration;
-            let fb = dist[b.0] + self.tasks[b.0].duration;
-            fa.partial_cmp(&fb).expect("durations are finite")
-        }) else {
-            return Ok((Vec::new(), 0.0));
-        };
-        let total = dist[end.0] + self.tasks[end.0].duration;
-        let mut path = vec![end];
-        let mut cur = end;
-        while let Some(p) = via[cur.0] {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        Ok((path, total))
-    }
-
     /// Edges implied by transitivity: `(u, v)` such that removing the
     /// direct edge `u -> v` leaves `v` still reachable from `u`. These
     /// are exactly the edges a transitive reduction would drop; a spec
@@ -403,16 +370,7 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_by_duration() {
-        let d = lcls();
-        let (path, total) = d.critical_path().unwrap();
-        assert_eq!(path.len(), 2);
-        assert!((total - 1020.0).abs() < 1e-9);
-        assert_eq!(d.task(path[1]).name, "merge");
-    }
-
-    #[test]
-    fn chain_critical_path() {
+    fn bgw_chain_structure() {
         // BGW: Epsilon -> Sigma.
         let mut d = Dag::new("BGW");
         let e = d.add_task("Epsilon", 64, 1200.0).unwrap();
@@ -420,9 +378,8 @@ mod tests {
         d.add_dep(e, s).unwrap();
         assert_eq!(d.critical_path_length().unwrap(), 2);
         assert_eq!(d.max_width().unwrap(), 1);
-        let (path, total) = d.critical_path().unwrap();
-        assert_eq!(path, vec![e, s]);
-        assert!((total - 4185.0).abs() < 1e-9);
+        assert_eq!(d.topo_order().unwrap(), vec![e, s]);
+        assert!((d.total_duration() - 4185.0).abs() < 1e-9);
         assert!((d.total_node_seconds() - 64.0 * 4185.0).abs() < 1e-6);
     }
 
@@ -489,7 +446,7 @@ mod tests {
     fn empty_dag() {
         let d = Dag::new("empty");
         assert!(d.is_empty());
-        assert_eq!(d.critical_path().unwrap(), (Vec::new(), 0.0));
+        assert_eq!(d.total_duration(), 0.0);
         assert_eq!(d.max_width().unwrap(), 0);
         assert_eq!(d.critical_path_length().unwrap(), 0);
         assert_eq!(d.max_task_nodes(), 0);
@@ -553,7 +510,6 @@ mod tests {
         let mut d = lcls();
         let id = d.task_by_name("merge").unwrap();
         d.task_mut(id).duration = 60.0;
-        let (_, total) = d.critical_path().unwrap();
-        assert!((total - 1060.0).abs() < 1e-9);
+        assert!((d.total_duration() - 5060.0).abs() < 1e-9);
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! Workflow skeletons (paper Fig. 4 / Fig. 9) as DAGs of tasks with node
 //! requirements and durations, plus the derived structure the model
-//! needs: levels, widths (the "number of parallel tasks"), critical
-//! paths, resource-constrained schedules, and Gantt charts (Fig. 7d).
+//! needs: levels and widths (the "number of parallel tasks"), and the
+//! Gantt chart (Fig. 7d) and parallelism profile of a run, drawn from
+//! each task's `(start, end)` interval in that run.
 //!
 //! ```
-//! use wrm_dag::{Dag, list_schedule, GanttChart};
+//! use wrm_dag::{Dag, GanttChart};
 //!
 //! // The LCLS skeleton: five 32-node analyses, then a merge.
 //! let mut dag = Dag::new("LCLS");
@@ -18,9 +19,13 @@
 //! assert_eq!(dag.max_width().unwrap(), 5);
 //! assert_eq!(dag.critical_path_length().unwrap(), 2);
 //!
-//! let schedule = list_schedule(&dag, 2388).unwrap();
-//! let gantt = GanttChart::build(&dag, &schedule).unwrap();
-//! assert!((gantt.makespan - 1020.0).abs() < 1e-9);
+//! // A run in which the analyses went in two waves (merge is task 0).
+//! let mut intervals = vec![(2000.0, 2020.0)];
+//! intervals.extend((0..5).map(|i| if i < 3 { (0.0, 1000.0) } else { (1000.0, 2000.0) }));
+//! let gantt = GanttChart::build(&dag, &intervals).unwrap();
+//! assert_eq!(gantt.makespan, 2020.0);
+//! // The run's critical chain: the last analysis to finish, then merge.
+//! assert_eq!(gantt.critical_path.len(), 2);
 //! ```
 
 #![warn(missing_docs)]
@@ -31,10 +36,8 @@ pub mod gantt;
 pub mod generate;
 pub mod graph;
 pub mod profile;
-pub mod schedule;
 
 pub use csr::{longest_path_ends, max_coschedulable, resource_work};
 pub use gantt::{GanttChart, GanttRow};
 pub use graph::{Dag, DagError, Task, TaskId};
 pub use profile::{ParallelismProfile, ProfileStep};
-pub use schedule::{list_schedule, Schedule, ScheduleError, Span};

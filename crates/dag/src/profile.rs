@@ -3,10 +3,11 @@
 //! The paper notes (Section V) that the roofline's y-axis hides the
 //! total task count and critical-path length, making poor pipelining
 //! hard to see. A [`ParallelismProfile`] makes it visible: the step
-//! function of concurrently-running tasks (and busy nodes) over time,
-//! derived from a [`Schedule`].
+//! function of concurrently-running tasks (and busy nodes) over one
+//! run, built from each task's `(start, end)` interval in that run
+//! (`wrm_sim::SimResult::task_intervals` for a simulated run).
 
-use crate::schedule::Schedule;
+use crate::graph::Dag;
 use serde::{Deserialize, Serialize};
 
 /// One step of the profile: constant concurrency on `[start, end)`.
@@ -29,7 +30,7 @@ impl ProfileStep {
     }
 }
 
-/// The step function of task/node concurrency over a schedule.
+/// The step function of task/node concurrency over a run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ParallelismProfile {
     /// Ordered, contiguous steps covering `[0, makespan]`.
@@ -37,14 +38,20 @@ pub struct ParallelismProfile {
 }
 
 impl ParallelismProfile {
-    /// Builds the profile from a schedule (zero-duration spans are
-    /// ignored).
-    pub fn from_schedule(schedule: &Schedule) -> Self {
-        let mut events: Vec<(f64, i64, i64)> = Vec::with_capacity(schedule.spans.len() * 2);
-        for s in &schedule.spans {
-            if s.duration() > 0.0 {
-                events.push((s.start, 1, s.nodes as i64));
-                events.push((s.end, -1, -(s.nodes as i64)));
+    /// Builds the profile from one `(start, end)` interval per task of
+    /// `dag`, indexed by task id; node counts come from the DAG.
+    /// Zero-duration intervals are ignored.
+    ///
+    /// # Panics
+    ///
+    /// When `intervals` does not hold exactly one interval per task.
+    pub fn build(dag: &Dag, intervals: &[(f64, f64)]) -> Self {
+        assert_eq!(intervals.len(), dag.len(), "one interval per task");
+        let mut events: Vec<(f64, i64, i64)> = Vec::with_capacity(intervals.len() * 2);
+        for (task, &(start, end)) in dag.tasks().iter().zip(intervals) {
+            if end > start {
+                events.push((start, 1, task.nodes as i64));
+                events.push((end, -1, -(task.nodes as i64)));
             }
         }
         events.sort_by(|a, b| {
@@ -128,23 +135,27 @@ impl ParallelismProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::Dag;
-    use crate::schedule::list_schedule;
 
-    fn lcls_profile(pool: u64) -> ParallelismProfile {
+    /// LCLS on a pool that fits `wave` analyses at a time: waves of
+    /// 1000 s analyses, then the 20 s merge.
+    fn lcls_profile(wave: usize) -> ParallelismProfile {
         let mut d = Dag::new("LCLS");
-        let merge = d.add_task("merge", 1, 20.0).unwrap();
+        let merge = d.add_task("merge", 1, 0.0).unwrap();
+        let mut intervals = vec![(0.0, 0.0)];
         for i in 0..5 {
-            let a = d.add_task(format!("a{i}"), 32, 1000.0).unwrap();
+            let a = d.add_task(format!("a{i}"), 32, 0.0).unwrap();
             d.add_dep(a, merge).unwrap();
+            let start = (i / wave) as f64 * 1000.0;
+            intervals.push((start, start + 1000.0));
         }
-        let sched = list_schedule(&d, pool).unwrap();
-        ParallelismProfile::from_schedule(&sched)
+        let end = 5usize.div_ceil(wave) as f64 * 1000.0;
+        intervals[0] = (end, end + 20.0);
+        ParallelismProfile::build(&d, &intervals)
     }
 
     #[test]
     fn wide_pool_profile() {
-        let p = lcls_profile(200);
+        let p = lcls_profile(5);
         assert_eq!(p.peak_tasks(), 5);
         assert_eq!(p.peak_nodes(), 160);
         // 5 tasks for 1000 s then 1 task for 20 s.
@@ -160,16 +171,14 @@ mod tests {
 
     #[test]
     fn narrow_pool_is_fully_serial() {
-        let p = lcls_profile(32);
+        let p = lcls_profile(1);
         assert_eq!(p.peak_tasks(), 1);
         assert!((p.serial_fraction() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_profile() {
-        let d = Dag::new("empty");
-        let sched = list_schedule(&d, 4).unwrap();
-        let p = ParallelismProfile::from_schedule(&sched);
+        let p = ParallelismProfile::build(&Dag::new("empty"), &[]);
         assert!(p.steps.is_empty());
         assert_eq!(p.peak_tasks(), 0);
         assert_eq!(p.mean_tasks(), 0.0);
@@ -178,7 +187,7 @@ mod tests {
 
     #[test]
     fn steps_are_contiguous_and_consistent() {
-        let p = lcls_profile(64);
+        let p = lcls_profile(2);
         for w in p.steps.windows(2) {
             assert!((w[0].end - w[1].start).abs() < 1e-12);
         }

@@ -152,10 +152,10 @@ pub fn gantt(chart: &GanttChart, width: usize) -> String {
         let mark = if row.on_critical_path { '*' } else { ' ' };
         let name: String = row.name.chars().take(name_w).collect();
         out.push_str(&format!(
-            "{mark}{name:<name_w$} \u{2502}{}\u{2502} {:>8.1}s..{:<8.1}s ({} nodes)\n",
+            "{mark}{name:<name_w$} \u{2502}{}\u{2502} {:>9}..{:<9} ({} nodes)\n",
             bar.iter().collect::<String>(),
-            row.start,
-            row.end,
+            format!("{:.1}s", row.start),
+            format!("{:.1}s", row.end),
             row.nodes
         ));
     }
@@ -211,7 +211,7 @@ pub fn breakdown(breakdowns: &[wrm_trace::TimeBreakdown], width: usize) -> Strin
 mod tests {
     use super::*;
     use wrm_core::{ids, machines, Bytes, Flops, Seconds, Work, WorkflowCharacterization};
-    use wrm_dag::{list_schedule, Dag};
+    use wrm_dag::Dag;
     use wrm_trace::TimeBreakdown;
 
     fn model() -> RooflineModel {
@@ -252,8 +252,7 @@ mod tests {
         let e = d.add_task("Epsilon", 64, 180.0).unwrap();
         let s = d.add_task("Sigma", 64, 225.0).unwrap();
         d.add_dep(e, s).unwrap();
-        let sched = list_schedule(&d, 1792).unwrap();
-        let chart = GanttChart::build(&d, &sched).unwrap();
+        let chart = GanttChart::build(&d, &[(0.0, 180.0), (180.0, 405.0)]).unwrap();
         let text = gantt(&chart, 60);
         assert!(text.contains("BGW"));
         assert!(text.contains("Epsilon"));
@@ -267,13 +266,16 @@ mod tests {
         let eps_start = eps_line.find('#').unwrap();
         let sig_start = sig_line.find('#').unwrap();
         assert!(sig_start > eps_start);
+        // The time column keeps each unit next to its number.
+        assert!(
+            sig_line.ends_with("\u{2502}    180.0s..405.0s    (64 nodes)"),
+            "{sig_line}"
+        );
     }
 
     #[test]
     fn gantt_empty() {
-        let d = Dag::new("empty");
-        let sched = list_schedule(&d, 4).unwrap();
-        let chart = GanttChart::build(&d, &sched).unwrap();
+        let chart = GanttChart::build(&Dag::new("empty"), &[]).unwrap();
         assert!(gantt(&chart, 40).contains("(empty)"));
     }
 

@@ -120,7 +120,7 @@ pub fn render_svg(title: &str, profile: &ParallelismProfile, width: f64) -> Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wrm_dag::{list_schedule, Dag};
+    use wrm_dag::Dag;
 
     #[test]
     fn renders_profile_panels() {
@@ -130,8 +130,9 @@ mod tests {
             let a = d.add_task(format!("a{i}"), 32, 1000.0).unwrap();
             d.add_dep(a, merge).unwrap();
         }
-        let sched = list_schedule(&d, 200).unwrap();
-        let profile = ParallelismProfile::from_schedule(&sched);
+        let mut intervals = vec![(1000.0, 1020.0)];
+        intervals.extend([(0.0, 1000.0); 5]);
+        let profile = ParallelismProfile::build(&d, &intervals);
         let svg = render_svg("LCLS parallelism", &profile, 720.0);
         assert!(svg.contains("concurrent tasks"));
         assert!(svg.contains("busy nodes"));

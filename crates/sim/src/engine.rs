@@ -201,6 +201,31 @@ impl SimResult {
         }
         self.node_seconds() / (self.pool_nodes as f64 * self.makespan)
     }
+
+    /// Each `dag` task's `(start, end)` in this run, indexed by
+    /// [`wrm_dag::TaskId`] and matched by name: what
+    /// [`wrm_dag::GanttChart::build`] and
+    /// [`wrm_dag::ParallelismProfile::build`] draw. The start is the
+    /// task's [`SimResult::task_starts`] entry. The end is its last
+    /// span's end, the completion instant itself: `start + task_time`
+    /// can round a last ulp away from it and so split a tie the
+    /// critical-chain walk must see. A task without phases ends where
+    /// it starts. `None` when the DAG names a task this run did not
+    /// execute.
+    pub fn task_intervals(&self, dag: &wrm_dag::Dag) -> Option<Vec<(f64, f64)>> {
+        let mut ends: BTreeMap<&str, f64> = BTreeMap::new();
+        for s in &self.trace.spans {
+            let end = ends.entry(&s.task).or_insert(s.end);
+            *end = end.max(s.end);
+        }
+        dag.tasks()
+            .iter()
+            .map(|t| {
+                let start = *self.task_starts.get(&t.name)?;
+                Some((start, ends.get(t.name.as_str()).copied().unwrap_or(start)))
+            })
+            .collect()
+    }
 }
 
 pub(crate) const EPS: f64 = 1e-9;

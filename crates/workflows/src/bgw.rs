@@ -287,7 +287,6 @@ mod tests {
         let d = Bgw::si998_64().dag();
         assert_eq!(d.max_width().unwrap(), 1);
         assert_eq!(d.critical_path_length().unwrap(), 2);
-        let (_, total) = d.critical_path().unwrap();
-        assert!((total - 4184.86).abs() < 1e-9);
+        assert!((d.total_duration() - 4184.86).abs() < 1e-9);
     }
 }

@@ -55,7 +55,7 @@ pub use wrm_workflows as workflows;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use wrm_core::prelude::*;
-    pub use wrm_dag::{list_schedule, Dag, GanttChart};
+    pub use wrm_dag::{Dag, GanttChart};
     pub use wrm_lang::compile_source;
     pub use wrm_plot::{ExtraDot, RooflinePlot};
     pub use wrm_sim::{

@@ -234,20 +234,16 @@ fn trace_jsonl_file_round_trip() {
     std::fs::remove_file(&path).ok();
 }
 
-/// Gantt charts built from simulated task times match the simulation's
+/// Gantt charts drawn from a simulated run match the simulation's
 /// makespan.
 #[test]
 fn gantt_from_simulation() {
     let bgw = Bgw::si998_64();
     let run = simulate(&bgw.scenario()).expect("simulates");
-    let mut dag = bgw.dag();
-    for id in dag.task_ids().collect::<Vec<_>>() {
-        let name = dag.task(id).name.clone();
-        dag.task_mut(id).duration = run.trace.task_time(&name).expect("task ran");
-    }
-    let sched = list_schedule(&dag, 1792).expect("schedules");
-    let chart = GanttChart::build(&dag, &sched).expect("builds");
-    assert!((chart.makespan - run.makespan).abs() / run.makespan < 1e-9);
+    let dag = bgw.dag();
+    let intervals = run.task_intervals(&dag).expect("every task ran");
+    let chart = GanttChart::build(&dag, &intervals).expect("builds");
+    assert_eq!(chart.makespan, run.makespan);
     assert!((chart.critical_path_coverage() - 1.0).abs() < 1e-9);
     let svg = workflow_roofline::plot::gantt_plot::render_svg(&[&chart], 800.0);
     assert!(svg.contains("Sigma"));
