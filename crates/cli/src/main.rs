@@ -422,23 +422,26 @@ fn cmd_lint(args: &[String]) -> Result<u8, String> {
     }
     let paths = expand_wrm_paths(&flags.files)?;
     // (path, source, diagnostics) per file; sources are kept so fixes
-    // and renders can slice them.
+    // and renders can slice them. Each file's certificate comes from its
+    // lint run, for the JSON report.
     let mut batch: Vec<(String, String, Vec<wrm_lint::Diagnostic>)> = Vec::new();
+    let mut certificates = Vec::new();
     for path in paths {
         let source =
             std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let diags = wrm_lint::lint_source(&source);
+        let (diags, certificate) = lint_file(&source);
         batch.push((path, source, diags));
+        certificates.push(certificate);
     }
 
     if flags.fix {
-        apply_lint_fixes(&mut batch, flags.dry_run)?;
+        apply_lint_fixes(&mut batch, &mut certificates, flags.dry_run)?;
     }
 
     // The reports come from `wrm_serve::render` — the same functions the
     // server answers `POST /v1/lint` with, so the bytes match.
     match flags.format.as_str() {
-        "json" => print!("{}", wrm_serve::render::lint_json(&batch)?),
+        "json" => print!("{}", wrm_serve::render::lint_json(&batch, &certificates)?),
         "sarif" => print!("{}", wrm_serve::render::lint_sarif(&batch)?),
         "text" => print!("{}", wrm_serve::render::lint_text(&batch)),
         other => {
@@ -460,15 +463,23 @@ fn cmd_lint(args: &[String]) -> Result<u8, String> {
     })
 }
 
+/// Lints one source: its diagnostics and the certificate the lint run
+/// built.
+fn lint_file(source: &str) -> (Vec<wrm_lint::Diagnostic>, Option<wrm_sim::Certificate>) {
+    let (diags, ctx) = wrm_lint::lint_source_with_context(source);
+    (diags, ctx.and_then(|c| c.certificate))
+}
+
 /// `--fix`: applies every machine-applicable edit. With `--dry-run` the
 /// would-be changes are printed as diffs and nothing is written;
-/// otherwise files are rewritten in place and re-linted so the report
-/// and exit code reflect the fixed sources.
+/// otherwise files are rewritten in place and re-linted so the report,
+/// certificates and exit code reflect the fixed sources.
 fn apply_lint_fixes(
     batch: &mut [(String, String, Vec<wrm_lint::Diagnostic>)],
+    certificates: &mut [Option<wrm_sim::Certificate>],
     dry_run: bool,
 ) -> Result<(), String> {
-    for (path, source, diags) in batch.iter_mut() {
+    for ((path, source, diags), certificate) in batch.iter_mut().zip(certificates) {
         let edits = wrm_lint::collect_edits(diags);
         if edits.is_empty() {
             continue;
@@ -489,7 +500,7 @@ fn apply_lint_fixes(
         };
         println!("{path}: applied {} fix(es){skipped}", outcome.applied.len());
         *source = outcome.fixed;
-        *diags = wrm_lint::lint_source(source);
+        (*diags, *certificate) = lint_file(source);
     }
     Ok(())
 }

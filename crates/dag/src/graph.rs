@@ -7,7 +7,7 @@
 //! (number of parallel tasks, critical path length).
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Index of a task inside its [`Dag`].
@@ -63,7 +63,10 @@ impl fmt::Display for DagError {
 impl std::error::Error for DagError {}
 
 /// A directed acyclic graph of workflow tasks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Serializes but does not deserialize: every `Dag` is built through
+/// [`Dag::add_task`], which keeps the name index in step with the tasks.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Dag {
     /// Workflow name.
     pub name: String,
@@ -72,7 +75,15 @@ pub struct Dag {
     succs: Vec<Vec<TaskId>>,
     /// `preds[i]` = tasks that must complete before task `i` starts.
     preds: Vec<Vec<TaskId>>,
+    /// Task name -> id. Names are immutable once added, so the index
+    /// never goes stale.
+    #[serde(skip)]
+    ids: HashMap<String, TaskId>,
 }
+
+/// Target columns per reachability sweep in [`Dag::redundant_edges`],
+/// in 64-bit words: 1024 columns, so a sweep holds 128 bytes per task.
+const REACH_BLOCK_WORDS: usize = 16;
 
 impl Dag {
     /// Creates an empty DAG.
@@ -82,6 +93,7 @@ impl Dag {
             tasks: Vec::new(),
             succs: Vec::new(),
             preds: Vec::new(),
+            ids: HashMap::new(),
         }
     }
 
@@ -93,7 +105,7 @@ impl Dag {
         duration: f64,
     ) -> Result<TaskId, DagError> {
         let name = name.into();
-        if self.tasks.iter().any(|t| t.name == name) {
+        if self.ids.contains_key(&name) {
             return Err(DagError::DuplicateName(name));
         }
         if nodes == 0 {
@@ -105,6 +117,7 @@ impl Dag {
             )));
         }
         let id = TaskId(self.tasks.len());
+        self.ids.insert(name.clone(), id);
         self.tasks.push(Task {
             name,
             nodes,
@@ -149,14 +162,9 @@ impl Dag {
         &self.tasks[id.0]
     }
 
-    /// Mutable access to a task (e.g. to record a measured duration).
-    pub fn task_mut(&mut self, id: TaskId) -> &mut Task {
-        &mut self.tasks[id.0]
-    }
-
-    /// Looks a task up by name.
+    /// Looks a task up by name in O(1).
     pub fn task_by_name(&self, name: &str) -> Option<TaskId> {
-        self.tasks.iter().position(|t| t.name == name).map(TaskId)
+        self.ids.get(name).copied()
     }
 
     /// All task ids in insertion order.
@@ -268,38 +276,59 @@ impl Dag {
     /// are exactly the edges a transitive reduction would drop; a spec
     /// declaring them is over-constrained but not wrong.
     ///
-    /// Runs in O(V·E/64) via reverse-topological bitset reachability.
+    /// Runs in O(V·E/64) via reverse-topological bitset reachability,
+    /// swept over fixed blocks of target columns so memory stays
+    /// O(V·B/64) words for a block of B columns, whatever the size of
+    /// the graph.
     pub fn redundant_edges(&self) -> Result<Vec<(TaskId, TaskId)>, DagError> {
+        self.redundant_edges_blocked(REACH_BLOCK_WORDS)
+    }
+
+    /// [`Dag::redundant_edges`] with `block_words` x 64 target columns
+    /// per sweep.
+    fn redundant_edges_blocked(
+        &self,
+        block_words: usize,
+    ) -> Result<Vec<(TaskId, TaskId)>, DagError> {
         let order = self.topo_order()?;
         let n = self.len();
-        let words = n.div_ceil(64);
-        // reach[v] = v itself plus everything reachable from v.
-        let mut reach = vec![vec![0u64; words]; n];
-        for &v in order.iter().rev() {
-            reach[v.0][v.0 / 64] |= 1 << (v.0 % 64);
-            for &s in &self.succs[v.0] {
-                let (head, tail) = if v.0 < s.0 {
-                    let (a, b) = reach.split_at_mut(s.0);
-                    (&mut a[v.0], &b[0])
-                } else {
-                    let (a, b) = reach.split_at_mut(v.0);
-                    (&mut b[0], &a[s.0])
-                };
-                for (h, t) in head.iter_mut().zip(tail) {
-                    *h |= t;
+        let words = block_words.min(n.div_ceil(64)).max(1);
+        let cols = words * 64;
+        // reach[v] = the block's columns among v itself plus everything
+        // reachable from v.
+        let mut reach = vec![0u64; n * words];
+        let mut out = Vec::new();
+        for lo in (0..n).step_by(cols) {
+            let hi = (lo + cols).min(n);
+            reach.fill(0);
+            for &v in order.iter().rev() {
+                if (lo..hi).contains(&v.0) {
+                    reach[v.0 * words + (v.0 - lo) / 64] |= 1 << ((v.0 - lo) % 64);
+                }
+                for &s in &self.succs[v.0] {
+                    let (head, tail) = if v.0 < s.0 {
+                        let (a, b) = reach.split_at_mut(s.0 * words);
+                        (&mut a[v.0 * words..][..words], &b[..words])
+                    } else {
+                        let (a, b) = reach.split_at_mut(v.0 * words);
+                        (&mut b[..words], &a[s.0 * words..][..words])
+                    };
+                    for (h, t) in head.iter_mut().zip(tail) {
+                        *h |= t;
+                    }
                 }
             }
-        }
-        let mut out = Vec::new();
-        for u in self.task_ids() {
-            for &v in &self.succs[u.0] {
-                // u -> v is redundant iff some *other* successor of u
-                // already reaches v (no path revisits v in a DAG).
-                let implied = self.succs[u.0]
-                    .iter()
-                    .any(|&w| w != v && reach[w.0][v.0 / 64] & (1 << (v.0 % 64)) != 0);
-                if implied {
-                    out.push((u, v));
+            let reaches = |w: TaskId, v: TaskId| {
+                reach[w.0 * words + (v.0 - lo) / 64] & (1 << ((v.0 - lo) % 64)) != 0
+            };
+            for u in self.task_ids() {
+                let succs = &self.succs[u.0];
+                for &v in succs.iter().filter(|v| (lo..hi).contains(&v.0)) {
+                    // u -> v is redundant iff some *other* successor of u
+                    // already reaches v (no path revisits v in a DAG).
+                    if succs.iter().any(|&w| w != v && reaches(w, v)) {
+                        out.push((u, v));
+                    }
                 }
             }
         }
@@ -506,10 +535,29 @@ mod tests {
     }
 
     #[test]
-    fn task_mut_updates_duration() {
-        let mut d = lcls();
-        let id = d.task_by_name("merge").unwrap();
-        d.task_mut(id).duration = 60.0;
-        assert!((d.total_duration() - 5060.0).abs() < 1e-9);
+    fn blocked_reachability_matches_one_block() {
+        // 300 tasks with edges to up to four of the next 40: five
+        // 64-column blocks, and edges that cross block boundaries.
+        let mut d = Dag::new("blocks");
+        let ids: Vec<TaskId> = (0..300)
+            .map(|i| d.add_task(format!("t{i}"), 1, 1.0).unwrap())
+            .collect();
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        for i in 0..300 {
+            for _ in 0..4 {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let j = i + 1 + (state >> 33) as usize % 40;
+                if j < 300 {
+                    d.add_dep(ids[i], ids[j]).unwrap();
+                }
+            }
+        }
+        let one_block = d.redundant_edges_blocked(usize::MAX).unwrap();
+        assert!(one_block.len() > 50, "{}", one_block.len());
+        assert_eq!(d.redundant_edges_blocked(1).unwrap(), one_block);
+        assert_eq!(d.redundant_edges_blocked(2).unwrap(), one_block);
+        assert_eq!(d.redundant_edges().unwrap(), one_block);
     }
 }

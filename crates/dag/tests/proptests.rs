@@ -2,7 +2,39 @@
 
 use proptest::prelude::*;
 use wrm_dag::generate::random_layered;
-use wrm_dag::Dag;
+use wrm_dag::{Dag, DagError, TaskId};
+
+/// The linear scan the name index replaces.
+fn scan(dag: &Dag, name: &str) -> Option<TaskId> {
+    dag.tasks().iter().position(|t| t.name == name).map(TaskId)
+}
+
+/// Adds `names` in order, asserting each outcome against the scan.
+fn add_all(dag: &mut Dag, names: &[String]) -> Result<(), TestCaseError> {
+    for name in names {
+        let before = scan(dag, name);
+        match dag.add_task(name.clone(), 1, 1.0) {
+            Ok(id) => {
+                prop_assert_eq!(before, None);
+                prop_assert_eq!(id, TaskId(dag.len() - 1));
+            }
+            Err(e) => {
+                prop_assert_eq!(e, DagError::DuplicateName(name.clone()));
+                prop_assert!(before.is_some());
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Every name in `0..universe` resolves as the scan does.
+fn lookups_agree(dag: &Dag, universe: u8) -> Result<(), TestCaseError> {
+    for k in 0..universe {
+        let name = format!("t{k}");
+        prop_assert_eq!(dag.task_by_name(&name), scan(dag, &name));
+    }
+    Ok(())
+}
 
 prop_compose! {
     fn dag_strategy()(
@@ -39,5 +71,23 @@ proptest! {
                 prop_assert!(levels[s.0] > levels[id.0]);
             }
         }
+    }
+
+    #[test]
+    fn name_index_agrees_with_a_linear_scan(
+        first in prop::collection::vec(0u8..24, 0..60),
+        more in prop::collection::vec(0u8..32, 0..30),
+    ) {
+        let names = |ks: &[u8]| -> Vec<String> { ks.iter().map(|k| format!("t{k}")).collect() };
+        let mut dag = Dag::new("names");
+        add_all(&mut dag, &names(&first))?;
+        lookups_agree(&dag, 32)?;
+        // A clone carries its index: lookups and duplicate checks on the
+        // clone agree with the scan, and the original is untouched.
+        let mut copy = dag.clone();
+        lookups_agree(&copy, 32)?;
+        add_all(&mut copy, &names(&more))?;
+        lookups_agree(&copy, 32)?;
+        lookups_agree(&dag, 32)?;
     }
 }

@@ -114,7 +114,14 @@ pub fn redundant_edges(ast: &WorkflowAst, ctx: &AnalysisContext, out: &mut Vec<D
         }
     };
     for t in &ast.tasks {
+        if t.after.is_empty() {
+            continue;
+        }
         let count = t.count.max(1);
+        // Each replica name is resolved once, through the DAG's index.
+        let tos: Vec<_> = (0..count)
+            .map(|i| dag.task_by_name(&replica(&t.name, i, count)))
+            .collect();
         let mut seen: BTreeSet<(&str, Option<usize>)> = BTreeSet::new();
         for dep in &t.after {
             let shown = match dep.index {
@@ -133,21 +140,21 @@ pub fn redundant_edges(ast: &WorkflowAst, ctx: &AnalysisContext, out: &mut Vec<D
             }
             // The `after` statement is redundant only if EVERY replica
             // edge it expands to is implied by the rest of the graph.
-            let froms: Vec<String> = match dep.index {
-                Some(i) => vec![replica(&dep.name, i, dep_count)],
+            let froms: Vec<_> = match dep.index {
+                Some(i) => vec![dag.task_by_name(&replica(&dep.name, i, dep_count))],
                 None => (0..dep_count)
-                    .map(|j| replica(&dep.name, j, dep_count))
+                    .map(|j| dag.task_by_name(&replica(&dep.name, j, dep_count)))
                     .collect(),
             };
             let mut edges = 0usize;
             let mut all_implied = true;
-            'edges: for i in 0..count {
-                let Some(to) = dag.task_by_name(&replica(&t.name, i, count)) else {
+            'edges: for to in &tos {
+                let Some(to) = to else {
                     all_implied = false;
                     break;
                 };
                 for from in &froms {
-                    let Some(from) = dag.task_by_name(from) else {
+                    let Some(from) = from else {
                         all_implied = false;
                         break 'edges;
                     };

@@ -34,7 +34,7 @@
 //! certificate ([`wrm_sim::certify`]).
 
 use crate::diagnostics::{Diagnostic, Severity, Span, SuggestedEdit};
-use crate::passes;
+use crate::passes::{self, AnalysisContext};
 use std::collections::{BTreeMap, BTreeSet};
 use wrm_core::{machines, Machine, WorkUnit};
 use wrm_lang::ast::{PhaseAst, TaskAst, WorkflowAst};
@@ -227,13 +227,25 @@ fn sp(s: wrm_lang::Span) -> Span {
 /// Lints source text: a parse failure becomes a single `E000`
 /// diagnostic; otherwise all semantic rules run over the AST.
 pub fn lint_source(source: &str) -> Vec<Diagnostic> {
+    lint_source_with_context(source).0
+}
+
+/// [`lint_source`], also returning the analysis context the passes ran
+/// on (`None` when the source does not parse).
+pub fn lint_source_with_context(source: &str) -> (Vec<Diagnostic>, Option<AnalysisContext>) {
     match wrm_lang::parse(source) {
-        Ok(ast) => lint_ast(&ast),
-        Err(e) => vec![Diagnostic::error(
-            "E000",
-            Span::new(e.line, e.col),
-            format!("syntax error: {}", e.message),
-        )],
+        Ok(ast) => {
+            let (diags, ctx) = lint_with_context(&ast);
+            (diags, Some(ctx))
+        }
+        Err(e) => (
+            vec![Diagnostic::error(
+                "E000",
+                Span::new(e.line, e.col),
+                format!("syntax error: {}", e.message),
+            )],
+            None,
+        ),
     }
 }
 
@@ -241,6 +253,13 @@ pub fn lint_source(source: &str) -> Vec<Diagnostic> {
 /// passes. Diagnostics come back sorted by source position, then code,
 /// then message — a total order, so output is deterministic.
 pub fn lint_ast(ast: &WorkflowAst) -> Vec<Diagnostic> {
+    lint_with_context(ast).0
+}
+
+/// [`lint_ast`], also returning the [`AnalysisContext`] the passes
+/// shared, so a caller can take its compiled spec and certificate
+/// instead of compiling and certifying the workflow a second time.
+pub fn lint_with_context(ast: &WorkflowAst) -> (Vec<Diagnostic>, AnalysisContext) {
     let machine = resolve_machine(ast);
     let mut out = Vec::new();
 
@@ -255,7 +274,7 @@ pub fn lint_ast(ast: &WorkflowAst) -> Vec<Diagnostic> {
     }
     check_unused_machines(ast, &mut out);
     let has_errors = out.iter().any(|d| d.severity == Severity::Error);
-    let ctx = passes::AnalysisContext::build(ast, machine, has_errors);
+    let ctx = AnalysisContext::build(ast, machine, has_errors);
     check_targets(ast, &ctx, &mut out);
     passes::run(ast, &ctx, &mut out);
 
@@ -267,7 +286,7 @@ pub fn lint_ast(ast: &WorkflowAst) -> Vec<Diagnostic> {
         out.iter().find(|d| !d.span.is_known())
     );
     out.sort_by(|a, b| (a.span, &a.code, &a.message).cmp(&(b.span, &b.code, &b.message)));
-    out
+    (out, ctx)
 }
 
 /// Only the error-severity findings — what `analyze`/`simulate` gate on
@@ -749,7 +768,7 @@ fn check_unused_machines(ast: &WorkflowAst, out: &mut Vec<Diagnostic>) {
 /// W005: targets the model can prove unattainable. The model exists
 /// only when the spec compiled cleanly on a resolved machine, so this
 /// implicitly skips files with error-severity diagnostics.
-fn check_targets(ast: &WorkflowAst, ctx: &passes::AnalysisContext, out: &mut Vec<Diagnostic>) {
+fn check_targets(ast: &WorkflowAst, ctx: &AnalysisContext, out: &mut Vec<Diagnostic>) {
     let Some(model) = &ctx.model else { return };
     if ast.targets.makespan.is_none() && ast.targets.throughput.is_none() {
         return;

@@ -373,10 +373,14 @@ fn lint(req: &Request) -> Reply {
     };
     let path = str_field(&body, "path").unwrap_or("<request>").to_owned();
     let format = str_field(&body, "format").unwrap_or("text");
-    let batch = vec![(path, source.to_owned(), wrm_lint::lint_source(source))];
+    let (diags, ctx) = wrm_lint::lint_source_with_context(source);
+    let batch = vec![(path, source.to_owned(), diags)];
     let rendered = match format {
         "text" => Ok((TEXT, render::lint_text(&batch))),
-        "json" => render::lint_json(&batch).map(|b| (JSON, b)),
+        "json" => {
+            let cert = ctx.and_then(|c| c.certificate);
+            render::lint_json(&batch, &[cert]).map(|b| (JSON, b))
+        }
         "sarif" => render::lint_sarif(&batch).map(|b| (JSON, b)),
         other => {
             return Reply::bad_request(format!(

@@ -380,20 +380,29 @@ pub fn lint_text(batch: &LintBatch) -> String {
 }
 
 /// The `wrm lint --format json` report. Each file carries its two-sided
-/// makespan certification when the spec compiles onto a known machine;
-/// `null` otherwise (syntax errors, unknown machines, invalid
-/// resources), so consumers can rely on the key existing.
-pub fn lint_json(batch: &LintBatch) -> Result<String, String> {
+/// makespan certification, `certificates[i]` for `batch[i]`: the lint
+/// run's own certificate, present when the spec compiles error-free
+/// onto a known machine and `null` otherwise (syntax errors, unknown
+/// machines, invalid resources), so consumers can rely on the key
+/// existing.
+pub fn lint_json(
+    batch: &LintBatch,
+    certificates: &[Option<Certificate>],
+) -> Result<String, String> {
+    if batch.len() != certificates.len() {
+        return Err(format!(
+            "{} file(s) but {} certificate(s)",
+            batch.len(),
+            certificates.len()
+        ));
+    }
     let files: Vec<serde_json::Value> = batch
         .iter()
-        .map(|(path, source, diags)| {
-            let cert = wrm_lang::compile_source(source)
-                .ok()
-                .and_then(|c| {
-                    let machine = c.machine?;
-                    wrm_sim::certify(&machine, &c.spec, &wrm_sim::SimOptions::default()).ok()
-                })
-                .and_then(|c| serde_json::to_value(&c).ok())
+        .zip(certificates)
+        .map(|((path, _, diags), cert)| {
+            let cert = cert
+                .as_ref()
+                .and_then(|c| serde_json::to_value(c).ok())
                 .unwrap_or(serde_json::Value::Null);
             serde_json::json!({
                 "file": path,

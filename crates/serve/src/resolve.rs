@@ -14,10 +14,15 @@ pub const BUILTINS: [&str; 5] = ["lcls", "bgw", "cosmoflow", "gptune-rci", "gptu
 /// lint subset first so a broken spec fails with spanned diagnostics
 /// instead of whatever the compiler trips over first. `path` labels
 /// the diagnostics (a file path in the CLI, a client-provided label on
-/// the server).
+/// the server). The spec is compiled once: the lint run's own compile
+/// is returned.
 pub fn compile_checked(path: &str, source: &str) -> Result<wrm_lang::Compiled, String> {
     let ast = wrm_lang::parse(source).map_err(|e| format!("{path}:{e}"))?;
-    let errors = wrm_lint::lint_errors(&ast);
+    let (diags, ctx) = wrm_lint::lint_with_context(&ast);
+    let errors: Vec<_> = diags
+        .iter()
+        .filter(|d| d.severity == wrm_lint::Severity::Error)
+        .collect();
     if !errors.is_empty() {
         let mut msg = String::new();
         for d in &errors {
@@ -29,7 +34,12 @@ pub fn compile_checked(path: &str, source: &str) -> Result<wrm_lang::Compiled, S
         ));
         return Err(msg);
     }
-    wrm_lang::compile(&ast).map_err(|e| format!("{path}:{e}"))
+    // Lint compiles every error-free spec; it holds none only when the
+    // compiler rejects the spec, whose message compiling again recovers.
+    match ctx.compiled {
+        Some(compiled) => Ok(compiled),
+        None => wrm_lang::compile(&ast).map_err(|e| format!("{path}:{e}")),
+    }
 }
 
 /// Resolves the machine for a compiled spec: an explicit override wins,
@@ -99,4 +109,104 @@ pub fn resolve_request(
         });
     }
     from_source(path_label, workflow, machine)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::{Path, PathBuf};
+
+    /// Every `.wrm` file under `dir`, recursively.
+    fn wrm_files(dir: &Path, out: &mut Vec<PathBuf>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                wrm_files(&path, out);
+            } else if path.extension().is_some_and(|e| e == "wrm") {
+                out.push(path);
+            }
+        }
+    }
+
+    /// The pipeline `compile_checked` replaces: lint errors first, then
+    /// a compile of its own.
+    fn lint_then_compile(path: &str, source: &str) -> Result<wrm_lang::Compiled, String> {
+        let ast = wrm_lang::parse(source).map_err(|e| format!("{path}:{e}"))?;
+        let errors = wrm_lint::lint_errors(&ast);
+        if !errors.is_empty() {
+            let mut msg = String::new();
+            for d in &errors {
+                msg.push_str(&format!("{path}: {}\n", d.render(source)));
+            }
+            msg.push_str(&format!(
+                "{} error(s); see `wrm lint {path}` for the full report",
+                errors.len()
+            ));
+            return Err(msg);
+        }
+        wrm_lang::compile(&ast).map_err(|e| format!("{path}:{e}"))
+    }
+
+    fn assert_same(path: &str, source: &str) -> bool {
+        match (
+            compile_checked(path, source),
+            lint_then_compile(path, source),
+        ) {
+            (Ok(once), Ok(twice)) => {
+                assert_eq!(once.spec, twice.spec, "{path}");
+                assert_eq!(once.machine, twice.machine, "{path}");
+                assert_eq!(once.targets, twice.targets, "{path}");
+                assert_eq!(once.total_tasks.to_bits(), twice.total_tasks.to_bits());
+                assert_eq!(
+                    once.parallel_tasks.to_bits(),
+                    twice.parallel_tasks.to_bits()
+                );
+                assert_eq!(once.nodes_per_task, twice.nodes_per_task, "{path}");
+                true
+            }
+            (Err(once), Err(twice)) => {
+                assert_eq!(once, twice, "{path}");
+                false
+            }
+            (once, twice) => panic!(
+                "{path}: compile_checked gave {:?}, lint then compile gave {:?}",
+                once.err(),
+                twice.err()
+            ),
+        }
+    }
+
+    #[test]
+    fn compiling_once_matches_lint_then_compile_on_every_repo_spec() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../workflows");
+        let mut files = Vec::new();
+        wrm_files(&root, &mut files);
+        files.sort();
+        let mut compiled = 0;
+        for file in &files {
+            let source = std::fs::read_to_string(file).unwrap();
+            compiled += usize::from(assert_same(&file.to_string_lossy(), &source));
+        }
+        // Both outcomes are covered: the runnable specs and the defect
+        // fixtures under `workflows/bad/`.
+        assert!(compiled >= 6, "{compiled} of {} compiled", files.len());
+        assert!(
+            files.len() - compiled >= 10,
+            "{compiled} of {} compiled",
+            files.len()
+        );
+    }
+
+    #[test]
+    fn parse_and_compile_errors_match_too() {
+        assert!(!assert_same("p.wrm", "workflow w { task a { nodes } }"));
+        // Lint tolerates an invalid machine body and holds no compile;
+        // the compiler's own message comes back.
+        let source =
+            "machine m { nodes 0 }\nworkflow w on m { task a { nodes 1 overhead work 1s } }";
+        assert!(wrm_lint::lint_source(source).is_empty());
+        assert!(!assert_same("m.wrm", source));
+        let err = compile_checked("m.wrm", source).err().unwrap();
+        assert!(err.contains("zero nodes"), "{err}");
+    }
 }

@@ -2,10 +2,9 @@
 //! tasks, plus the scenario knobs (contention, node limit, scheduling).
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 use wrm_core::{Dist, Machine};
-use wrm_dag::{Dag, DagError};
+use wrm_dag::{Dag, DagError, TaskId};
 
 /// One execution phase of a task. Phases run in order within the task.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -260,10 +259,9 @@ impl WorkflowSpec {
     ///
     /// The happy path runs on dense indices (hash-map name resolution
     /// plus an index-based Kahn scan), so validation is
-    /// `O(tasks + deps)`. The string-keyed [`Dag`] — whose
-    /// duplicate-name scan is quadratic — is only built when a
-    /// structural problem is detected, purely to reproduce the exact
-    /// error value callers have always seen.
+    /// `O(tasks + deps)` and allocates no task names. The [`Dag`] is
+    /// only built when a structural problem is detected, purely to
+    /// reproduce the exact error value callers have always seen.
     pub fn validate(&self) -> Result<(), SpecError> {
         let mut names: std::collections::HashMap<&str, u32> =
             std::collections::HashMap::with_capacity(self.tasks.len());
@@ -381,23 +379,21 @@ impl WorkflowSpec {
     }
 
     /// Builds the dependency [`Dag`], estimating each task's duration via
-    /// `duration_of`.
+    /// `duration_of`. Task `i` becomes `TaskId(i)`.
     pub fn to_dag_with<F: Fn(&TaskSpec) -> f64>(&self, duration_of: F) -> Result<Dag, SpecError> {
         let mut dag = Dag::new(self.name.clone());
-        let mut ids = BTreeMap::new();
         for t in &self.tasks {
-            let id = dag.add_task(t.name.clone(), t.nodes.max(1), duration_of(t))?;
-            ids.insert(t.name.as_str(), id);
+            dag.add_task(t.name.clone(), t.nodes.max(1), duration_of(t))?;
         }
-        for t in &self.tasks {
+        for (i, t) in self.tasks.iter().enumerate() {
             for dep in &t.after {
-                let Some(&from) = ids.get(dep.as_str()) else {
+                let Some(from) = dag.task_by_name(dep) else {
                     return Err(SpecError::UnknownDependency {
                         task: t.name.clone(),
                         dependency: dep.clone(),
                     });
                 };
-                dag.add_dep(from, ids[t.name.as_str()])?;
+                dag.add_dep(from, TaskId(i))?;
             }
         }
         dag.validate()?;
