@@ -11,12 +11,16 @@
 //!   cheap to rebuild per grid point.
 //!
 //! Validation is split the same way without changing what error a caller
-//! sees: the reference engine interleaves `TaskTooLarge` (which needs
-//! the per-point pool) with `UnknownResource` (which does not) in one
-//! forward scan over tasks. The base records the first resource error
-//! *without failing*, plus a running prefix-maximum of task node counts;
-//! the overlay then reproduces the reference's first-error choice with a
-//! binary search over that prefix maximum.
+//! sees. Spec errors come first: the base build starts with
+//! [`WorkflowSpec::validate`]'s checks, whose pass also resolves every
+//! dependency name to a task index, so the dependency CSR here reuses
+//! it and no task name is hashed twice. Then the reference engine
+//! interleaves `TaskTooLarge` (which needs the per-point pool) with
+//! `UnknownResource` (which does not) in one forward scan over tasks.
+//! The base records the first resource error *without failing*, found
+//! while lowering the phases, plus a running prefix-maximum of task
+//! node counts; the overlay then reproduces the reference's first-error
+//! choice with a binary search over that prefix maximum.
 //!
 //! Every floating-point expression here is kept verbatim from the
 //! reference engine — the precomputed values must be bit-identical to
@@ -24,7 +28,7 @@
 //! between the two engines is exact equality of makespans and traces.
 
 use crate::engine::SimError;
-use crate::spec::{Phase, WorkflowSpec};
+use crate::spec::{DepCsr, Phase, WorkflowSpec};
 use std::collections::BTreeMap;
 use wrm_core::{Machine, SystemScaling};
 
@@ -102,51 +106,12 @@ impl BaseIndex {
     /// This is the expensive, cacheable step: the same `BaseIndex`
     /// serves every option point of the `(machine, workflow)` pair.
     pub fn build(machine: &Machine, workflow: &WorkflowSpec) -> Result<Self, SimError> {
-        workflow.validate()?;
+        let DepCsr {
+            dep_count,
+            dependents_off,
+            dependents,
+        } = workflow.resolve()?;
         let tasks = &workflow.tasks;
-
-        let mut first_resource_error: Option<(usize, SimError)> = None;
-        for (i, t) in tasks.iter().enumerate() {
-            if first_resource_error.is_some() {
-                break;
-            }
-            for p in &t.phases {
-                let bad: Option<String> = match p {
-                    Phase::Compute { .. } => {
-                        if machine.node_resource(wrm_core::ids::COMPUTE).is_none() {
-                            Some(wrm_core::ids::COMPUTE.into())
-                        } else {
-                            None
-                        }
-                    }
-                    Phase::NodeData { resource, .. } => {
-                        if machine.node_resource(resource).is_none() {
-                            Some(resource.clone())
-                        } else {
-                            None
-                        }
-                    }
-                    Phase::SystemData { resource, .. } => {
-                        if machine.system_resource(resource).is_none() {
-                            Some(resource.clone())
-                        } else {
-                            None
-                        }
-                    }
-                    Phase::Overhead { .. } => None,
-                };
-                if let Some(resource) = bad {
-                    first_resource_error = Some((
-                        i,
-                        SimError::UnknownResource {
-                            task: t.name.clone(),
-                            resource,
-                        },
-                    ));
-                    break;
-                }
-            }
-        }
 
         // Channels: one per system resource the machine defines. The
         // capacity expression keeps the reference's association order:
@@ -166,43 +131,49 @@ impl BaseIndex {
             capacity_base.push(capacity);
         }
 
-        // Phases, lowered. The duration and cap-base expressions
-        // replicate the reference's `fixed_duration` / `make_activity`
-        // bit for bit (the factor multiplies the base on the right, as
-        // the reference's left-associative products do).
+        // Phases, lowered, in one pass that also finds the first
+        // unknown resource in (task, phase) order. The duration and
+        // cap-base expressions replicate the reference's
+        // `fixed_duration` / `make_activity` bit for bit (the factor
+        // multiplies the base on the right, as the reference's
+        // left-associative products do).
+        let compute = machine.node_resource(wrm_core::ids::COMPUTE);
+        let mut first_resource_error: Option<(usize, SimError)> = None;
         let mut phase_off = Vec::with_capacity(tasks.len() + 1);
-        let mut phases = Vec::new();
+        let mut phases = Vec::with_capacity(tasks.iter().map(|t| t.phases.len()).sum());
         phase_off.push(0u32);
-        for t in tasks {
+        for (i, t) in tasks.iter().enumerate() {
             for p in &t.phases {
                 let lowered = match p {
-                    Phase::Compute { flops, efficiency } => {
-                        match machine.node_resource(wrm_core::ids::COMPUTE) {
-                            Some(nr) => PhaseIx::Fixed {
-                                duration: flops
-                                    / (nr.peak_per_node.magnitude() * t.nodes as f64 * efficiency),
-                            },
-                            None => PhaseIx::Fixed { duration: 0.0 },
-                        }
-                    }
+                    Phase::Compute { flops, efficiency } => match compute {
+                        Some(nr) => Ok(PhaseIx::Fixed {
+                            duration: flops
+                                / (nr.peak_per_node.magnitude() * t.nodes as f64 * efficiency),
+                        }),
+                        None => Err(wrm_core::ids::COMPUTE),
+                    },
                     Phase::NodeData {
                         resource,
                         bytes,
                         efficiency,
                     } => match machine.node_resource(resource) {
-                        Some(nr) => PhaseIx::Fixed {
+                        Some(nr) => Ok(PhaseIx::Fixed {
                             duration: bytes
                                 / (nr.peak_per_node.magnitude() * t.nodes as f64 * efficiency),
-                        },
-                        None => PhaseIx::Fixed { duration: 0.0 },
+                        }),
+                        None => Err(resource.as_str()),
                     },
-                    Phase::Overhead { seconds, .. } => PhaseIx::Fixed { duration: *seconds },
+                    Phase::Overhead { seconds, .. } => Ok(PhaseIx::Fixed { duration: *seconds }),
                     Phase::SystemData {
                         resource,
                         bytes,
                         stream_cap,
-                    } => match machine.system_resource(resource) {
-                        Some(sr) => {
+                    } => match channel_idx.get(resource.as_str()) {
+                        // `Machine::validate` rejects duplicate resource
+                        // ids, so the channel's resource is the one
+                        // `Machine::system_resource` finds.
+                        Some(&channel) => {
+                            let sr = &machine.system_resources[channel as usize];
                             // The task's own injection limit: for
                             // per-node-scaled resources it is its
                             // allocation's aggregate NIC rate.
@@ -210,51 +181,32 @@ impl BaseIndex {
                                 SystemScaling::Aggregate => f64::INFINITY,
                                 SystemScaling::PerNodeInUse => sr.peak.get() * t.nodes as f64,
                             };
-                            PhaseIx::Flow {
-                                channel: channel_idx[resource.as_str()],
+                            Ok(PhaseIx::Flow {
+                                channel,
                                 bytes: *bytes,
                                 alloc_base,
                                 stream_base: stream_cap.unwrap_or(f64::INFINITY),
-                            }
+                            })
                         }
-                        // Unreachable at run time: the recorded resource
-                        // error fails every overlay built on this base.
-                        None => PhaseIx::Fixed { duration: 0.0 },
+                        None => Err(resource.as_str()),
                     },
                 };
-                phases.push(lowered);
+                // A placeholder stands in for an unresolvable phase: the
+                // recorded error fails every overlay built on this base.
+                phases.push(lowered.unwrap_or_else(|resource| {
+                    if first_resource_error.is_none() {
+                        first_resource_error = Some((
+                            i,
+                            SimError::UnknownResource {
+                                task: t.name.clone(),
+                                resource: resource.into(),
+                            },
+                        ));
+                    }
+                    PhaseIx::Fixed { duration: 0.0 }
+                }));
             }
             phase_off.push(phases.len() as u32);
-        }
-
-        // Dependency CSR. The name map is only probed (never iterated),
-        // so a hash map's O(1) lookups are safe and make this build
-        // O(tasks + deps) instead of O(deps log tasks).
-        let name_to_idx: std::collections::HashMap<&str, u32> = tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.name.as_str(), i as u32))
-            .collect();
-        let dep_count: Vec<u32> = tasks.iter().map(|t| t.after.len() as u32).collect();
-        let mut out_degree = vec![0u32; tasks.len()];
-        for t in tasks {
-            for dep in &t.after {
-                out_degree[name_to_idx[dep.as_str()] as usize] += 1;
-            }
-        }
-        let mut dependents_off = Vec::with_capacity(tasks.len() + 1);
-        dependents_off.push(0u32);
-        for &d in &out_degree {
-            dependents_off.push(dependents_off.last().unwrap() + d);
-        }
-        let mut cursor: Vec<u32> = dependents_off[..tasks.len()].to_vec();
-        let mut dependents = vec![0u32; dependents_off[tasks.len()] as usize];
-        for (i, t) in tasks.iter().enumerate() {
-            for dep in &t.after {
-                let d = name_to_idx[dep.as_str()] as usize;
-                dependents[cursor[d] as usize] = i as u32;
-                cursor[d] += 1;
-            }
         }
 
         let nodes: Vec<u64> = tasks.iter().map(|t| t.nodes).collect();

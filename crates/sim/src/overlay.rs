@@ -169,6 +169,60 @@ mod tests {
                 simulate_reference(&scenario).map(|_| ()).unwrap_err()
             );
         }
+
+        // Several bad references: `bad` names an unknown node resource
+        // in its first phase and an unknown system resource in its
+        // second, a later task names another, and on a machine without
+        // `compute` the first task's compute phase is unknown too. Node
+        // limits put a too-large task before, between and after them.
+        let wf = WorkflowSpec::new("order")
+            .task(
+                TaskSpec::new("big", 32)
+                    .phase(Phase::compute(1e12))
+                    .phase(Phase::overhead("o", 1.0)),
+            )
+            .task(
+                TaskSpec::new("bad", 1)
+                    .phase(Phase::node_data("no-node", 1e9))
+                    .phase(Phase::system_data("no-sys", 1e9)),
+            )
+            .task(TaskSpec::new("bigger", 64).phase(Phase::overhead("o", 1.0)))
+            .task(TaskSpec::new("worse", 1).phase(Phase::system_data("no-sys-2", 1e9)))
+            .task(TaskSpec::new("biggest", 128).phase(Phase::compute(1e12)));
+        let mut no_compute = machines::cori_haswell();
+        no_compute
+            .node_resources
+            .retain(|r| r.id.as_str() != wrm_core::ids::COMPUTE);
+        let unknown = |task: &str, resource: &str| SimError::UnknownResource {
+            task: task.into(),
+            resource: resource.into(),
+        };
+        let too_large = |task: &str, needs: u64, pool: u64| SimError::TaskTooLarge {
+            task: task.into(),
+            needs,
+            pool,
+        };
+        let cases = [
+            (&machine, 16, too_large("big", 32, 16)),
+            (&machine, 48, unknown("bad", "no-node")),
+            (&machine, 100, unknown("bad", "no-node")),
+            (&machine, 1000, unknown("bad", "no-node")),
+            (&no_compute, 16, too_large("big", 32, 16)),
+            (&no_compute, 48, unknown("big", wrm_core::ids::COMPUTE)),
+            (&no_compute, 100, unknown("big", wrm_core::ids::COMPUTE)),
+            (&no_compute, 1000, unknown("big", wrm_core::ids::COMPUTE)),
+        ];
+        for (m, limit, expected) in cases {
+            let base = BaseIndex::build(m, &wf).expect("spec-valid workflow");
+            let opts = SimOptions {
+                node_limit: Some(limit),
+                ..SimOptions::default()
+            };
+            let scenario = Scenario::new(m.clone(), wf.clone()).with_options(opts.clone());
+            let via_overlay = IndexOverlay::build(&base, &wf, &opts).map(|_| ());
+            assert_eq!(via_overlay, simulate_reference(&scenario).map(|_| ()));
+            assert_eq!(via_overlay, Err(expected), "limit {limit}");
+        }
     }
 
     /// Overlay-built capacities and factors are bit-identical to a cold

@@ -468,11 +468,37 @@ mod tests {
         wf
     }
 
+    /// Lists every task's first dependency a second time, at the end
+    /// of its `after` list, so the repeat is not adjacent to the first
+    /// listing whenever the task has two or more dependencies.
+    fn repeat_first_edges(wf: &mut WorkflowSpec) {
+        for t in &mut wf.tasks {
+            if let Some(first) = t.after.first().cloned() {
+                t.after.push(first);
+            }
+        }
+    }
+
+    /// The same workflow with each `after` list reduced to its first
+    /// listing of every name.
+    fn dedup_edges(wf: &WorkflowSpec) -> WorkflowSpec {
+        let mut out = wf.clone();
+        for t in &mut out.tasks {
+            let mut seen = std::collections::HashSet::new();
+            t.after.retain(|d| seen.insert(d.clone()));
+        }
+        out
+    }
+
     proptest! {
         /// The tentpole contract: the optimized engine is bit-identical
         /// to the reference on arbitrary scenarios — same trace spans in
         /// the same order, same makespan, same task times/starts/nodes,
         /// and the same error when the scenario is invalid or stalls.
+        /// With `repeat_edges`, dependencies are listed twice: the
+        /// reference resolves them by name in its own bookkeeping, and
+        /// both must start every task when the spec listing each
+        /// dependency once does.
         #[test]
         fn optimized_engine_matches_reference_exactly(
             seed in any::<u64>(),
@@ -481,13 +507,17 @@ mod tests {
             backfill in any::<bool>(),
             contention in prop::option::of(0.1f64..1.5),
             node_limit in prop::option::of(1u64..32),
+            repeat_edges in any::<bool>(),
         ) {
             let machine = if machine_ix == 0 {
                 machines::cori_haswell()
             } else {
                 machines::perlmutter_cpu()
             };
-            let wf = build_workflow(seed, n_tasks, &machine);
+            let mut wf = build_workflow(seed, n_tasks, &machine);
+            if repeat_edges {
+                repeat_first_edges(&mut wf);
+            }
             let mut opts = SimOptions {
                 node_limit,
                 scheduler: if backfill {
@@ -500,10 +530,19 @@ mod tests {
             if let Some(f) = contention {
                 opts = opts.with_contention(wrm_core::ids::EXTERNAL, f);
             }
+            let deduped =
+                Scenario::new(machine.clone(), dedup_edges(&wf)).with_options(opts.clone());
             let scenario = Scenario::new(machine, wf).with_options(opts);
             let optimized = simulate(&scenario);
             let reference = simulate_reference(&scenario);
-            prop_assert_eq!(optimized, reference);
+            prop_assert_eq!(&optimized, &reference);
+            match (&optimized, &simulate(&deduped)) {
+                (Ok(r), Ok(d)) => {
+                    prop_assert_eq!(r.makespan.to_bits(), d.makespan.to_bits());
+                    prop_assert_eq!(&r.task_starts, &d.task_starts);
+                }
+                (r, d) => prop_assert_eq!(r.as_ref().err(), d.as_ref().err()),
+            }
         }
 
         /// Same contract under the equal-split sharing ablation.

@@ -240,6 +240,73 @@ impl From<DagError> for SpecError {
     }
 }
 
+/// A spec's dependency lists resolved to task indices, inverted into
+/// CSR successor lists: what [`WorkflowSpec::resolve`] hands the index
+/// build. A task listed twice in one `after` counts twice on both sides,
+/// as the engines' dependency bookkeeping does.
+pub(crate) struct DepCsr {
+    /// `after.len()` per task.
+    pub(crate) dep_count: Vec<u32>,
+    /// CSR offsets into [`Self::dependents`], one entry per task plus one.
+    pub(crate) dependents_off: Vec<u32>,
+    /// For each task, the tasks whose `after` names it, in task order.
+    pub(crate) dependents: Vec<u32>,
+}
+
+impl DepCsr {
+    /// Inverts `preds` (every task's resolved `after` list, back to back;
+    /// task `i` owns the next `dep_count[i]` entries).
+    fn invert(dep_count: Vec<u32>, preds: &[u32]) -> Self {
+        let n = dep_count.len();
+        let mut dependents_off = vec![0u32; n + 1];
+        for &p in preds {
+            dependents_off[p as usize + 1] += 1;
+        }
+        for i in 0..n {
+            dependents_off[i + 1] += dependents_off[i];
+        }
+        let mut cursor = dependents_off[..n].to_vec();
+        let mut dependents = vec![0u32; preds.len()];
+        let mut own = preds;
+        for (i, &c) in dep_count.iter().enumerate() {
+            let (mine, rest) = own.split_at(c as usize);
+            for &p in mine {
+                dependents[cursor[p as usize] as usize] = i as u32;
+                cursor[p as usize] += 1;
+            }
+            own = rest;
+        }
+        DepCsr {
+            dep_count,
+            dependents_off,
+            dependents,
+        }
+    }
+
+    /// Kahn's scan. `false` on a cycle, a self-dependency included (its
+    /// task never reaches indegree zero).
+    fn is_acyclic(&self) -> bool {
+        let mut indegree = self.dep_count.clone();
+        let mut queue: Vec<u32> = (0..indegree.len() as u32)
+            .filter(|&i| indegree[i as usize] == 0)
+            .collect();
+        let mut head = 0;
+        while head < queue.len() {
+            let v = queue[head] as usize;
+            head += 1;
+            let succs = &self.dependents
+                [self.dependents_off[v] as usize..self.dependents_off[v + 1] as usize];
+            for &s in succs {
+                indegree[s as usize] -= 1;
+                if indegree[s as usize] == 0 {
+                    queue.push(s);
+                }
+            }
+        }
+        queue.len() == indegree.len()
+    }
+}
+
 impl WorkflowSpec {
     /// Creates an empty workflow.
     pub fn new(name: impl Into<String>) -> Self {
@@ -257,12 +324,21 @@ impl WorkflowSpec {
 
     /// Validates phases, dependency names, and acyclicity.
     ///
-    /// The happy path runs on dense indices (hash-map name resolution
-    /// plus an index-based Kahn scan), so validation is
-    /// `O(tasks + deps)` and allocates no task names. The [`Dag`] is
-    /// only built when a structural problem is detected, purely to
-    /// reproduce the exact error value callers have always seen.
+    /// The first error wins, in this order: a duplicate task name; then,
+    /// task by task, zero nodes, an invalid phase, an invalid
+    /// distribution, an unknown dependency; then a self-dependency or
+    /// cycle. Each task name is hashed once and each dependency looked
+    /// up once, so validation is `O(tasks + deps)` and allocates no
+    /// task names. The [`Dag`] is only built when a structural problem
+    /// is detected, purely to reproduce the exact error value callers
+    /// have always seen.
     pub fn validate(&self) -> Result<(), SpecError> {
+        self.resolve().map(drop)
+    }
+
+    /// [`Self::validate`], keeping the dependency lists it resolves to
+    /// task indices on the way.
+    pub(crate) fn resolve(&self) -> Result<DepCsr, SpecError> {
         let mut names: std::collections::HashMap<&str, u32> =
             std::collections::HashMap::with_capacity(self.tasks.len());
         let mut duplicate = false;
@@ -273,6 +349,11 @@ impl WorkflowSpec {
             // Let the DAG construction name the duplicate.
             self.to_dag_with(|_| 0.0)?;
         }
+        // Every `after` entry, resolved in task and `after` order;
+        // duplicates are kept, as the engines count each one.
+        let mut dep_count = Vec::with_capacity(self.tasks.len());
+        let mut preds: Vec<u32> =
+            Vec::with_capacity(self.tasks.iter().map(|t| t.after.len()).sum());
         for t in &self.tasks {
             if t.nodes == 0 {
                 return Err(SpecError::Invalid(format!(
@@ -300,82 +381,25 @@ impl WorkflowSpec {
                 }
             }
             for dep in &t.after {
-                if !names.contains_key(dep.as_str()) {
+                let Some(&p) = names.get(dep.as_str()) else {
                     return Err(SpecError::UnknownDependency {
                         task: t.name.clone(),
                         dependency: dep.clone(),
                     });
-                }
+                };
+                preds.push(p);
             }
+            dep_count.push(t.after.len() as u32);
         }
-        if !self.is_acyclic(&names) {
+        // Freed before the CSR is allocated, so the two never coexist.
+        drop(names);
+        let deps = DepCsr::invert(dep_count, &preds);
+        if !deps.is_acyclic() {
             // Let the DAG construction name the self-dependency or the
             // first cycle member, exactly as it always has.
             self.to_dag_with(|_| 0.0)?;
         }
-        Ok(())
-    }
-
-    /// Index-based Kahn scan over the dependency lists (`names` maps
-    /// task name to index; every dependency is known to resolve).
-    /// Returns `false` on a self-dependency or a cycle; the caller then
-    /// rebuilds the [`Dag`] to produce the historical error value.
-    fn is_acyclic(&self, names: &std::collections::HashMap<&str, u32>) -> bool {
-        let n = self.tasks.len();
-        // Per-task predecessor lists, deduplicated ([`Dag`] ignores
-        // duplicate edges, so double-counting indegree here would
-        // misreport diamond-with-repeated-edge specs as cyclic).
-        let mut pred_off = Vec::with_capacity(n + 1);
-        pred_off.push(0u32);
-        let mut preds: Vec<u32> = Vec::new();
-        let mut scratch: Vec<u32> = Vec::new();
-        for (i, t) in self.tasks.iter().enumerate() {
-            scratch.clear();
-            for dep in &t.after {
-                let p = names[dep.as_str()];
-                if p == i as u32 {
-                    return false; // self-dependency
-                }
-                scratch.push(p);
-            }
-            scratch.sort_unstable();
-            scratch.dedup();
-            preds.extend_from_slice(&scratch);
-            pred_off.push(preds.len() as u32);
-        }
-        // Invert into CSR successor lists.
-        let mut succ_off = vec![0u32; n + 1];
-        for &p in &preds {
-            succ_off[p as usize + 1] += 1;
-        }
-        for i in 0..n {
-            succ_off[i + 1] += succ_off[i];
-        }
-        let mut cursor = succ_off.clone();
-        let mut succs = vec![0u32; preds.len()];
-        for i in 0..n {
-            for &pred in &preds[pred_off[i] as usize..pred_off[i + 1] as usize] {
-                let p = pred as usize;
-                succs[cursor[p] as usize] = i as u32;
-                cursor[p] += 1;
-            }
-        }
-        let mut indegree: Vec<u32> = (0..n).map(|i| pred_off[i + 1] - pred_off[i]).collect();
-        let mut queue: Vec<u32> = (0..n as u32)
-            .filter(|&i| indegree[i as usize] == 0)
-            .collect();
-        let mut head = 0;
-        while head < queue.len() {
-            let v = queue[head] as usize;
-            head += 1;
-            for &s in &succs[succ_off[v] as usize..succ_off[v + 1] as usize] {
-                indegree[s as usize] -= 1;
-                if indegree[s as usize] == 0 {
-                    queue.push(s);
-                }
-            }
-        }
-        queue.len() == n
+        Ok(deps)
     }
 
     /// Builds the dependency [`Dag`], estimating each task's duration via
