@@ -1,13 +1,11 @@
 //! Model-side benchmarks: roofline construction and evaluation
-//! throughput, envelope sweeps, and the sharing-discipline ablation
-//! (max–min vs. equal split) called out in DESIGN.md.
+//! throughput, envelope sweeps and the bottleneck advisor.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use wrm_core::{
     ids, machines, Bytes, Flops, RooflineModel, Seconds, Work, WorkflowCharacterization,
 };
-use wrm_sim::{simulate, Sharing, SimOptions};
 
 fn characterization(n_resources: usize) -> WorkflowCharacterization {
     let mut b = WorkflowCharacterization::builder("bench")
@@ -67,82 +65,9 @@ fn advisor(c: &mut Criterion) {
     });
 }
 
-/// Ablation: the work-conserving max–min solver vs. naive equal split.
-/// With a mix of rate-capped background-ish flows and uncapped bulk
-/// flows, equal split strands the bandwidth the capped flows cannot use:
-/// the bulk transfers crawl at the arithmetic share instead of absorbing
-/// the slack. The printed comparison records the modelling error the
-/// naive discipline would introduce into every contention figure.
-fn sharing_ablation(c: &mut Criterion) {
-    use wrm_core::{ids, BytesPerSec, Machine};
-    use wrm_sim::{Phase, Scenario, TaskSpec, WorkflowSpec};
-
-    let machine = Machine::builder("ablation", 256)
-        .system(ids::FILE_SYSTEM, "FS", BytesPerSec::gbps(100.0))
-        .build()
-        .expect("valid machine");
-    // 56 slow, capped metadata-style flows (10 GB at 50 MB/s = 200 s)
-    // and 8 uncapped 200 GB bulk transfers.
-    let mut wf = WorkflowSpec::new("mixed");
-    for i in 0..56 {
-        wf = wf.task(
-            TaskSpec::new(format!("capped{i}"), 1).phase(Phase::SystemData {
-                resource: ids::FILE_SYSTEM.into(),
-                bytes: 10e9,
-                stream_cap: Some(0.05e9),
-            }),
-        );
-    }
-    for i in 0..8 {
-        wf = wf.task(
-            TaskSpec::new(format!("bulk{i}"), 1).phase(Phase::system_data(ids::FILE_SYSTEM, 200e9)),
-        );
-    }
-    let scenario = Scenario::new(machine, wf);
-
-    let bulk_mean = |sharing: Sharing| -> f64 {
-        let mut sc = scenario.clone();
-        sc.options = SimOptions {
-            sharing,
-            ..SimOptions::default()
-        };
-        let r = simulate(&sc).expect("simulates");
-        let (sum, n) = r
-            .task_times
-            .iter()
-            .filter(|(name, _)| name.starts_with("bulk"))
-            .fold((0.0, 0usize), |(s, n), (_, t)| (s + t, n + 1));
-        sum / n as f64
-    };
-    let mm = bulk_mean(Sharing::MaxMin);
-    let eq = bulk_mean(Sharing::EqualSplit);
-    println!(
-        "[ablation] bulk transfers next to capped flows: max-min {mm:.1} s vs \
-         equal-split {eq:.1} s mean completion ({:.1}x slower under the naive \
-         discipline)",
-        eq / mm
-    );
-
-    let mut group = c.benchmark_group("model/sharing_ablation");
-    for (name, sharing) in [
-        ("max_min", Sharing::MaxMin),
-        ("equal_split", Sharing::EqualSplit),
-    ] {
-        let mut sc = scenario.clone();
-        sc.options = SimOptions {
-            sharing,
-            ..SimOptions::default()
-        };
-        group.bench_with_input(BenchmarkId::from_parameter(name), &sc, |b, s| {
-            b.iter(|| black_box(simulate(s).unwrap().makespan));
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = model;
     config = Criterion::default().sample_size(10);
-    targets = model_build, envelope_sweep, advisor, sharing_ablation
+    targets = model_build, envelope_sweep, advisor
 }
 criterion_main!(model);

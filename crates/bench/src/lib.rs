@@ -7,8 +7,8 @@
 //!   same series the paper reports and prints the headline comparisons.
 //! * `engine` — simulator performance: event throughput vs. task count,
 //!   fair-share solver scaling, scheduler ablation (FIFO vs. backfill).
-//! * `model` — roofline construction/evaluation throughput and the
-//!   max–min vs. equal-split sharing ablation.
+//! * `model` — roofline construction/evaluation throughput, envelope
+//!   sweeps and the bottleneck advisor.
 //!
 //! This library crate hosts the shared workload builders so the three
 //! bench binaries stay small and consistent.

@@ -50,19 +50,6 @@ pub struct FlowIr {
     pub span: Span,
 }
 
-/// One dependency edge at AST granularity.
-#[derive(Debug, Clone)]
-pub struct DepIr {
-    /// Index of the predecessor task group.
-    pub target: usize,
-    /// Specific replica, when the spec wrote `after name[i]`.
-    pub index: Option<usize>,
-    /// Span of the referenced name.
-    pub span: Span,
-    /// Span of the whole `after ...` statement.
-    pub stmt_span: Span,
-}
-
 /// One task group (a `task` declaration, possibly replicated).
 #[derive(Debug, Clone)]
 pub struct TaskIr {
@@ -76,8 +63,9 @@ pub struct TaskIr {
     pub chain: bool,
     /// Replicas in flight at once (1 when chained).
     pub concurrent: usize,
-    /// Dependency edges.
-    pub deps: Vec<DepIr>,
+    /// Predecessor task-group indices, one per resolved `after`
+    /// statement (the statements' spans stay on the AST).
+    pub deps: Vec<usize>,
     /// Traffic on shared channels.
     pub flows: Vec<FlowIr>,
 }
@@ -157,14 +145,7 @@ impl AnalysisIr {
             let deps = task
                 .after
                 .iter()
-                .filter_map(|a| {
-                    Some(DepIr {
-                        target: *name_to_idx.get(a.name.as_str())?,
-                        index: a.index,
-                        span: a.span.into(),
-                        stmt_span: a.stmt_span.into(),
-                    })
-                })
+                .filter_map(|a| name_to_idx.get(a.name.as_str()).copied())
                 .collect();
             tasks.push(TaskIr {
                 name: task.name.clone(),
@@ -228,7 +209,7 @@ mod tests {
         assert_eq!(analyze.concurrent, 5);
         let merge = &ir.tasks[1];
         assert_eq!(merge.deps.len(), 1);
-        assert_eq!(merge.deps[0].target, 0);
+        assert_eq!(merge.deps[0], 0);
     }
 
     #[test]

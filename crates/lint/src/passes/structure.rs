@@ -22,9 +22,9 @@ pub fn unreachable_tasks(ctx: &AnalysisContext, out: &mut Vec<Diagnostic>) {
     // Forward adjacency restricted to the stuck cone.
     let mut succs: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for &v in &stuck {
-        for d in &ir.tasks[v].deps {
-            if stuck.contains(&d.target) {
-                succs.entry(d.target).or_default().push(v);
+        for &d in &ir.tasks[v].deps {
+            if stuck.contains(&d) {
+                succs.entry(d).or_default().push(v);
             }
         }
     }
@@ -70,8 +70,8 @@ fn stuck(ir: &AnalysisIr) -> Vec<usize> {
     let mut indegree: Vec<usize> = ir.tasks.iter().map(|t| t.deps.len()).collect();
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
     for (i, t) in ir.tasks.iter().enumerate() {
-        for d in &t.deps {
-            succs[d.target].push(i);
+        for &d in &t.deps {
+            succs[d].push(i);
         }
     }
     let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();

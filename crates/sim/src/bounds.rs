@@ -16,9 +16,7 @@
 //!   rate* per flow: under max-min sharing a flow on a channel of
 //!   capacity `C` with at most `n` concurrent demands always receives at
 //!   least `min(cap, max(C/n, C - S_other))` where `S_other` sums the
-//!   other demands' caps; under equal-split only `min(cap, C/n)` (the
-//!   `C - S_other` refinement is unsound there — equal split is not
-//!   work-conserving). `n` is capped by node-pool co-schedulability
+//!   other demands' caps. `n` is capped by node-pool co-schedulability
 //!   ([`wrm_dag::max_coschedulable`]): flows whose tasks cannot hold
 //!   nodes simultaneously never compete.
 //!
@@ -34,8 +32,7 @@
 //! asserts `lo <= simulate(spec).makespan <= hi` across the paper
 //! workflows, every shipped spec, sweep grids, and proptest-random DAGs.
 
-use crate::channel::Sharing;
-use crate::engine::{Scenario, SimError, SimOptions};
+use crate::engine::{SimError, SimOptions};
 use crate::index::{BaseIndex, PhaseIx};
 use crate::overlay::IndexOverlay;
 use crate::spec::{Phase, WorkflowSpec};
@@ -167,12 +164,7 @@ pub fn certify(
 ) -> Result<Certificate, SimError> {
     let base = BaseIndex::build(machine, workflow)?;
     let overlay = IndexOverlay::build(&base, workflow, options)?;
-    Ok(certify_indexed(workflow, options, &base, &overlay))
-}
-
-/// Like [`certify`] over a scenario.
-pub fn certify_scenario(scenario: &Scenario) -> Result<Certificate, SimError> {
-    certify(&scenario.machine, &scenario.workflow, &scenario.options)
+    Ok(certify_indexed(workflow, &base, &overlay))
 }
 
 /// [`certify`] against a prebuilt [`BaseIndex`] — the resident server's
@@ -185,12 +177,11 @@ pub fn certify_with_base(
     base: &BaseIndex,
 ) -> Result<Certificate, SimError> {
     let overlay = IndexOverlay::build(base, workflow, options)?;
-    Ok(certify_indexed(workflow, options, base, &overlay))
+    Ok(certify_indexed(workflow, base, &overlay))
 }
 
 fn certify_indexed(
     workflow: &WorkflowSpec,
-    options: &SimOptions,
     base: &BaseIndex,
     overlay: &IndexOverlay,
 ) -> Certificate {
@@ -267,7 +258,7 @@ fn certify_indexed(
                     let cap = (alloc_base * f).min(stream_base * f);
                     let alone = cap.min(ctx.capacity);
                     let own = caps[&channel];
-                    let floor = floor_rate(options.sharing, ctx, cap, own);
+                    let floor = floor_rate(ctx, cap, own);
                     (flow_time(bytes, alone), flow_time(bytes, floor))
                 }
             };
@@ -378,28 +369,20 @@ fn certify_indexed(
 /// The guaranteed floor rate of one flow whose own cap is `cap`, where
 /// `own` is its task's largest cap on the channel (the task's entry in
 /// the channel's cap sums).
-fn floor_rate(sharing: Sharing, ctx: &ChannelCtx, cap: f64, own: f64) -> f64 {
+fn floor_rate(ctx: &ChannelCtx, cap: f64, own: f64) -> f64 {
     let equal_share = ctx.capacity / ctx.n_tot.max(1) as f64;
-    match sharing {
-        Sharing::MaxMin => {
-            // Work conservation: the flow gets whatever the others'
-            // caps leave over, if that beats the equal share. An
-            // unbounded competitor voids the refinement (its demand can
-            // absorb everything above the fair share).
-            let others_inf = ctx.inf_caps - usize::from(!own.is_finite());
-            let leftover = if others_inf > 0 {
-                f64::NEG_INFINITY
-            } else {
-                let s_other = ctx.finite_cap_sum - if own.is_finite() { own } else { 0.0 };
-                ctx.capacity - s_other
-            };
-            cap.min(equal_share.max(leftover))
-        }
-        // Equal split is not work-conserving: leftover capacity from
-        // capped competitors is wasted, so only the 1/n share is
-        // guaranteed.
-        Sharing::EqualSplit => cap.min(equal_share),
-    }
+    // Work conservation: the flow gets whatever the others' caps leave
+    // over, if that beats the equal share. An unbounded competitor voids
+    // the refinement (its demand can absorb everything above the fair
+    // share).
+    let others_inf = ctx.inf_caps - usize::from(!own.is_finite());
+    let leftover = if others_inf > 0 {
+        f64::NEG_INFINITY
+    } else {
+        let s_other = ctx.finite_cap_sum - if own.is_finite() { own } else { 0.0 };
+        ctx.capacity - s_other
+    };
+    cap.min(equal_share.max(leftover))
 }
 
 /// `bytes / rate` with the degenerate ends pinned: no bytes takes no
@@ -512,7 +495,7 @@ fn attribute(data: Vec<(BoundClass, Option<String>, f64, f64)>) -> Vec<TermBound
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::simulate;
+    use crate::engine::{simulate, Scenario};
     use crate::spec::{Phase, TaskSpec, WorkflowSpec};
     use wrm_core::machines;
 

@@ -29,7 +29,7 @@ pub struct FlowRate {
     pub rate: f64,
 }
 
-/// Reusable scratch for the `*_rates_into` solver variants: holds the
+/// Reusable scratch for [`max_min_rates_into`]: holds the
 /// progressive-filling working set so a caller solving thousands of
 /// channel instants per run allocates nothing after warm-up.
 #[derive(Debug, Clone, Default)]
@@ -109,65 +109,6 @@ pub fn max_min_rates_into(
     }
 }
 
-/// Equal-split sharing: the naive alternative (every flow gets
-/// `capacity / n`, clipped to its cap). Kept as an ablation baseline for
-/// the benchmarks; it under-utilizes the link whenever caps differ.
-pub fn equal_split_rates(capacity: f64, flows: &[FlowDemand]) -> Vec<FlowRate> {
-    let mut out = Vec::new();
-    equal_split_rates_into(capacity, flows, &mut out);
-    out
-}
-
-/// [`equal_split_rates`] into a caller-owned buffer (cleared and
-/// refilled), for allocation-free repeated solving.
-pub fn equal_split_rates_into(capacity: f64, flows: &[FlowDemand], out: &mut Vec<FlowRate>) {
-    assert!(
-        capacity >= 0.0 && !capacity.is_nan(),
-        "channel capacity must be non-negative"
-    );
-    out.clear();
-    let share = capacity / flows.len() as f64;
-    out.extend(flows.iter().map(|f| FlowRate {
-        id: f.id,
-        rate: share.min(f.cap),
-    }));
-}
-
-/// Sharing discipline selector (ablation knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Sharing {
-    /// Max–min fairness by progressive filling (default; work-conserving).
-    #[default]
-    MaxMin,
-    /// Naive equal split clipped to per-flow caps (not work-conserving).
-    EqualSplit,
-}
-
-impl Sharing {
-    /// Dispatches to the selected solver.
-    pub fn rates(self, capacity: f64, flows: &[FlowDemand]) -> Vec<FlowRate> {
-        match self {
-            Sharing::MaxMin => max_min_rates(capacity, flows),
-            Sharing::EqualSplit => equal_split_rates(capacity, flows),
-        }
-    }
-
-    /// Dispatches to the selected solver's buffer-reusing variant; the
-    /// rates written to `out` are bit-identical to [`Sharing::rates`].
-    pub fn rates_into(
-        self,
-        capacity: f64,
-        flows: &[FlowDemand],
-        scratch: &mut RateScratch,
-        out: &mut Vec<FlowRate>,
-    ) {
-        match self {
-            Sharing::MaxMin => max_min_rates_into(capacity, flows, scratch, out),
-            Sharing::EqualSplit => equal_split_rates_into(capacity, flows, out),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,31 +175,11 @@ mod tests {
     }
 
     #[test]
-    fn equal_split_is_not_work_conserving() {
-        let flows = vec![demand(0, 10.0), demand(1, f64::INFINITY)];
-        let mm = max_min_rates(100.0, &flows);
-        let eq = equal_split_rates(100.0, &flows);
-        let mm_total: f64 = mm.iter().map(|r| r.rate).sum();
-        let eq_total: f64 = eq.iter().map(|r| r.rate).sum();
-        assert!((mm_total - 100.0).abs() < 1e-9);
-        assert!((eq_total - 60.0).abs() < 1e-9); // 10 + 50: wastes 40
-    }
-
-    #[test]
-    fn sharing_dispatch() {
-        let flows = vec![demand(0, f64::INFINITY)];
-        assert_eq!(Sharing::MaxMin.rates(8.0, &flows)[0].rate, 8.0);
-        assert_eq!(Sharing::EqualSplit.rates(8.0, &flows)[0].rate, 8.0);
-        assert_eq!(Sharing::default(), Sharing::MaxMin);
-    }
-
-    #[test]
     fn empty_and_zero_capacity() {
         assert!(max_min_rates(10.0, &[]).is_empty());
         let flows = vec![demand(0, f64::INFINITY)];
         let rates = max_min_rates(0.0, &flows);
         assert_eq!(rates[0].rate, 0.0);
-        assert!(equal_split_rates(10.0, &[]).is_empty());
     }
 
     #[test]
@@ -277,12 +198,8 @@ mod tests {
         for cap in [0.0, 5.0, 100.0] {
             max_min_rates_into(cap, &flows, &mut scratch, &mut out);
             assert_eq!(out, max_min_rates(cap, &flows));
-            equal_split_rates_into(cap, &flows, &mut out);
-            assert_eq!(out, equal_split_rates(cap, &flows));
-            Sharing::MaxMin.rates_into(cap, &flows, &mut scratch, &mut out);
-            assert_eq!(out, Sharing::MaxMin.rates(cap, &flows));
         }
-        equal_split_rates_into(1.0, &[], &mut out);
+        max_min_rates_into(1.0, &[], &mut scratch, &mut out);
         assert!(out.is_empty());
     }
 

@@ -22,7 +22,7 @@
 //! has no contention.
 
 use crate::calendar::{CalEv, CalendarQueue};
-use crate::channel::{FlowDemand, FlowRate, RateScratch, Sharing};
+use crate::channel::{max_min_rates_into, FlowDemand, FlowRate, RateScratch};
 use crate::index::{BaseIndex, PhaseIx};
 use crate::overlay::IndexOverlay;
 use crate::spec::{Phase, SpecError, WorkflowSpec};
@@ -46,14 +46,11 @@ pub enum SchedulerPolicy {
 }
 
 /// Simulation options.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct SimOptions {
     /// Usable node count (None = the machine's total; a Some caps it,
     /// modelling queue limits).
     pub node_limit: Option<u64>,
-    /// Shared-channel discipline.
-    #[serde(skip)]
-    pub sharing: Sharing,
     /// Per-resource capacity factors (e.g. `{"ext": 0.2}` for the LCLS
     /// bad days). Factors apply to the channel capacity *and* to phase
     /// stream caps on that channel, matching "the achievable rate drops
@@ -61,17 +58,6 @@ pub struct SimOptions {
     pub contention: BTreeMap<String, f64>,
     /// Scheduler policy.
     pub scheduler: SchedulerPolicy,
-}
-
-impl Default for SimOptions {
-    fn default() -> Self {
-        Self {
-            node_limit: None,
-            sharing: Sharing::MaxMin,
-            contention: BTreeMap::new(),
-            scheduler: SchedulerPolicy::Fifo,
-        }
-    }
 }
 
 impl SimOptions {
@@ -989,7 +975,6 @@ impl<'a> Engine<'a> {
     /// recomputed and pushed onto the calendar; unchanged rates touch
     /// nothing, so their calendar entries stay valid.
     fn recompute(&mut self) {
-        let sharing = self.opts.sharing;
         let now = self.now;
         for di in 0..self.st.dirty_list.len() {
             let ch = self.st.dirty_list[di] as usize;
@@ -1006,7 +991,7 @@ impl<'a> Engine<'a> {
                 });
             }
             self.st.demand_scratch.sort_unstable_by_key(|d| d.id);
-            sharing.rates_into(
+            max_min_rates_into(
                 self.overlay.channel_capacity[ch],
                 &self.st.demand_scratch,
                 &mut self.st.rate_scratch,

@@ -26,15 +26,14 @@
 //!    cannot pull an activity to an earlier event than the analytic
 //!    schedule assigns it.
 //!
-//! Any violation — or non-max-min sharing, a dependency cycle, a
-//! starved or unbounded flow — returns `None` and the caller falls back
+//! Any violation — or a dependency cycle, a starved or unbounded
+//! flow — returns `None` and the caller falls back
 //! to the DES. The returned result matches the DES in every scalar and
 //! in the trace span *set*; span order within a shared completion
 //! instant may differ (the `Trace` contract documents spans as
 //! unordered), so comparisons sort spans first.
 
-use crate::channel::Sharing;
-use crate::engine::{flow_finished, span_kind, time_eps, SimOptions, SimResult};
+use crate::engine::{flow_finished, span_kind, time_eps, SimResult};
 use crate::index::{BaseIndex, PhaseIx};
 use crate::overlay::IndexOverlay;
 use crate::spec::WorkflowSpec;
@@ -53,14 +52,9 @@ struct FlowIval {
 pub(crate) fn try_fastpath(
     workflow: &WorkflowSpec,
     machine_name: &str,
-    opts: &SimOptions,
     base: &BaseIndex,
     overlay: &IndexOverlay,
 ) -> Option<SimResult> {
-    if opts.sharing != Sharing::MaxMin {
-        return None;
-    }
-
     let n_phases = base.phases.len();
     // (start, end) per phase slot, filled in topological order.
     let mut phase_sched = vec![(0.0f64, 0.0f64); n_phases];
@@ -302,13 +296,7 @@ mod tests {
     fn run_fastpath(scenario: &Scenario) -> Option<SimResult> {
         let base = BaseIndex::build(&scenario.machine, &scenario.workflow).ok()?;
         let overlay = IndexOverlay::build(&base, &scenario.workflow, &scenario.options).ok()?;
-        try_fastpath(
-            &scenario.workflow,
-            &scenario.machine.name,
-            &scenario.options,
-            &base,
-            &overlay,
-        )
+        try_fastpath(&scenario.workflow, &scenario.machine.name, &base, &overlay)
     }
 
     /// Sorts a result's spans with a stable key so fast-path and DES
@@ -397,21 +385,6 @@ mod tests {
         };
         let scenario = Scenario::new(machines::cori_haswell(), wf).with_options(opts);
         assert!(run_fastpath(&scenario).is_none());
-    }
-
-    /// Equal-split sharing disables the fast path outright, even on a
-    /// workflow the max-min fast path would take.
-    #[test]
-    fn bails_on_equal_split() {
-        let wf =
-            WorkflowSpec::new("e").task(TaskSpec::new("t", 1).phase(Phase::overhead("o", 1.0)));
-        let machine = machines::cori_haswell();
-        assert!(run_fastpath(&Scenario::new(machine.clone(), wf.clone())).is_some());
-        let equal = SimOptions {
-            sharing: crate::channel::Sharing::EqualSplit,
-            ..SimOptions::default()
-        };
-        assert!(run_fastpath(&Scenario::new(machine, wf).with_options(equal)).is_none());
     }
 
     /// Generator for scenarios that are uncontended by construction:

@@ -287,7 +287,7 @@ pub fn sweep_column(
             }
             Ok(ov) => {
                 if let Some(fast) =
-                    try_fastpath(&scenario.workflow, &scenario.machine.name, opts, base, ov)
+                    try_fastpath(&scenario.workflow, &scenario.machine.name, base, ov)
                 {
                     stats.fastpath += 1;
                     Ok(fast)

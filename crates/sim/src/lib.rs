@@ -56,13 +56,8 @@ pub mod reference;
 pub mod spec;
 pub mod sweep;
 
-pub use bounds::{
-    certify, certify_scenario, certify_with_base, Certificate, ChannelFloor, TaskBound, TermBound,
-};
-pub use channel::{
-    equal_split_rates, equal_split_rates_into, max_min_rates, max_min_rates_into, FlowDemand,
-    FlowRate, RateScratch, Sharing,
-};
+pub use bounds::{certify, certify_with_base, Certificate, ChannelFloor, TaskBound, TermBound};
+pub use channel::{max_min_rates, max_min_rates_into, FlowDemand, FlowRate, RateScratch};
 pub use engine::{
     simulate, simulate_summary, simulate_summary_with_base, simulate_with_base, ChannelSummary,
     RunMode, Scenario, SchedulerPolicy, SimArena, SimError, SimOptions, SimResult, SimSummary,

@@ -11,7 +11,7 @@
 //! task times are compared exactly by the equivalence proptests below
 //! and by the paper-workflow tests in `wrm-workflows`.
 
-use crate::channel::{FlowDemand, Sharing};
+use crate::channel::{max_min_rates, FlowDemand};
 use crate::engine::{
     flow_finished, span_kind, time_eps, Scenario, SchedulerPolicy, SimError, SimResult,
 };
@@ -223,47 +223,46 @@ pub fn simulate_reference(scenario: &Scenario) -> Result<SimResult, SimError> {
     // changes has its progress materialized (`remaining` brought up to
     // date for the time spent at the old rate) and its completion time
     // recomputed and cached; unchanged rates touch nothing.
-    let recompute =
-        |running: &mut [RunningTask], channels: &[Channel], sharing: Sharing, now: f64| {
-            for (ci, ch) in channels.iter().enumerate() {
-                let demands: Vec<FlowDemand> = running
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, r)| match &r.activity {
-                        Activity::Flow { channel, cap, .. } if *channel == ci => {
-                            Some(FlowDemand { id: i, cap: *cap })
-                        }
-                        _ => None,
-                    })
-                    .collect();
-                if demands.is_empty() {
-                    continue;
-                }
-                for fr in sharing.rates(ch.capacity, &demands) {
-                    if let Activity::Flow {
-                        remaining,
-                        rate,
-                        last_set,
-                        end,
-                        ..
-                    } = &mut running[fr.id].activity
-                    {
-                        if fr.rate != *rate {
-                            *remaining = (*remaining - *rate * (now - *last_set)).max(0.0);
-                            *last_set = now;
-                            *rate = fr.rate;
-                            *end = if flow_finished(*remaining, *rate, now) {
-                                now
-                            } else if *rate > 0.0 {
-                                now + *remaining / *rate
-                            } else {
-                                f64::INFINITY
-                            };
-                        }
+    let recompute = |running: &mut [RunningTask], channels: &[Channel], now: f64| {
+        for (ci, ch) in channels.iter().enumerate() {
+            let demands: Vec<FlowDemand> = running
+                .iter()
+                .enumerate()
+                .filter_map(|(i, r)| match &r.activity {
+                    Activity::Flow { channel, cap, .. } if *channel == ci => {
+                        Some(FlowDemand { id: i, cap: *cap })
+                    }
+                    _ => None,
+                })
+                .collect();
+            if demands.is_empty() {
+                continue;
+            }
+            for fr in max_min_rates(ch.capacity, &demands) {
+                if let Activity::Flow {
+                    remaining,
+                    rate,
+                    last_set,
+                    end,
+                    ..
+                } = &mut running[fr.id].activity
+                {
+                    if fr.rate != *rate {
+                        *remaining = (*remaining - *rate * (now - *last_set)).max(0.0);
+                        *last_set = now;
+                        *rate = fr.rate;
+                        *end = if flow_finished(*remaining, *rate, now) {
+                            now
+                        } else if *rate > 0.0 {
+                            now + *remaining / *rate
+                        } else {
+                            f64::INFINITY
+                        };
                     }
                 }
             }
-        };
+        }
+    };
 
     loop {
         // Start ready tasks per policy.
@@ -312,7 +311,7 @@ pub fn simulate_reference(scenario: &Scenario) -> Result<SimResult, SimError> {
             return Err(SimError::Stalled { at: now });
         }
 
-        recompute(&mut running, &channels, opts.sharing, now);
+        recompute(&mut running, &channels, now);
 
         // Earliest completion among running activities (flow ends are
         // cached by `recompute`).
@@ -543,22 +542,6 @@ mod tests {
                 }
                 (r, d) => prop_assert_eq!(r.as_ref().err(), d.as_ref().err()),
             }
-        }
-
-        /// Same contract under the equal-split sharing ablation.
-        #[test]
-        fn equal_split_matches_reference_exactly(
-            seed in any::<u64>(),
-            n_tasks in 1usize..12,
-        ) {
-            let machine = machines::perlmutter_cpu();
-            let wf = build_workflow(seed, n_tasks, &machine);
-            let opts = SimOptions {
-                sharing: crate::channel::Sharing::EqualSplit,
-                ..SimOptions::default()
-            };
-            let scenario = Scenario::new(machine, wf).with_options(opts);
-            prop_assert_eq!(simulate(&scenario), simulate_reference(&scenario));
         }
     }
 

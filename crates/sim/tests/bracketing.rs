@@ -4,8 +4,8 @@
 //! `lo <= makespan <= hi` for the *same* scenario the discrete-event
 //! engine runs. These tests enforce that bracket against the DES on
 //! randomly generated layered DAGs (arbitrary widths, node counts,
-//! mixed phase types, caps, contention, node limits, both sharing
-//! disciplines and both scheduler policies) and across a full 8x8
+//! mixed phase types, caps, contention, node limits and both
+//! scheduler policies) and across a full 8x8
 //! contention x node-limit sweep grid, so a regression in either the
 //! bounds or the engine breaks the build rather than a paper claim.
 //!
@@ -17,8 +17,8 @@ use proptest::prelude::*;
 use wrm_core::{ids, BytesPerSec, FlopsPerSec, Machine, Rate};
 use wrm_dag::generate::random_layered_tasks;
 use wrm_sim::{
-    certify_scenario, simulate, simulate_summary, Phase, Scenario, SchedulerPolicy, Sharing,
-    SimOptions, SweepGrid, TaskSpec, WorkflowSpec,
+    certify, simulate, simulate_summary, Phase, Scenario, SchedulerPolicy, SimOptions, SweepGrid,
+    TaskSpec, WorkflowSpec,
 };
 
 fn machine(pool: u64, fs_gbps: f64) -> Machine {
@@ -63,7 +63,7 @@ fn workload(seed: u64, n_tasks: usize, max_width: usize, bytes_per_task: f64) ->
 }
 
 fn assert_bracketed(scenario: &Scenario, what: &str) {
-    let cert = match certify_scenario(scenario) {
+    let cert = match certify(&scenario.machine, &scenario.workflow, &scenario.options) {
         Ok(c) => c,
         Err(cert_err) => {
             // The certificate must reject exactly what the engine
@@ -114,13 +114,11 @@ proptest! {
         n_tasks in 1usize..14,
         pool in 8u64..40,
         factor in 0.05f64..1.0,
-        equal_split in any::<bool>(),
         backfill in any::<bool>(),
         limit in any::<bool>(),
     ) {
         let wf = workload(seed, n_tasks, 4, 1e10);
         let opts = SimOptions {
-            sharing: if equal_split { Sharing::EqualSplit } else { Sharing::MaxMin },
             scheduler: if backfill { SchedulerPolicy::Backfill } else { SchedulerPolicy::Fifo },
             node_limit: limit.then_some(8),
             ..SimOptions::default()
@@ -144,7 +142,8 @@ proptest! {
 fn hundred_k_task_workload_stays_bracketed() {
     let wf = workload(7, 100_000, 64, 1e10);
     let scenario = Scenario::new(machine(4096, 50.0), wf);
-    let cert = certify_scenario(&scenario).expect("certifies");
+    let cert =
+        certify(&scenario.machine, &scenario.workflow, &scenario.options).expect("certifies");
     let makespan = simulate(&scenario).expect("simulates").makespan;
     assert!(cert.hi.is_finite(), "hi must be finite, got {}", cert.hi);
     assert!(
@@ -191,7 +190,8 @@ fn sweep_grid_8x8_stays_bracketed() {
             for pi in 0..grid.policies.len() {
                 let opts = grid.point_options(&base.options, fi, ni, pi);
                 let point = base.clone().with_options(opts);
-                let cert = certify_scenario(&point).expect("grid point certifies");
+                let cert = certify(&point.machine, &point.workflow, &point.options)
+                    .expect("grid point certifies");
                 let r = outcome.results[grid.index_of(fi, ni, pi)]
                     .as_ref()
                     .expect("grid point simulates");

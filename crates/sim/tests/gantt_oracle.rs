@@ -3,8 +3,7 @@
 //! [`wrm_dag::GanttChart`] and [`wrm_dag::ParallelismProfile`] are
 //! built from [`wrm_sim::SimResult::task_intervals`]; they must show
 //! exactly the run the engine executed. On random layered DAGs under
-//! `fs` contention, both sharing disciplines, both scheduler policies
-//! and node limits:
+//! `fs` contention, both scheduler policies and node limits:
 //!
 //! - every Gantt row is its task's (first span start, last span end,
 //!   nodes) in `result.trace`, bit for bit;
@@ -20,7 +19,7 @@ use wrm_core::{ids, BytesPerSec, FlopsPerSec, Machine, Rate};
 use wrm_dag::generate::random_layered_tasks;
 use wrm_dag::{Dag, GanttChart, ParallelismProfile, TaskId};
 use wrm_sim::{
-    simulate, simulate_summary, Phase, Scenario, SchedulerPolicy, Sharing, SimOptions, TaskSpec,
+    simulate, simulate_summary, Phase, Scenario, SchedulerPolicy, SimOptions, TaskSpec,
     WorkflowSpec,
 };
 
@@ -91,7 +90,6 @@ proptest! {
         max_width in 1usize..7,
         pool in 8u64..40,
         factor in 0.05f64..2.0,
-        equal_split in any::<bool>(),
         backfill in any::<bool>(),
         limit in any::<bool>(),
     ) {
@@ -99,7 +97,6 @@ proptest! {
         let m = machine(pool);
         let dag = wf.to_dag(&m).unwrap();
         let opts = SimOptions {
-            sharing: if equal_split { Sharing::EqualSplit } else { Sharing::MaxMin },
             scheduler: if backfill { SchedulerPolicy::Backfill } else { SchedulerPolicy::Fifo },
             node_limit: limit.then_some(8),
             ..SimOptions::default()

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use wrm_core::{ids, BytesPerSec, Dist, Machine};
 use wrm_sim::{
     max_min_rates, mc_run, simulate, FlowDemand, McOptions, Phase, Scenario, SchedulerPolicy,
-    Sharing, SimOptions, TaskSpec, WorkflowSpec,
+    SimOptions, TaskSpec, WorkflowSpec,
 };
 
 /// One step of a splitmix64 stream, for seeded uneven test quantities.
@@ -285,14 +285,12 @@ proptest! {
         spread in 0.05f64..0.5,
         seed in any::<u64>(),
         fs_factor in 0.05f64..1.5,
-        equal_split in any::<bool>(),
         backfill in any::<bool>(),
         limit in any::<bool>(),
     ) {
         // Every sample is checked against the certified bracket under
-        // each scenario option: contention, sharing, scheduler, limit.
+        // each scenario option: contention, scheduler, limit.
         let options = SimOptions {
-            sharing: if equal_split { Sharing::EqualSplit } else { Sharing::MaxMin },
             scheduler: if backfill { SchedulerPolicy::Backfill } else { SchedulerPolicy::Fifo },
             node_limit: limit.then_some(8),
             ..SimOptions::default()

@@ -9,11 +9,12 @@
 //! paper's Table 1 numbers are actually proofs about the simulator.
 
 use wrm_core::machines;
-use wrm_sim::{certify_scenario, simulate_summary, Scenario};
+use wrm_sim::{certify, simulate_summary, Scenario};
 use wrm_workflows::{Bgw, CosmoFlow, Day, GpTune, Lcls, Mode};
 
 fn assert_bracketed(scenario: &Scenario, what: &str) {
-    let cert = certify_scenario(scenario).unwrap_or_else(|e| panic!("{what}: certify: {e}"));
+    let cert = certify(&scenario.machine, &scenario.workflow, &scenario.options)
+        .unwrap_or_else(|e| panic!("{what}: certify: {e}"));
     let makespan = simulate_summary(scenario)
         .unwrap_or_else(|e| panic!("{what}: sim: {e}"))
         .makespan;
