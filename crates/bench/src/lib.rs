@@ -1,16 +1,18 @@
-//! # wrm-bench — benchmark harnesses for the paper's tables and figures
+//! # wrm-bench — performance benchmarks for the simulator and the model
 //!
-//! The criterion benches in `benches/` regenerate every evaluation
-//! element of the paper:
+//! The criterion benches in `benches/`:
 //!
-//! * `figures` — one group per figure (F1–F10) and Table I: builds the
-//!   same series the paper reports and prints the headline comparisons.
 //! * `engine` — simulator performance: event throughput vs. task count,
 //!   fair-share solver scaling, scheduler ablation (FIFO vs. backfill).
 //! * `model` — roofline construction/evaluation throughput, envelope
 //!   sweeps and the bottleneck advisor.
 //!
-//! This library crate hosts the shared workload builders so the three
+//! The paper's figures and their headline numbers come from
+//! `wrm figures all` (diffed against `figures/` in CI) and are asserted
+//! by `tests/end_to_end.rs`; server latency is measured by the repo
+//! benchmark's `serve-mixed` workload (`wrm-benchmark/`).
+//!
+//! This library crate hosts the shared workload builders so the two
 //! bench binaries stay small and consistent.
 
 use wrm_core::{ids, BytesPerSec, Dist, Machine};

@@ -51,6 +51,7 @@ use std::io::Write as _;
 use std::process::ExitCode;
 use wrm_core::{machines, RooflineModel, Seconds};
 use wrm_dag::{Dag, GanttChart, ParallelismProfile};
+use wrm_serve::api::MC_MAX_REPS;
 use wrm_sim::{simulate, Scenario, SimOptions};
 use wrm_trace::{characterize, Structure};
 
@@ -303,9 +304,15 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             }
             "--reps" => {
                 let v = value(&mut i)?;
-                f.reps = v
+                let n: usize = v
                     .parse()
                     .map_err(|_| format!("bad replication count `{v}`"))?;
+                if n > MC_MAX_REPS {
+                    return Err(format!(
+                        "--reps must be in 1..={MC_MAX_REPS} (0 for off), got {n}"
+                    ));
+                }
+                f.reps = n;
             }
             "--seed" => {
                 let v = value(&mut i)?;

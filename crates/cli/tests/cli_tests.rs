@@ -181,6 +181,31 @@ fn error_paths_are_reported() {
 }
 
 #[test]
+fn reps_is_bounded_like_the_server() {
+    // `--reps` shares `/v1/mc`'s ceiling of 100000. A dist-free spec
+    // collapses to one replication, so the largest count runs at once.
+    let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../workflows/lcls_cori.wrm");
+    let out = wrm()
+        .args(["simulate", spec, "--reps", "100001"])
+        .output()
+        .expect("runs");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("1..=100000"), "{err}");
+
+    let out = wrm()
+        .args(["simulate", spec, "--reps", "100000"])
+        .output()
+        .expect("runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("point-mass"));
+}
+
+#[test]
 fn sweep_grid_json_and_csv() {
     let dir = tmpdir("sweep");
     let wf_path = dir.join("lcls.wrm");

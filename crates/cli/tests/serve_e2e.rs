@@ -260,3 +260,36 @@ fn server_responses_match_cli_output_byte_for_byte() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The signal path: a cold then a warm sweep (the second one a cache
+/// hit), then `kill -TERM` must drain the server and exit 0.
+#[cfg(unix)]
+#[test]
+fn sigterm_drains_after_cold_and_warm_sweeps() {
+    let mut server = Server::start();
+    let body = source_body(
+        LCLS_WRM,
+        ",\"resource\":\"ext\",\"factors\":[1.0,0.5],\"format\":\"csv\"",
+    );
+    let cold = client::request(&server.addr, "POST", "/v1/sweep", Some(&body)).expect("cold");
+    assert_eq!(cold.status, 200, "{}", cold.text());
+    let warm = client::request(&server.addr, "POST", "/v1/sweep", Some(&body)).expect("warm");
+    assert_eq!(warm.body, cold.body, "warm-cache sweep != cold bytes");
+    let metrics = client::request(&server.addr, "GET", "/metrics", None).expect("metrics");
+    assert!(
+        metrics.text().contains("wrm_cache_hits_total 1\n"),
+        "{}",
+        metrics.text()
+    );
+
+    let kill = Command::new("kill")
+        .args(["-TERM", &server.child.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(kill.success(), "kill -TERM failed");
+    let status = server.child.wait().expect("serve exits");
+    assert!(status.success(), "serve exit after SIGTERM: {status:?}");
+    let mut rest = String::new();
+    server.stderr.read_to_string(&mut rest).expect("drain line");
+    assert!(rest.contains("drained"), "no drain report in {rest:?}");
+}

@@ -253,10 +253,10 @@ fn simulate(state: &AppState, req: &Request) -> Reply {
     }
 }
 
-/// Replication-count ceiling for one `POST /v1/mc` request; larger
-/// studies should shard across requests (each is seeded, so shards
-/// compose deterministically).
-const MC_MAX_REPS: usize = 100_000;
+/// Replication-count ceiling for one `POST /v1/mc` request and one
+/// `wrm simulate --reps` run; larger studies should shard across
+/// requests (each is seeded, so shards compose deterministically).
+pub const MC_MAX_REPS: usize = 100_000;
 
 /// `POST /v1/mc` — body equals `wrm simulate <file> --reps N [--seed S]
 /// [--percentiles] [--threads T]` stdout. The replication fan-out runs

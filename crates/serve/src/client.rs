@@ -1,5 +1,5 @@
-//! A minimal blocking HTTP client for the load generator, the e2e
-//! tests, and CI smoke checks — std-only, keep-alive capable, and
+//! A minimal blocking HTTP client for the repo benchmark's load
+//! generator and the server tests — std-only, keep-alive capable, and
 //! chunked-transfer aware (it must reassemble streamed sweep responses
 //! byte-exactly to compare them against CLI output).
 

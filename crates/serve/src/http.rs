@@ -110,15 +110,15 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, ReadE
     let mut headers = Vec::new();
     loop {
         let mut hline = String::new();
+        // Every header line, the blank one included, must end in a
+        // newline: a line cut short is the cap or the peer's close, never
+        // a finished head.
         match head.read_line(&mut hline) {
-            Ok(0) if head.limit() == 0 => {
-                return Err(ReadError::Bad("header block too large".into()))
-            }
-            Ok(0) => return Err(ReadError::Bad("connection closed mid-headers".into())),
-            Ok(_) if !hline.ends_with('\n') && head.limit() == 0 => {
+            Ok(_) if hline.ends_with('\n') => {}
+            Ok(_) if head.limit() == 0 => {
                 return Err(ReadError::Bad("header block too large".into()));
             }
-            Ok(_) => {}
+            Ok(_) => return Err(ReadError::Bad("connection closed mid-headers".into())),
             Err(e) => return Err(io_error("read header", &e)),
         }
         let trimmed = hline.trim_end_matches(['\r', '\n']);
@@ -274,6 +274,8 @@ mod tests {
             b"GET / SPDY/3\r\n\r\n",
             b"GET / HTTP/1.1\r\nbroken header\r\n\r\n",
             b"POST / HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+            // Cut before the head's last "\n": unfinished, not a GET.
+            b"GET / HTTP/1.1\r\nHost: x\r\n\r",
         ] {
             assert!(read_request(&mut BufReader::new(raw)).is_err(), "{raw:?}");
         }

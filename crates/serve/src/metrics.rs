@@ -3,10 +3,9 @@
 //! Each request records its endpoint, wall-clock latency, and outcome;
 //! sweeps also fold in the incremental engine's evaluation-path mix
 //! ([`wrm_sim::SweepStats`]). Snapshots render as Prometheus text
-//! (`GET /metrics`) or JSON (`GET /metrics/json` — the shape
-//! `BENCH_serve.json` embeds). Latencies go into a per-endpoint
-//! reservoir capped at [`RESERVOIR_CAP`] samples; p50/p99 are
-//! nearest-rank over whatever the reservoir holds.
+//! (`GET /metrics`) or JSON (`GET /metrics/json`). Latencies go into a
+//! per-endpoint reservoir capped at [`RESERVOIR_CAP`] samples; p50/p99
+//! are nearest-rank over whatever the reservoir holds.
 
 use crate::cache::IndexCache;
 use wrm_mc::sync::atomic::{AtomicU64, Ordering};

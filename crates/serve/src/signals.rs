@@ -1,8 +1,9 @@
 //! SIGTERM/SIGINT handling without a libc dependency: a raw binding to
 //! `signal(2)` installing a handler that flips one process-global
 //! atomic. The accept loop polls [`triggered`] between accepts, so a
-//! `kill -TERM` drains in-flight connections and exits cleanly (the CI
-//! smoke job exercises exactly this path). On non-unix targets the
+//! `kill -TERM` drains in-flight connections and exits cleanly (the
+//! `wrm-cli` test `serve_e2e::sigterm_drains_after_cold_and_warm_sweeps`
+//! sends one to a real `wrm serve` process). On non-unix targets the
 //! install is a no-op and shutdown comes from `POST /admin/shutdown`.
 
 use wrm_mc::sync::atomic::{AtomicBool, Ordering};
@@ -46,6 +47,8 @@ mod tests {
     fn install_is_idempotent() {
         super::install();
         super::install();
-        // The flag itself is exercised through the server drain test.
+        // The flag itself is exercised by the `wrm-cli` end-to-end test
+        // `serve_e2e::sigterm_drains_after_cold_and_warm_sweeps`, which
+        // sends SIGTERM to a real `wrm serve` process.
     }
 }
