@@ -525,6 +525,37 @@ fn sweep_output_order_is_deterministic() {
 }
 
 #[test]
+fn repeated_sweep_axis_values_print_each_cell_once() {
+    let out = wrm()
+        .args([
+            "sweep",
+            "lcls",
+            "--resource",
+            "ext",
+            "--factors",
+            "1,1,0.5",
+            "--nodes",
+            "64,64",
+        ])
+        .output()
+        .expect("runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let csv = String::from_utf8(out.stdout).expect("utf8 output");
+    // Header plus one row per distinct (factor, node limit) cell.
+    assert_eq!(csv.lines().count(), 3, "{csv}");
+    let factors: Vec<&str> = csv
+        .lines()
+        .skip(1)
+        .filter_map(|row| row.split(',').nth(3))
+        .collect();
+    assert_eq!(factors, ["0.5", "1"], "{csv}");
+}
+
+#[test]
 fn sweep_matches_per_point_simulation() {
     // The incremental engine behind `wrm sweep` (shared index, analytic
     // fast path, checkpoint replay) must print exactly the rows that

@@ -53,9 +53,9 @@ pub struct SweepCell {
 }
 
 /// Builds the canonical sweep grid for a base scenario: validates the
-/// axes, fills defaults from the scenario's options, and sorts every
-/// axis into canonical order so output bytes are input-order
-/// independent.
+/// axes, fills defaults from the scenario's options, and sorts and
+/// dedups every axis into canonical order so output bytes are
+/// independent of input order and repetition.
 pub fn build_grid(
     base: &Scenario,
     resource: Option<String>,
@@ -90,13 +90,18 @@ pub fn build_grid(
         policies.to_vec()
     };
     // Canonical coordinate order: output bytes must not depend on the
-    // order axis values were given, the thread count, or the engine.
+    // order axis values were given, the thread count, or the engine. A
+    // repeated value names the same cells, so it is simulated and
+    // printed once.
     factors.sort_unstable_by(f64::total_cmp);
+    factors.dedup_by(|a, b| a.total_cmp(b).is_eq());
     node_limits.sort_unstable();
+    node_limits.dedup();
     policies.sort_unstable_by_key(|p| match p {
         SchedulerPolicy::Fifo => 0,
         SchedulerPolicy::Backfill => 1,
     });
+    policies.dedup();
     Ok(SweepGrid {
         resource,
         factors,
@@ -426,4 +431,39 @@ pub fn lint_sarif(batch: &LintBatch) -> Result<String, String> {
     let mut text = serde_json::to_string_pretty(&log).map_err(|e| e.to_string())?;
     text.push('\n');
     Ok(text)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{build_grid, grid_cells};
+    use wrm_sim::{Scenario, SchedulerPolicy, WorkflowSpec};
+
+    /// A repeated axis value names cells already on the grid: each axis
+    /// keeps one copy, in canonical order.
+    #[test]
+    fn build_grid_dedups_repeated_axis_values() {
+        let base = Scenario::new(
+            wrm_core::machines::cori_haswell(),
+            WorkflowSpec::new("empty"),
+        );
+        let grid = build_grid(
+            &base,
+            Some(wrm_core::ids::EXTERNAL.to_owned()),
+            &[1.0, 1.0, 0.5, 1.0],
+            &[64, 32, 64],
+            &[
+                SchedulerPolicy::Backfill,
+                SchedulerPolicy::Fifo,
+                SchedulerPolicy::Backfill,
+            ],
+        )
+        .expect("valid grid");
+        assert_eq!(grid.factors, [0.5, 1.0]);
+        assert_eq!(grid.node_limits, [Some(32), Some(64)]);
+        assert_eq!(
+            grid.policies,
+            [SchedulerPolicy::Fifo, SchedulerPolicy::Backfill]
+        );
+        assert_eq!(grid_cells(&grid).len(), 8);
+    }
 }

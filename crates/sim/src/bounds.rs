@@ -203,8 +203,7 @@ fn certify_indexed(
                 stream_base,
             } = base.phases[slot]
             {
-                let f = overlay.channel_factor[channel as usize];
-                let cap = (alloc_base * f).min(stream_base * f);
+                let cap = overlay.flow_cap(channel, alloc_base, stream_base);
                 let e = caps.entry(channel).or_insert(0.0);
                 *e = e.max(cap);
                 channel_bytes[channel as usize] += bytes.max(0.0);
@@ -254,8 +253,7 @@ fn certify_indexed(
                     stream_base,
                 } => {
                     let ctx = &channels[channel as usize];
-                    let f = overlay.channel_factor[channel as usize];
-                    let cap = (alloc_base * f).min(stream_base * f);
+                    let cap = overlay.flow_cap(channel, alloc_base, stream_base);
                     let alone = cap.min(ctx.capacity);
                     let own = caps[&channel];
                     let floor = floor_rate(ctx, cap, own);

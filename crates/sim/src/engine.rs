@@ -212,6 +212,43 @@ impl SimResult {
             })
             .collect()
     }
+
+    /// Materializes a finished run from its trace and each task's start
+    /// and end time (indexed like `workflow.tasks`): the one builder the
+    /// DES and the analytic fast path share. One name-sorted pass fills
+    /// all three key/value streams, then `BTreeMap::from_iter`
+    /// bulk-builds each tree from its pre-sorted stream in O(n) —
+    /// repeated B-tree inserts in random name order are measurably
+    /// slower on sweep-sized results.
+    pub(crate) fn from_schedule(
+        workflow: &WorkflowSpec,
+        trace: Trace,
+        starts: &[f64],
+        ends: &[f64],
+        pool_nodes: u64,
+    ) -> Self {
+        let tasks = &workflow.tasks;
+        let mut order: Vec<u32> = (0..tasks.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| tasks[a as usize].name.cmp(&tasks[b as usize].name));
+        let mut starts_kv = Vec::with_capacity(order.len());
+        let mut times_kv = Vec::with_capacity(order.len());
+        let mut nodes_kv = Vec::with_capacity(order.len());
+        for &i in &order {
+            let i = i as usize;
+            let name = &tasks[i].name;
+            starts_kv.push((name.clone(), starts[i]));
+            times_kv.push((name.clone(), ends[i] - starts[i]));
+            nodes_kv.push((name.clone(), tasks[i].nodes));
+        }
+        SimResult {
+            makespan: trace.makespan(),
+            trace,
+            task_times: BTreeMap::from_iter(times_kv),
+            task_starts: BTreeMap::from_iter(starts_kv),
+            task_nodes: BTreeMap::from_iter(nodes_kv),
+            pool_nodes,
+        }
+    }
 }
 
 pub(crate) const EPS: f64 = 1e-9;
@@ -510,7 +547,7 @@ impl EngineState {
 /// one.
 #[derive(Debug, Default)]
 pub struct SimArena {
-    state: EngineState,
+    pub(crate) state: EngineState,
 }
 
 impl SimArena {
@@ -662,10 +699,9 @@ impl RunOutput for SimSummary {
     }
 }
 
-/// The one driver every entry point and the incremental sweep's cold
-/// path share: builds an [`Engine`] for a prebuilt `(base, overlay)`
-/// point over the arena's recycled buffers, runs it to completion, and
-/// hands the buffers back to the arena.
+/// The one driver every entry point shares: builds an [`Engine`] for a
+/// prebuilt `(base, overlay)` point over the arena's recycled buffers,
+/// runs it to completion, and hands the buffers back to the arena.
 pub(crate) fn run_point_in<T: RunOutput>(
     workflow: &WorkflowSpec,
     machine_name: &str,
@@ -685,7 +721,7 @@ pub(crate) fn run_point_in<T: RunOutput>(
     );
     let result = match engine.advance() {
         Ok(Outcome::Done) => Ok(T::take(&mut engine)),
-        Ok(Outcome::Paused) => unreachable!("no stop_iter set"),
+        Ok(Outcome::Paused) => unreachable!("no watch armed"),
         Err(e) => Err(e),
     };
     arena.state = engine.recycle();
@@ -696,7 +732,9 @@ pub(crate) fn run_point_in<T: RunOutput>(
 pub(crate) enum Outcome {
     /// All tasks completed.
     Done,
-    /// Stopped at `stop_iter` with the loop body not yet executed.
+    /// A flow has joined the watched channel (see [`Engine::with_watch`]);
+    /// stopped just before the fair-share solve that would first read
+    /// that channel's capacity.
     Paused,
 }
 
@@ -730,8 +768,9 @@ pub(crate) enum Outcome {
 ///
 /// The engine borrows its immutable inputs (`base`, `overlay`) and is
 /// `Clone`, which is what the incremental sweep's delta re-simulation
-/// uses: run to a chosen loop iteration ([`Engine::pause_at`]), then
-/// clone the paused state per grid point with a different overlay
+/// uses: run until a flow first joins a watched channel
+/// ([`Engine::with_watch`]), pause before the solve that would read it,
+/// then clone the paused state per grid point with a different overlay
 /// ([`Engine::resume_with`]) and replay only the suffix.
 #[derive(Clone)]
 pub(crate) struct Engine<'a> {
@@ -746,39 +785,18 @@ pub(crate) struct Engine<'a> {
     now: f64,
     done: usize,
     trace: Trace,
-    /// Channel whose first member join should be recorded (incremental
-    /// sweep: the first loop iteration where a contention factor on this
-    /// channel can influence the run).
+    /// Channel whose first member join pauses the run (incremental
+    /// sweep: until then a contention factor on this channel has only
+    /// set the caps of its flows).
     watch: Option<u32>,
-    /// Loop iteration of the first watched-channel join, if any.
-    watch_hit: Option<u64>,
-    /// Completed loop-body count (the current body's index).
-    iter: u64,
-    /// Pause before executing this loop body (checkpointing).
-    stop_iter: Option<u64>,
+    /// Paused after a start scan: the next [`Engine::advance`] resumes
+    /// at the fair-share solve.
+    at_checkpoint: bool,
 }
 
 impl<'a> Engine<'a> {
-    pub(crate) fn new(
-        workflow: &'a WorkflowSpec,
-        machine_name: &'a str,
-        opts: &'a SimOptions,
-        base: &'a BaseIndex,
-        overlay: &'a IndexOverlay,
-    ) -> Self {
-        Self::new_in(
-            workflow,
-            machine_name,
-            opts,
-            base,
-            overlay,
-            EngineState::default(),
-            RunMode::Full,
-        )
-    }
-
-    /// [`Engine::new`] over recycled buffers (see [`SimArena`]), in an
-    /// explicit run mode.
+    /// An engine at time zero over recycled buffers (see [`SimArena`]),
+    /// in an explicit run mode.
     pub(crate) fn new_in(
         workflow: &'a WorkflowSpec,
         machine_name: &'a str,
@@ -801,9 +819,7 @@ impl<'a> Engine<'a> {
             done: 0,
             trace: Trace::new(workflow.name.clone(), machine_name.to_string()),
             watch: None,
-            watch_hit: None,
-            iter: 0,
-            stop_iter: None,
+            at_checkpoint: false,
         }
     }
 
@@ -812,9 +828,8 @@ impl<'a> Engine<'a> {
         self.st
     }
 
-    /// Arms the watch: records the first loop iteration at which a flow
-    /// joins `channel` (i.e. the first time that channel's capacity or
-    /// cap factor can influence the run).
+    /// Arms the watch: [`Engine::advance`] pauses once a flow has joined
+    /// `channel`, before the first solve that reads its capacity.
     pub(crate) fn with_watch(mut self, channel: u32) -> Self {
         self.watch = Some(channel);
         self
@@ -854,16 +869,12 @@ impl<'a> Engine<'a> {
                 alloc_base,
                 stream_base,
             } => {
-                let f = self.overlay.channel_factor[channel as usize];
-                let cap = (alloc_base * f).min(stream_base * f);
+                let cap = self.overlay.flow_cap(channel, alloc_base, stream_base);
                 let born_done = flow_finished(bytes, 0.0, self.now);
                 let member_slot = if in_scan && born_done {
                     self.st.pending.insert(pos);
                     DEAD
                 } else {
-                    if self.watch == Some(channel) && self.watch_hit.is_none() {
-                        self.watch_hit = Some(self.iter);
-                    }
                     let ms = self.st.members[channel as usize].len() as u32;
                     if self.mode == RunMode::Summary && ms == 0 {
                         // Channel going idle -> busy: open an interval.
@@ -1169,21 +1180,33 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Runs loop bodies until completion, a stall, or `stop_iter`.
+    /// Runs loop bodies until completion, a stall, or — with a watch
+    /// armed — the first solve after a flow joins the watched channel.
     pub(crate) fn advance(&mut self) -> Result<Outcome, SimError> {
         let n_tasks = self.base.n_tasks();
         loop {
-            if self.stop_iter == Some(self.iter) {
-                return Ok(Outcome::Paused);
-            }
-            self.start_scan();
-            if self.done == n_tasks {
-                return Ok(Outcome::Done);
-            }
-            if self.st.run.is_empty() {
-                // Tasks remain but nothing runs and nothing can start.
-                debug_assert!(!self.st.ready.is_empty() || self.done < n_tasks);
-                return Err(SimError::Stalled { at: self.now });
+            if self.at_checkpoint {
+                // Resuming: this body's start scan ran before the pause.
+                self.at_checkpoint = false;
+            } else {
+                self.start_scan();
+                if self.done == n_tasks {
+                    return Ok(Outcome::Done);
+                }
+                if self.st.run.is_empty() {
+                    // Tasks remain but nothing runs and nothing can start.
+                    debug_assert!(!self.st.ready.is_empty() || self.done < n_tasks);
+                    return Err(SimError::Stalled { at: self.now });
+                }
+                // A member stays on its channel at least until the next
+                // solve, so this sees the first join wherever it happened.
+                if self
+                    .watch
+                    .is_some_and(|ch| !self.st.members[ch as usize].is_empty())
+                {
+                    self.at_checkpoint = true;
+                    return Ok(Outcome::Paused);
+                }
             }
 
             self.recompute();
@@ -1196,39 +1219,19 @@ impl<'a> Engine<'a> {
 
             self.collect_due();
             self.complete_pending();
-            self.iter += 1;
         }
     }
 
     /// Materializes the final [`SimResult`] after [`Outcome::Done`],
-    /// leaving the engine's buffers recyclable. One name-sorted pass
-    /// fills all three key/value streams, then `BTreeMap::from_iter`
-    /// bulk-builds each tree from its pre-sorted stream in O(n) —
-    /// repeated B-tree inserts in random name order are measurably
-    /// slower on sweep-sized results.
+    /// leaving the engine's buffers recyclable.
     pub(crate) fn take_result(&mut self) -> SimResult {
-        let makespan = self.trace.makespan();
-        let tasks = &self.workflow.tasks;
-        let mut order: Vec<u32> = (0..tasks.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| tasks[a as usize].name.cmp(&tasks[b as usize].name));
-        let mut starts_kv = Vec::with_capacity(order.len());
-        let mut times_kv = Vec::with_capacity(order.len());
-        let mut nodes_kv = Vec::with_capacity(order.len());
-        for &i in &order {
-            let i = i as usize;
-            let name = &tasks[i].name;
-            starts_kv.push((name.clone(), self.st.starts[i]));
-            times_kv.push((name.clone(), self.st.ends[i] - self.st.starts[i]));
-            nodes_kv.push((name.clone(), tasks[i].nodes));
-        }
-        SimResult {
-            trace: std::mem::replace(&mut self.trace, Trace::new(String::new(), String::new())),
-            makespan,
-            task_times: BTreeMap::from_iter(times_kv),
-            task_starts: BTreeMap::from_iter(starts_kv),
-            task_nodes: BTreeMap::from_iter(nodes_kv),
-            pool_nodes: self.overlay.pool_total,
-        }
+        SimResult::from_schedule(
+            self.workflow,
+            std::mem::replace(&mut self.trace, Trace::new(String::new(), String::new())),
+            &self.st.starts,
+            &self.st.ends,
+            self.overlay.pool_total,
+        )
     }
 
     /// Materializes the [`SimSummary`] of a [`RunMode::Summary`] run
@@ -1298,42 +1301,35 @@ impl<'a> Engine<'a> {
     pub(crate) fn run(mut self) -> Result<SimResult, SimError> {
         match self.advance()? {
             Outcome::Done => Ok(self.take_result()),
-            Outcome::Paused => unreachable!("run() is never called with stop_iter set"),
+            Outcome::Paused => unreachable!("run() is never called with a watch armed"),
         }
     }
 
-    /// Runs to completion, also reporting the loop iteration of the
-    /// first watched-channel join (see [`Engine::with_watch`]).
-    pub(crate) fn run_watched(mut self) -> (Result<SimResult, SimError>, Option<u64>) {
-        match self.advance() {
-            Err(e) => {
-                let hit = self.watch_hit;
-                (Err(e), hit)
-            }
-            Ok(_) => {
-                let hit = self.watch_hit;
-                (Ok(self.take_result()), hit)
-            }
-        }
-    }
-
-    /// Runs loop bodies `0..iter` and pauses, returning the checkpointed
-    /// engine. The checkpoint is taken *before* body `iter` executes.
-    pub(crate) fn pause_at(mut self, iter: u64) -> Result<Engine<'a>, SimError> {
-        self.stop_iter = Some(iter);
-        self.advance()?;
-        Ok(self)
-    }
-
-    /// Clones a paused engine with a different overlay and clears the
-    /// pause, ready to replay the suffix. Sound only when the prefix up
-    /// to the pause provably does not depend on the parts of the overlay
-    /// that differ (the incremental sweep guarantees this via the
-    /// watched-channel first-join iteration).
+    /// Clones an engine paused by its watch with a different overlay,
+    /// disarmed, ready to replay the suffix. Sound only when the overlays
+    /// differ in the watched channel's capacity and factor alone (one
+    /// sweep column): before the pause no solve has read that capacity,
+    /// and the factor has only set the caps of the channel's members,
+    /// which are re-derived here with the spawn expression.
     pub(crate) fn resume_with(&self, overlay: &'a IndexOverlay) -> Engine<'a> {
         let mut e = self.clone();
         e.overlay = overlay;
-        e.stop_iter = None;
+        let ch = e
+            .watch
+            .take()
+            .expect("resume_with needs a watch-paused engine");
+        for &tok in &e.st.members[ch as usize] {
+            let p = e.st.pos_of[tok as usize] as usize;
+            let slot = (e.base.phase_off[e.st.run.task[p] as usize] + e.st.run.phase[p]) as usize;
+            if let PhaseIx::Flow {
+                alloc_base,
+                stream_base,
+                ..
+            } = e.base.phases[slot]
+            {
+                e.st.run.cap[p] = overlay.flow_cap(ch, alloc_base, stream_base);
+            }
+        }
         e
     }
 }
@@ -1356,5 +1352,67 @@ pub(crate) fn span_kind(phase: &Phase) -> SpanKind {
         Phase::Overhead { label, .. } => SpanKind::Overhead {
             label: label.clone(),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{Engine, EngineState, Outcome, RunMode, SimOptions};
+    use crate::incremental::tests::random_workflow;
+    use crate::index::BaseIndex;
+    use crate::overlay::IndexOverlay;
+    use wrm_core::ids::{EXTERNAL, FILE_SYSTEM};
+    use wrm_core::machines;
+
+    /// The checkpoint contract the incremental sweep relies on: a
+    /// watched run pauses with the watched channel joined but not yet
+    /// solved (every member still at rate 0), and resuming it on its
+    /// own overlay reproduces the cold run bit for bit.
+    #[test]
+    fn watch_pauses_before_the_first_solve_and_resumes_exactly() {
+        let machine = machines::perlmutter_cpu();
+        let mut paused = 0;
+        for seed in 0..300u64 {
+            let resource = if seed % 2 == 0 { EXTERNAL } else { FILE_SYSTEM };
+            let wf = random_workflow(seed, 1 + (seed % 24) as usize, &[EXTERNAL, FILE_SYSTEM]);
+            let base = BaseIndex::build(&machine, &wf).expect("valid workflow");
+            let opts = SimOptions {
+                node_limit: Some(64),
+                ..SimOptions::default()
+            }
+            .with_contention(resource, 0.5);
+            let Ok(overlay) = IndexOverlay::build(&base, &wf, &opts) else {
+                continue;
+            };
+            let new = || {
+                Engine::new_in(
+                    &wf,
+                    &machine.name,
+                    &opts,
+                    &base,
+                    &overlay,
+                    EngineState::default(),
+                    RunMode::Full,
+                )
+            };
+            let cold = new().run();
+            let ch = base.channel_idx[resource];
+            let mut eng = new().with_watch(ch);
+            match eng.advance() {
+                Ok(Outcome::Paused) => {
+                    paused += 1;
+                    let members = &eng.st.members[ch as usize];
+                    assert!(!members.is_empty(), "seed {seed}: paused without a join");
+                    for &tok in members {
+                        let p = eng.st.pos_of[tok as usize] as usize;
+                        assert_eq!(eng.st.run.rate[p], 0.0, "seed {seed}: solved before pause");
+                    }
+                    assert_eq!(eng.resume_with(&overlay).run(), cold, "seed {seed}");
+                }
+                Ok(Outcome::Done) => assert_eq!(Ok(eng.take_result()), cold, "seed {seed}"),
+                Err(e) => assert_eq!(Err(e), cold, "seed {seed}"),
+            }
+        }
+        assert!(paused > 100, "only {paused} runs paused");
     }
 }

@@ -86,8 +86,7 @@ pub(crate) fn try_fastpath(
                         alloc_base,
                         stream_base,
                     } => {
-                        let f = overlay.channel_factor[channel as usize];
-                        let cap = (alloc_base * f).min(stream_base * f);
+                        let cap = overlay.flow_cap(channel, alloc_base, stream_base);
                         let capacity = overlay.channel_capacity[channel as usize];
                         // An uncontended max-min solve: a lone flow
                         // settles at its cap, or at the full capacity
@@ -132,8 +131,6 @@ pub(crate) fn try_fastpath(
 
     // Build the result exactly as the DES materializes it.
     let mut trace = Trace::new(workflow.name.clone(), machine_name.to_string());
-    let mut task_starts = BTreeMap::new();
-    let mut task_ends = BTreeMap::new();
     for (i, task) in workflow.tasks.iter().enumerate() {
         for (k, phase) in task.phases.iter().enumerate() {
             let (s, e) = phase_sched[(base.phase_off[i] as usize) + k];
@@ -145,29 +142,15 @@ pub(crate) fn try_fastpath(
                 task.nodes,
             ));
         }
-        task_starts.insert(task.name.clone(), sched[i].0);
-        task_ends.insert(task.name.clone(), sched[i].1);
     }
-    let makespan = trace.makespan();
-    let task_times = task_starts
-        .iter()
-        .filter_map(|(name, start): (&String, &f64)| {
-            task_ends.get(name).map(|end| (name.clone(), end - start))
-        })
-        .collect();
-    let task_nodes = workflow
-        .tasks
-        .iter()
-        .map(|t| (t.name.clone(), t.nodes))
-        .collect();
-    Some(SimResult {
+    let (starts, ends): (Vec<f64>, Vec<f64>) = sched.into_iter().unzip();
+    Some(SimResult::from_schedule(
+        workflow,
         trace,
-        makespan,
-        task_times,
-        task_starts,
-        task_nodes,
-        pool_nodes: overlay.pool_total,
-    })
+        &starts,
+        &ends,
+        overlay.pool_total,
+    ))
 }
 
 /// Node sweep: replaying the analytic schedule must never need more

@@ -20,15 +20,15 @@
 //! 3. **Delta re-simulation.** Points are evaluated in *column* order —
 //!    one column per `(node_limit, policy)` pair, contention factor
 //!    varying innermost — so consecutive DES points differ only in the
-//!    swept resource's factor. The first DES run in a column watches the
-//!    swept channel and reports the event-loop iteration of its first
-//!    member join; until that iteration the channel has no members, so
-//!    its capacity and factor are never read and the engine state is
-//!    provably factor-independent. The column then checkpoints one
-//!    engine at that iteration (`Engine::pause_at`) and replays only
-//!    the suffix per factor (`Engine::resume_with`). When the watched
-//!    channel never joins at all, the factor provably never matters and
-//!    the first result is reused outright.
+//!    swept resource's factor. The column's first DES point watches the
+//!    swept channel and pauses, in the same pass, just before the first
+//!    fair-share solve after a flow joins it: until then no solve has
+//!    read the channel's capacity, and its factor has only set its
+//!    members' caps. Every DES point of the column clones that one
+//!    checkpoint, re-derives those caps for its own factor and replays
+//!    only the suffix (`Engine::resume_with`). When the watched channel
+//!    never joins, the run completes, the factor provably never
+//!    matters, and its result is reused outright.
 //!
 //! Changing the *node limit* re-runs the DES cold (one run per column at
 //! most): a pool change can matter from the very first allocation, so
@@ -42,7 +42,7 @@
 //! paths; the `Trace` contract leaves that order unspecified.
 
 use crate::engine::{
-    run_point_in, Engine, Scenario, SchedulerPolicy, SimArena, SimError, SimResult,
+    Engine, Outcome, RunMode, Scenario, SchedulerPolicy, SimArena, SimError, SimResult,
 };
 use crate::fastpath::try_fastpath;
 use crate::index::BaseIndex;
@@ -113,7 +113,8 @@ pub struct SweepStats {
     pub fastpath: usize,
     /// Points answered by replaying a checkpointed engine's suffix.
     pub replayed: usize,
-    /// Points answered by a full cold DES run.
+    /// Points that paid their column's factor-independent DES prefix
+    /// (the first DES point of each column).
     pub cold: usize,
     /// Points that reused a cold result verbatim (the swept channel
     /// never acquired a member, so the factor provably had no effect).
@@ -143,18 +144,14 @@ pub struct SweepOutcome {
     pub stats: SweepStats,
 }
 
-/// How a column answers DES-requiring points after its first one.
+/// How a column answers its DES-requiring points, set by the first.
 enum DesState<'e> {
-    /// No DES point evaluated yet.
-    NotRun,
     /// The watched channel never joined: the factor cannot matter, reuse
     /// the first result.
     Reuse(Box<Result<SimResult, SimError>>),
-    /// Engine checkpointed just before the swept channel's first join;
-    /// replay the suffix per overlay.
+    /// Engine checkpointed just before the first solve that reads the
+    /// swept channel; replay the suffix per overlay.
     Paused(Box<Engine<'e>>),
-    /// Checkpointing failed (defensive); run every point cold.
-    Cold,
 }
 
 /// Evaluates the full grid over `scenario`, using up to `threads` worker
@@ -242,9 +239,9 @@ pub fn sweep_grid_with_base(
 pub type IndexedResult = (usize, Result<SimResult, SimError>);
 
 /// Evaluates one `(node_limit, policy)` column across all factors:
-/// fastpath-first, then cold / checkpoint-replay / reuse as the column's
-/// structure allows. Returns `(SweepGrid::index_of slot, result)` pairs
-/// plus path statistics.
+/// fastpath-first, then checkpoint-replay / reuse as the column's
+/// structure allows, the checkpoint in `arena`'s buffers. Returns
+/// `(SweepGrid::index_of slot, result)` pairs plus path statistics.
 ///
 /// Public so external schedulers (the `wrm serve` worker pool) can
 /// dispatch one column per job against a shared cached [`BaseIndex`]
@@ -276,7 +273,7 @@ pub fn sweep_column(
 
     let mut out = Vec::with_capacity(points.len());
     let mut stats = SweepStats::default();
-    let mut des = DesState::NotRun;
+    let mut des: Option<DesState> = None;
 
     for (fi, (opts, overlay)) in points.iter().enumerate() {
         let ix = grid.index_of(fi, ni, pi);
@@ -292,43 +289,18 @@ pub fn sweep_column(
                     stats.fastpath += 1;
                     Ok(fast)
                 } else {
-                    let cold =
-                        || Engine::new(&scenario.workflow, &scenario.machine.name, opts, base, ov);
-                    match &des {
-                        DesState::NotRun => {
-                            let mut eng = cold();
-                            if let Some(ch) = watch {
-                                eng = eng.with_watch(ch);
-                            }
-                            let (res, hit) = eng.run_watched();
-                            stats.cold += 1;
-                            des = match hit {
-                                None => DesState::Reuse(Box::new(res.clone())),
-                                Some(k) => match cold().pause_at(k) {
-                                    Ok(p) => DesState::Paused(Box::new(p)),
-                                    Err(_) => DesState::Cold,
-                                },
-                            };
-                            res
-                        }
-                        DesState::Reuse(saved) => {
-                            stats.reused += 1;
-                            saved.as_ref().clone()
-                        }
+                    let first = des.is_none();
+                    stats.cold += usize::from(first);
+                    match des.get_or_insert_with(|| {
+                        first_des_point(scenario, opts, base, ov, watch, arena)
+                    }) {
                         DesState::Paused(p) => {
-                            stats.replayed += 1;
+                            stats.replayed += usize::from(!first);
                             p.resume_with(ov).run()
                         }
-                        DesState::Cold => {
-                            stats.cold += 1;
-                            run_point_in(
-                                &scenario.workflow,
-                                &scenario.machine.name,
-                                opts,
-                                base,
-                                ov,
-                                arena,
-                            )
+                        DesState::Reuse(saved) => {
+                            stats.reused += usize::from(!first);
+                            saved.as_ref().clone()
                         }
                     }
                 }
@@ -336,16 +308,53 @@ pub fn sweep_column(
         };
         out.push((ix, r));
     }
+    if let Some(DesState::Paused(p)) = des {
+        arena.state = p.recycle();
+    }
     (out, stats)
 }
 
+/// Runs a column's first DES point in `arena`'s buffers, watching the
+/// swept channel: it pauses at the channel's first join (the column's
+/// checkpoint, which keeps the buffers) or completes without one.
+fn first_des_point<'e>(
+    scenario: &'e Scenario,
+    opts: &'e crate::engine::SimOptions,
+    base: &'e BaseIndex,
+    overlay: &'e IndexOverlay,
+    watch: Option<u32>,
+    arena: &mut SimArena,
+) -> DesState<'e> {
+    let mut eng = Engine::new_in(
+        &scenario.workflow,
+        &scenario.machine.name,
+        opts,
+        base,
+        overlay,
+        std::mem::take(&mut arena.state),
+        RunMode::Full,
+    );
+    if let Some(ch) = watch {
+        eng = eng.with_watch(ch);
+    }
+    match eng.advance() {
+        Ok(Outcome::Paused) => DesState::Paused(Box::new(eng)),
+        done => {
+            let res = done.map(|_| eng.take_result());
+            arena.state = eng.recycle();
+            DesState::Reuse(Box::new(res))
+        }
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::{sweep_grid, SweepGrid};
     use crate::engine::{simulate, Scenario, SchedulerPolicy, SimOptions, SimResult};
     use crate::reference::simulate_reference;
     use crate::spec::{Phase, TaskSpec, WorkflowSpec};
     use proptest::prelude::*;
+    use wrm_core::ids::{EXTERNAL, FILE_SYSTEM};
     use wrm_core::machines;
 
     /// Sorts spans (the one representation detail the evaluation paths
@@ -552,10 +561,21 @@ mod tests {
         }
     }
 
-    /// Random-workflow generator mixing overheads, compute, capped and
-    /// uncapped external flows, and dependencies — enough variety to hit
-    /// the fast path, replay, reuse, errors and both schedulers.
-    fn random_workflow(seed: u64, n_tasks: usize) -> WorkflowSpec {
+    /// Random-workflow generator mixing overheads, compute, capped,
+    /// uncapped and zero-byte flows on the given channels, and
+    /// dependencies — enough variety to hit the fast path, replay,
+    /// reuse, errors and both schedulers, and to pause the checkpoint
+    /// run at every kind of first join:
+    ///
+    /// * flows as a task's 1st, 2nd or 3rd phase, so they join from the
+    ///   start scan or from the completion scan;
+    /// * zero-byte flows, born finished outside the scan (1st phase)
+    ///   and inside it (later phases);
+    /// * tasks after a zero-phase task open with a flow, so the join
+    ///   happens inside the start scan's zero-phase cascade;
+    /// * overheads on a coarse grid, so several tasks finish — and
+    ///   several flows join — at one instant.
+    pub(crate) fn random_workflow(seed: u64, n_tasks: usize, channels: &[&str]) -> WorkflowSpec {
         let mut s = seed;
         let mut split = move || {
             s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -565,34 +585,51 @@ mod tests {
             z ^ (z >> 31)
         };
         let mut wf = WorkflowSpec::new(format!("rand[{seed}]"));
+        let mut n_phases = Vec::with_capacity(n_tasks);
         for i in 0..n_tasks {
             let nodes = 1 + split() % 48;
             let mut t = TaskSpec::new(format!("t{i}"), nodes);
-            for _ in 0..(split() % 3) {
-                t = match split() % 4 {
+            let mut after_empty = false;
+            if i > 0 {
+                for _ in 0..(split() % 3).min(i as u64) {
+                    let d = (split() as usize) % i;
+                    after_empty |= n_phases[d] == 0;
+                    t = t.after(format!("t{d}"));
+                }
+            }
+            let count = split() % 4;
+            for k in 0..count {
+                let kind = if k == 0 && after_empty {
+                    2 + split() % 3
+                } else {
+                    split() % 6
+                };
+                let resource = channels[(split() as usize) % channels.len()].to_owned();
+                t = match kind {
                     0 => t.phase(Phase::overhead("o", (1 + split() % 300) as f64 / 10.0)),
                     1 => t.phase(Phase::Compute {
                         flops: (1 + split() % 500) as f64 * 1e12,
                         efficiency: 0.2 + (split() % 100) as f64 / 150.0,
                     }),
                     2 => t.phase(Phase::SystemData {
-                        resource: wrm_core::ids::EXTERNAL.into(),
+                        resource,
                         bytes: (1 + split() % 300) as f64 * 1e9,
                         stream_cap: Some((1 + split() % 20) as f64 * 1e8),
                     }),
-                    _ => t.phase(Phase::SystemData {
-                        resource: wrm_core::ids::EXTERNAL.into(),
+                    3 => t.phase(Phase::SystemData {
+                        resource,
                         bytes: (1 + split() % 300) as f64 * 1e9,
                         stream_cap: None,
                     }),
+                    4 => t.phase(Phase::SystemData {
+                        resource,
+                        bytes: 0.0,
+                        stream_cap: None,
+                    }),
+                    _ => t.phase(Phase::overhead("o", (1 + split() % 4) as f64 * 5.0)),
                 };
             }
-            if i > 0 {
-                for _ in 0..(split() % 3).min(i as u64) {
-                    let d = (split() as usize) % i;
-                    t = t.after(format!("t{d}"));
-                }
-            }
+            n_phases.push(count);
             wf = wf.task(t);
         }
         wf
@@ -605,21 +642,25 @@ mod tests {
         #[test]
         fn incremental_sweep_matches_oracles(
             seed in any::<u64>(),
-            n_tasks in 1usize..8,
+            n_tasks in 1usize..25,
             machine_ix in 0usize..2,
+            sweep_fs in any::<bool>(),
             threads in 1usize..4,
             tight_pool in any::<bool>(),
         ) {
-            let machine = if machine_ix == 0 {
-                machines::cori_haswell()
+            // Cori has no file system channel; its flows and sweep stay
+            // on the external link.
+            let (machine, channels) = if machine_ix == 0 {
+                (machines::cori_haswell(), vec![EXTERNAL])
             } else {
-                machines::perlmutter_cpu()
+                (machines::perlmutter_cpu(), vec![EXTERNAL, FILE_SYSTEM])
             };
-            let wf = random_workflow(seed, n_tasks);
+            let resource = if sweep_fs { *channels.last().unwrap() } else { EXTERNAL };
+            let wf = random_workflow(seed, n_tasks, &channels);
             let scenario = Scenario::new(machine, wf).with_options(SimOptions::default());
             let node_limit = if tight_pool { Some(64) } else { None };
             let grid = SweepGrid {
-                resource: Some(wrm_core::ids::EXTERNAL.into()),
+                resource: Some(resource.into()),
                 factors: vec![0.5, 1.0, 1.7],
                 node_limits: vec![None, node_limit],
                 policies: vec![SchedulerPolicy::Fifo, SchedulerPolicy::Backfill],

@@ -86,6 +86,14 @@ impl IndexOverlay {
             channel_factor,
         })
     }
+
+    /// A flow's rate cap on `channel`: both base caps scaled by the
+    /// channel's factor. Every engine path and bound reads caps through
+    /// this one expression, so they agree to the bit.
+    pub(crate) fn flow_cap(&self, channel: u32, alloc_base: f64, stream_base: f64) -> f64 {
+        let f = self.channel_factor[channel as usize];
+        (alloc_base * f).min(stream_base * f)
+    }
 }
 
 #[cfg(test)]
