@@ -369,6 +369,41 @@ mod tests {
         assert!(fork_join_tasks(1, 100, 8, 4, 50.0) != fork_join_tasks(2, 100, 8, 4, 50.0));
     }
 
+    /// The first records of both streams for one seed, bit for bit:
+    /// the benchmark scenarios are built from these streams, so a change
+    /// to either generator's draws shows here first.
+    #[test]
+    fn streams_are_pinned() {
+        let record = |name: &str, nodes, duration, deps: &[usize]| GeneratedTask {
+            name: name.to_owned(),
+            nodes,
+            duration,
+            deps: deps.to_vec(),
+        };
+        assert_eq!(
+            random_layered_tasks(42, 6, 4, 8, 100.0),
+            [
+                record("t[0.0]", 7, 21.776899999999998, &[]),
+                record("t[1.0]", 6, 12.5193, &[0]),
+                record("t[1.1]", 1, 70.6474, &[0]),
+                record("t[1.2]", 8, 78.1405, &[0]),
+                record("t[1.3]", 5, 73.6285, &[0]),
+                record("t[2.0]", 8, 77.1111, &[4, 3]),
+            ]
+        );
+        assert_eq!(
+            fork_join_tasks(42, 6, 4, 8, 100.0),
+            [
+                record("fork[0]", 1, 19.922, &[]),
+                record("work[0.0]", 3, 81.4362, &[0]),
+                record("work[0.1]", 4, 46.9618, &[0]),
+                record("work[0.2]", 6, 19.6578, &[0]),
+                record("join[0]", 1, 99.63119999999999, &[1, 2, 3]),
+                record("fork[1]", 1, 96.1884, &[4]),
+            ]
+        );
+    }
+
     #[test]
     fn degenerate_sizes() {
         assert!(bag_of_tasks(0, 1, 1.0).unwrap().is_empty());
