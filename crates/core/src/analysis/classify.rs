@@ -121,7 +121,7 @@ mod tests {
 
     #[test]
     fn heavy_external_is_system_bound() {
-        let m = model_with(64, 4.0, Flops::gflops(1.0), Bytes::pb(10.0));
+        let m = model_with(64, 4.0, Flops::gflops(1.0), Bytes::tb(10_000.0));
         let r = classify(&m);
         assert_eq!(
             r.bound,

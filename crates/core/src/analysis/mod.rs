@@ -9,5 +9,5 @@ pub mod zones;
 
 pub use advisor::{advise, Advice, Audience, Direction, Recommendation};
 pub use classify::{classify as classify_bound, BoundKind, BoundReport};
-pub use whatif::{remove_overhead, scale_intra_task_parallelism, widen_batch};
+pub use whatif::{remove_overhead, scale_intra_task_parallelism};
 pub use zones::{classify as classify_zone, classify_point, Zone, ZoneReport};

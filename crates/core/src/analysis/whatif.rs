@@ -1,6 +1,6 @@
 //! What-if transforms (Fig. 2b/2c): how the roofline moves when the
-//! workflow trades intra-task parallelism against task parallelism, widens
-//! its batch, or removes overhead.
+//! workflow trades intra-task parallelism against task parallelism or
+//! removes overhead.
 
 use crate::charz::WorkflowCharacterization;
 use crate::error::CoreError;
@@ -49,30 +49,6 @@ pub fn scale_intra_task_parallelism(
     }
     if let Some(m) = wf.makespan {
         out.makespan = Some(Seconds(m.get() / scalability));
-    }
-    out.validate()?;
-    Ok(out)
-}
-
-/// Widens the batch: `k`x the parallel tasks and `k`x the total tasks
-/// (optimization direction 2 of Fig. 2b). Per-slot node volumes are
-/// unchanged; total system volumes grow `k`x. The makespan is kept (the
-/// same slots run for the same time, retiring `k`x the tasks in aggregate)
-/// so the predicted dot moves diagonally up-right.
-pub fn widen_batch(
-    wf: &WorkflowCharacterization,
-    k: f64,
-) -> Result<WorkflowCharacterization, CoreError> {
-    if !(k.is_finite() && k > 0.0) {
-        return Err(CoreError::InvalidInput(format!(
-            "batch factor must be positive, got {k}"
-        )));
-    }
-    let mut out = wf.clone();
-    out.parallel_tasks = wf.parallel_tasks * k;
-    out.total_tasks = wf.total_tasks * k;
-    for bytes in out.system_volumes.values_mut() {
-        *bytes = *bytes * k;
     }
     out.validate()?;
     Ok(out)
@@ -200,22 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn widen_batch_moves_dot_diagonally() {
-        let wf = widen_batch(&base(), 3.0).unwrap();
-        assert!((wf.parallel_tasks - 24.0).abs() < 1e-12);
-        assert!((wf.total_tasks - 24.0).abs() < 1e-12);
-        // System volume scales with the batch.
-        assert_eq!(
-            wf.system_volumes.get(ids::FILE_SYSTEM),
-            Some(&Bytes::tb(3.0))
-        );
-        // TPS triples at the same makespan.
-        let t0 = base().throughput().unwrap().get();
-        let t1 = wf.throughput().unwrap().get();
-        assert!((t1 / t0 - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn remove_overhead_projects_gptune() {
         // Spawn mode 228 s; removing ~209 s of Python overhead leaves
         // ~19 s, the paper's ~12x projection.
@@ -234,7 +194,6 @@ mod tests {
         assert!(scale_intra_task_parallelism(&base(), 2.0, 0.0).is_err());
         assert!(scale_intra_task_parallelism(&base(), 2.0, 1.5).is_err());
         assert!(scale_intra_task_parallelism(&base(), f64::NAN, 1.0).is_err());
-        assert!(widen_batch(&base(), -1.0).is_err());
         assert!(remove_overhead(&base(), Seconds::secs(2000.0)).is_err());
         assert!(remove_overhead(&base(), Seconds(-1.0)).is_err());
         let no_makespan = WorkflowCharacterization::builder("x").build().unwrap();

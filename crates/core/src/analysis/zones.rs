@@ -33,22 +33,6 @@ impl Zone {
             Zone::PoorMakespanPoorThroughput => "red",
         }
     }
-
-    /// True when the deadline is met.
-    pub fn good_makespan(self) -> bool {
-        matches!(
-            self,
-            Zone::GoodMakespanGoodThroughput | Zone::GoodMakespanPoorThroughput
-        )
-    }
-
-    /// True when the rate target is met.
-    pub fn good_throughput(self) -> bool {
-        matches!(
-            self,
-            Zone::GoodMakespanGoodThroughput | Zone::PoorMakespanGoodThroughput
-        )
-    }
 }
 
 /// Zone classification together with the margins to each target.
@@ -138,7 +122,6 @@ mod tests {
     fn fast_run_meets_both() {
         let r = classify(&wf(300.0)).unwrap();
         assert_eq!(r.zone, Zone::GoodMakespanGoodThroughput);
-        assert!(r.zone.good_makespan() && r.zone.good_throughput());
         assert!((r.makespan_margin.unwrap() - 2.0).abs() < 1e-12);
         assert!((r.throughput_margin.unwrap() - 2.0).abs() < 1e-12);
     }
@@ -170,8 +153,6 @@ mod tests {
         );
         assert_eq!(r.zone, Zone::PoorMakespanGoodThroughput);
         assert_eq!(r.zone.color(), "orange");
-        assert!(!r.zone.good_makespan());
-        assert!(r.zone.good_throughput());
     }
 
     #[test]

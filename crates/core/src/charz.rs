@@ -164,14 +164,6 @@ impl WorkflowCharacterization {
         Ok(())
     }
 
-    /// Returns a copy with a different measured makespan (used when the
-    /// same plan is re-measured, e.g. good vs. bad days).
-    pub fn with_makespan(&self, makespan: Seconds) -> Self {
-        let mut c = self.clone();
-        c.makespan = Some(makespan);
-        c
-    }
-
     /// Returns a copy with a different name (for plot legends).
     pub fn with_name(&self, name: impl Into<String>) -> Self {
         let mut c = self.clone();
@@ -291,7 +283,10 @@ mod tests {
     fn missing_makespan_is_an_error() {
         let c = WorkflowCharacterization::builder("x").build().unwrap();
         assert!(matches!(c.throughput(), Err(CoreError::MissingMakespan(_))));
-        let c2 = c.with_makespan(Seconds::secs(10.0));
+        let c2 = WorkflowCharacterization {
+            makespan: Some(Seconds::secs(10.0)),
+            ..c
+        };
         assert!((c2.throughput().unwrap().get() - 0.1).abs() < 1e-12);
     }
 

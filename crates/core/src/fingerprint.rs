@@ -18,8 +18,8 @@
 //!   (`["ab","c"]` vs `["a","bc"]`) cannot collide by construction.
 //!
 //! The canonical serialization of a value is whatever its `Serialize`
-//! impl produces as a `serde::value::Value` tree; [`fingerprint`] hashes
-//! that tree canonically.
+//! impl produces as a `serde::value::Value` tree; [`fingerprint_value`]
+//! hashes that tree canonically.
 
 use serde::value::{Number, Value};
 
@@ -67,14 +67,6 @@ impl Fnv1a {
     pub fn finish(&self) -> u64 {
         self.0
     }
-}
-
-/// FNV-1a of a raw byte string.
-#[must_use]
-pub fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.update(bytes);
-    h.finish()
 }
 
 // Type tags framing each canonical node. Chosen once; changing any of
@@ -161,15 +153,9 @@ fn hash_value(h: &mut Fnv1a, v: &Value) {
     }
 }
 
-/// Canonical content hash of any serializable value: its `Value` tree
-/// hashed with sorted object keys and fixed little-endian scalar
-/// encodings. Stable across runs, processes and platforms.
-#[must_use]
-pub fn fingerprint<T: serde::Serialize + ?Sized>(value: &T) -> u64 {
-    fingerprint_value(&value.to_value())
-}
-
-/// [`fingerprint`] of an already-built `Value` tree.
+/// Canonical content hash of a `Value` tree: hashed with sorted object
+/// keys and fixed little-endian scalar encodings. Stable across runs,
+/// processes and platforms.
 #[must_use]
 pub fn fingerprint_value(v: &Value) -> u64 {
     let mut h = Fnv1a::new();
@@ -180,6 +166,12 @@ pub fn fingerprint_value(v: &Value) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn hash_bytes(bytes: &[u8]) -> u64 {
+        let mut h = Fnv1a::new();
+        h.update(bytes);
+        h.finish()
+    }
 
     #[test]
     fn fnv1a_known_answers() {
@@ -271,16 +263,5 @@ mod tests {
             ("tasks".into(), Value::Array(vec![])),
         ]);
         assert_eq!(fingerprint_value(&v), 0x33b3_d916_5f45_6dd1);
-    }
-
-    #[test]
-    fn serializable_types_fingerprint_through_serde() {
-        // The convenience wrapper hashes anything Serialize; equal
-        // values hash equal, different values differ.
-        let a = fingerprint(&vec![1u64, 2, 3]);
-        let b = fingerprint(&vec![1u64, 2, 3]);
-        let c = fingerprint(&vec![3u64, 2, 1]);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
     }
 }

@@ -56,7 +56,6 @@ pub mod machines;
 pub mod projection;
 pub mod resource;
 pub mod roofline;
-pub mod scaling;
 pub mod taskview;
 pub mod units;
 
@@ -64,12 +63,11 @@ pub use attribution::{classify, classify_terms, BindingStrength, BoundClass};
 pub use charz::{CharacterizationBuilder, TargetSpec, WorkflowCharacterization};
 pub use dist::Dist;
 pub use error::CoreError;
-pub use fingerprint::{fingerprint, fingerprint_value, Fnv1a};
+pub use fingerprint::{fingerprint_value, Fnv1a};
 pub use machine::{Machine, MachineBuilder, NodeResource, SystemResource};
 pub use projection::{across_machines, required_peak, MachineProjection};
 pub use resource::{ids, ResourceId, SystemScaling};
 pub use roofline::{Ceiling, CeilingKind, RooflineModel, RooflinePoint};
-pub use scaling::{amdahl_scalability, strong_scaling_trajectory, TrajectoryPoint};
 pub use taskview::{TaskCharacterization, TaskPoint, TaskView};
 pub use units::{
     Bytes, BytesPerSec, Flops, FlopsPerSec, Rate, Seconds, TasksPerSec, Work, WorkUnit,
@@ -79,7 +77,7 @@ pub use units::{
 pub mod prelude {
     pub use crate::analysis::{
         advise, classify_bound, classify_zone, remove_overhead, scale_intra_task_parallelism,
-        widen_batch, Advice, Audience, BoundKind, Direction, Zone,
+        Advice, Audience, BoundKind, Direction, Zone,
     };
     pub use crate::charz::{TargetSpec, WorkflowCharacterization};
     pub use crate::error::CoreError;

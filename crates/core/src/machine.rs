@@ -9,7 +9,7 @@
 
 use crate::error::CoreError;
 use crate::resource::{ResourceId, SystemScaling};
-use crate::units::{BytesPerSec, Rate, WorkUnit};
+use crate::units::{BytesPerSec, Rate};
 use serde::{Deserialize, Serialize};
 
 /// A node-local capability: each node owns `peak_per_node` of it.
@@ -168,11 +168,6 @@ impl Machine {
         }
         Ok(())
     }
-
-    /// The dimension (bytes vs flops) a given node resource is measured in.
-    pub fn node_unit(&self, id: &str) -> Option<WorkUnit> {
-        self.node_resource(id).map(|r| r.peak_per_node.unit())
-    }
 }
 
 /// Fluent construction of [`Machine`] values.
@@ -267,8 +262,6 @@ mod tests {
         assert_eq!(m.node_resource(ids::COMPUTE).unwrap().label, "FLOPS");
         assert_eq!(m.system_resource(ids::FILE_SYSTEM).unwrap().label, "FS");
         assert!(m.node_resource("nope").is_none());
-        assert_eq!(m.node_unit(ids::COMPUTE), Some(WorkUnit::Flops));
-        assert_eq!(m.node_unit(ids::DRAM), Some(WorkUnit::Bytes));
     }
 
     #[test]

@@ -88,11 +88,6 @@ pub fn perlmutter_cpu() -> Machine {
         .expect("preset is valid")
 }
 
-/// Per-socket DRAM bandwidth of a PM-CPU node (one AMD Milan socket).
-pub fn pm_cpu_dram_per_socket() -> BytesPerSec {
-    BytesPerSec::gbps(204.8)
-}
-
 /// Cori Haswell (Cori-HSW), the deprecated Cray XC40 used for the LCLS
 /// case study: 2388 nodes, 910 GB/s aggregate burst-buffer bandwidth
 /// (140 BB nodes x 6.5 GB/s), 129 GB/s memory bandwidth per node.
@@ -196,7 +191,6 @@ mod tests {
         );
         assert!((m.system_resource(ids::FILE_SYSTEM).unwrap().peak.get() - 4.8e12).abs() < 1e-3);
         assert!((m.system_resource(ids::EXTERNAL).unwrap().peak.get() - 25e9).abs() < 1e-3);
-        assert!((pm_cpu_dram_per_socket().get() - 204.8e9).abs() < 1e-3);
     }
 
     #[test]

@@ -186,10 +186,6 @@ quantity!(
 );
 
 impl Bytes {
-    /// Kilobytes (1e3 bytes).
-    pub fn kb(v: f64) -> Self {
-        Self(v * 1e3)
-    }
     /// Megabytes (1e6 bytes).
     pub fn mb(v: f64) -> Self {
         Self(v * 1e6)
@@ -201,10 +197,6 @@ impl Bytes {
     /// Terabytes (1e12 bytes).
     pub fn tb(v: f64) -> Self {
         Self(v * 1e12)
-    }
-    /// Petabytes (1e15 bytes).
-    pub fn pb(v: f64) -> Self {
-        Self(v * 1e15)
     }
 }
 
@@ -232,14 +224,6 @@ impl Seconds {
     pub fn minutes(v: f64) -> Self {
         Self(v * 60.0)
     }
-    /// Hours.
-    pub fn hours(v: f64) -> Self {
-        Self(v * 3600.0)
-    }
-    /// Milliseconds.
-    pub fn millis(v: f64) -> Self {
-        Self(v * 1e-3)
-    }
 }
 
 impl BytesPerSec {
@@ -250,10 +234,6 @@ impl BytesPerSec {
     /// TB/s (1e12 bytes per second).
     pub fn tbps(v: f64) -> Self {
         Self(v * 1e12)
-    }
-    /// MB/s (1e6 bytes per second).
-    pub fn mbps(v: f64) -> Self {
-        Self(v * 1e6)
     }
 }
 

@@ -7,7 +7,7 @@
 //! (number of parallel tasks, critical path length).
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Index of a task inside its [`Dag`].
@@ -187,20 +187,6 @@ impl Dag {
         &self.preds[id.0]
     }
 
-    /// Tasks with no predecessors.
-    pub fn roots(&self) -> Vec<TaskId> {
-        self.task_ids()
-            .filter(|id| self.preds[id.0].is_empty())
-            .collect()
-    }
-
-    /// Tasks with no successors.
-    pub fn leaves(&self) -> Vec<TaskId> {
-        self.task_ids()
-            .filter(|id| self.succs[id.0].is_empty())
-            .collect()
-    }
-
     /// Kahn topological order; fails with [`DagError::Cycle`] if the graph
     /// has one.
     pub fn topo_order(&self) -> Result<Vec<TaskId>, DagError> {
@@ -335,37 +321,6 @@ impl Dag {
         out.sort_unstable();
         Ok(out)
     }
-
-    /// Sum of all task durations (serial work).
-    pub fn total_duration(&self) -> f64 {
-        self.tasks.iter().map(|t| t.duration).sum()
-    }
-
-    /// Sum of `nodes x duration` over all tasks (node-seconds of
-    /// allocation).
-    pub fn total_node_seconds(&self) -> f64 {
-        self.tasks.iter().map(|t| t.nodes as f64 * t.duration).sum()
-    }
-
-    /// The largest node requirement of any single task.
-    pub fn max_task_nodes(&self) -> u64 {
-        self.tasks.iter().map(|t| t.nodes).max().unwrap_or(0)
-    }
-
-    /// Counts of tasks per name prefix, a convenience for reports.
-    pub fn name_histogram(&self) -> BTreeMap<String, usize> {
-        let mut h = BTreeMap::new();
-        for t in &self.tasks {
-            let key = t
-                .name
-                .split(['[', '.', '#'])
-                .next()
-                .unwrap_or(&t.name)
-                .to_owned();
-            *h.entry(key).or_insert(0) += 1;
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -391,11 +346,28 @@ mod tests {
         assert_eq!(d.len(), 6);
         assert_eq!(d.critical_path_length().unwrap(), 2);
         assert_eq!(d.max_width().unwrap(), 5);
-        assert_eq!(d.roots().len(), 5);
-        assert_eq!(d.leaves(), vec![TaskId(5)]);
         let groups = d.level_groups().unwrap();
         assert_eq!(groups[0].len(), 5);
         assert_eq!(groups[1], vec![TaskId(5)]);
+
+        // Iterated, each round of analyses gated on the previous merge:
+        // two levels per round, and the width stays one round's.
+        let mut d = lcls();
+        let mut merge = TaskId(5);
+        for round in 1..3 {
+            let next = d.add_task(format!("merge{round}"), 1, 20.0).unwrap();
+            for i in 0..5 {
+                let a = d
+                    .add_task(format!("analyze{round}[{i}]"), 32, 1000.0)
+                    .unwrap();
+                d.add_dep(merge, a).unwrap();
+                d.add_dep(a, next).unwrap();
+                assert_eq!(d.predecessors(a), &[merge]);
+            }
+            merge = next;
+        }
+        assert_eq!(d.critical_path_length().unwrap(), 6);
+        assert_eq!(d.max_width().unwrap(), 5);
     }
 
     #[test]
@@ -408,8 +380,24 @@ mod tests {
         assert_eq!(d.critical_path_length().unwrap(), 2);
         assert_eq!(d.max_width().unwrap(), 1);
         assert_eq!(d.topo_order().unwrap(), vec![e, s]);
-        assert!((d.total_duration() - 4185.0).abs() < 1e-9);
-        assert!((d.total_node_seconds() - 64.0 * 4185.0).abs() < 1e-6);
+
+        // A chain of n tasks is one wide and n deep; a bag of n
+        // independent tasks is n wide and one deep.
+        for n in [1, 9] {
+            let mut chain = Dag::new("chain");
+            let mut bag = Dag::new("bag");
+            for i in 0..n {
+                let t = chain.add_task(format!("stage[{i}]"), 4, 2.0).unwrap();
+                if i > 0 {
+                    chain.add_dep(TaskId(i - 1), t).unwrap();
+                }
+                bag.add_task(format!("task[{i}]"), 2, 5.0).unwrap();
+            }
+            assert_eq!(chain.max_width().unwrap(), 1);
+            assert_eq!(chain.critical_path_length().unwrap(), n);
+            assert_eq!(bag.max_width().unwrap(), n);
+            assert_eq!(bag.critical_path_length().unwrap(), 1);
+        }
     }
 
     #[test]
@@ -475,20 +463,15 @@ mod tests {
     fn empty_dag() {
         let d = Dag::new("empty");
         assert!(d.is_empty());
-        assert_eq!(d.total_duration(), 0.0);
         assert_eq!(d.max_width().unwrap(), 0);
         assert_eq!(d.critical_path_length().unwrap(), 0);
-        assert_eq!(d.max_task_nodes(), 0);
     }
 
     #[test]
-    fn name_lookup_and_histogram() {
+    fn name_lookup() {
         let d = lcls();
         assert_eq!(d.task_by_name("merge"), Some(TaskId(5)));
         assert_eq!(d.task_by_name("nope"), None);
-        let h = d.name_histogram();
-        assert_eq!(h.get("analyze"), Some(&5));
-        assert_eq!(h.get("merge"), Some(&1));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for DAG invariants.
 
 use proptest::prelude::*;
-use wrm_dag::generate::random_layered;
+use wrm_dag::generate::random_layered_tasks;
 use wrm_dag::{Dag, DagError, TaskId};
 
 /// The linear scan the name index replaces.
@@ -36,14 +36,26 @@ fn lookups_agree(dag: &Dag, universe: u8) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// A random layered DAG: the generated task records, added in order.
+fn layered_dag(seed: u64, n_tasks: usize, max_width: usize, max_nodes: u64) -> Dag {
+    let mut dag = Dag::new(format!("random[{seed}]"));
+    for t in random_layered_tasks(seed, n_tasks, max_width, max_nodes, 100.0) {
+        let id = dag.add_task(t.name, t.nodes, t.duration).unwrap();
+        for d in t.deps {
+            dag.add_dep(TaskId(d), id).unwrap();
+        }
+    }
+    dag
+}
+
 prop_compose! {
     fn dag_strategy()(
         seed in any::<u64>(),
-        layers in 1usize..8,
+        n_tasks in 1usize..40,
         width in 1usize..7,
         nodes in 1u64..12,
     ) -> Dag {
-        random_layered(seed, layers, width, nodes, 100.0).unwrap()
+        layered_dag(seed, n_tasks, width, nodes)
     }
 }
 
@@ -71,6 +83,15 @@ proptest! {
                 prop_assert!(levels[s.0] > levels[id.0]);
             }
         }
+    }
+
+    #[test]
+    fn width_and_depth_come_from_the_levels(dag in dag_strategy()) {
+        let groups = dag.level_groups().unwrap();
+        let widest = groups.iter().map(Vec::len).max().unwrap();
+        prop_assert_eq!(dag.max_width().unwrap(), widest);
+        let deepest = dag.levels().unwrap().into_iter().max().unwrap();
+        prop_assert_eq!(dag.critical_path_length().unwrap(), deepest + 1);
     }
 
     #[test]

@@ -198,11 +198,6 @@ impl Diagnostic {
         self
     }
 
-    /// True when the diagnostic carries at least one suggested edit.
-    pub fn is_fixable(&self) -> bool {
-        !self.fixes.is_empty()
-    }
-
     /// One-line rendering: `error[E001] 3:9: message`.
     pub fn one_line(&self) -> String {
         if self.span.is_known() {
@@ -292,7 +287,7 @@ mod tests {
                 "replace `0` with `1`",
             ),
         );
-        assert!(d.is_fixable());
+        assert_eq!(d.fixes.len(), 1);
         let json = serde_json::to_string(&d).unwrap();
         let back: Diagnostic = serde_json::from_str(&json).unwrap();
         assert_eq!(back, d);

@@ -11,7 +11,7 @@
 //!   chunked responses for streamed sweeps; no async runtime, no
 //!   external dependencies;
 //! * an **LRU index cache** ([`cache`]) keyed by a stable content hash
-//!   ([`wrm_core::fingerprint()`]) of `(workflow, machine override)`: a
+//!   ([`wrm_core::fingerprint_value()`]) of `(workflow, machine override)`: a
 //!   hit skips parse/lint/compile/index entirely and goes straight to
 //!   the simulator against a shared [`wrm_sim::BaseIndex`];
 //! * a fixed **worker pool** ([`pool`]) — a crossbeam job channel

@@ -45,12 +45,6 @@ impl Structure {
             targets: TargetSpec::NONE,
         }
     }
-
-    /// Attaches targets.
-    pub fn with_targets(mut self, targets: TargetSpec) -> Self {
-        self.targets = targets;
-        self
-    }
 }
 
 /// Builds a characterization from a trace and the workflow structure.
@@ -223,11 +217,8 @@ mod tests {
 
     #[test]
     fn structure_builders() {
-        let s = Structure::serial(4).with_targets(TargetSpec::new(
-            Seconds::secs(100.0),
-            wrm_core::TasksPerSec(0.01),
-        ));
+        let s = Structure::serial(4);
         assert_eq!(s.nodes_per_task, 4);
-        assert!(s.targets.makespan.is_some());
+        assert_eq!(s.targets, TargetSpec::NONE);
     }
 }

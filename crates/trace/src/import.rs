@@ -179,7 +179,7 @@ analyze0, overhead:srun, 1016, 1020, 32, -, -
         assert!((t.makespan() - 1020.0).abs() < 1e-12);
         assert!((t.system_bytes()["ext"] - 1e12).abs() < 1e-3);
         assert!((t.total_flops() - 3e15).abs() < 1.0);
-        assert!((t.overhead_time() - 4.0).abs() < 1e-12);
+        assert!((t.breakdown().get("srun") - 4.0).abs() < 1e-12);
         assert_eq!(t.workflow, "lcls");
         assert_eq!(t.machine, "cori");
     }

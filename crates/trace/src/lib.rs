@@ -20,4 +20,4 @@ pub mod trace;
 pub use characterize::{characterize, Structure};
 pub use import::{trace_from_csv, trace_to_csv, ImportError};
 pub use span::{SpanKind, TraceSpan};
-pub use trace::{IoSummary, TimeBreakdown, Trace};
+pub use trace::{TimeBreakdown, Trace};

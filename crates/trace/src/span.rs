@@ -48,14 +48,6 @@ impl SpanKind {
             SpanKind::Overhead { label } => label.clone(),
         }
     }
-
-    /// Bytes carried by the span, when it moves data.
-    pub fn bytes(&self) -> Option<f64> {
-        match self {
-            SpanKind::NodeData { bytes, .. } | SpanKind::SystemData { bytes, .. } => Some(*bytes),
-            _ => None,
-        }
-    }
 }
 
 /// One timed phase of one task.
@@ -89,17 +81,6 @@ impl TraceSpan {
     /// Span duration in seconds.
     pub fn duration(&self) -> f64 {
         self.end - self.start
-    }
-
-    /// Achieved bandwidth over the span, for data spans with time.
-    pub fn achieved_bandwidth(&self) -> Option<f64> {
-        let bytes = self.kind.bytes()?;
-        let d = self.duration();
-        if d > 0.0 {
-            Some(bytes / d)
-        } else {
-            None
-        }
     }
 }
 
@@ -150,7 +131,7 @@ mod tests {
     }
 
     #[test]
-    fn bandwidth_and_duration() {
+    fn duration_and_display() {
         let s = TraceSpan::new(
             "t",
             SpanKind::SystemData {
@@ -162,9 +143,7 @@ mod tests {
             32,
         );
         assert!((s.duration() - 1000.0).abs() < 1e-12);
-        assert!((s.achieved_bandwidth().unwrap() - 1e9).abs() < 1e-3);
         let z = TraceSpan::new("t", SpanKind::Overhead { label: "b".into() }, 1.0, 1.0, 1);
-        assert_eq!(z.achieved_bandwidth(), None);
         assert!(z.to_string().contains("t"));
     }
 

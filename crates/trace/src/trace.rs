@@ -122,34 +122,6 @@ impl Trace {
             .sum()
     }
 
-    /// Total time spent in overhead spans (control flow).
-    pub fn overhead_time(&self) -> f64 {
-        self.spans
-            .iter()
-            .filter(|s| matches!(s.kind, SpanKind::Overhead { .. }))
-            .map(TraceSpan::duration)
-            .sum()
-    }
-
-    /// An I/O summary per system resource (a Darshan-like digest).
-    pub fn io_summary(&self) -> Vec<IoSummary> {
-        let mut map: BTreeMap<String, IoSummary> = BTreeMap::new();
-        for s in &self.spans {
-            if let SpanKind::SystemData { resource, bytes } = &s.kind {
-                let e = map.entry(resource.clone()).or_insert_with(|| IoSummary {
-                    resource: resource.clone(),
-                    bytes: 0.0,
-                    transfers: 0,
-                    busy_time: 0.0,
-                });
-                e.bytes += bytes;
-                e.transfers += 1;
-                e.busy_time += s.duration();
-            }
-        }
-        map.into_values().collect()
-    }
-
     /// Writes the trace as JSON lines: one header line, then one line per
     /// span.
     pub fn to_jsonl(&self) -> String {
@@ -207,30 +179,6 @@ impl TimeBreakdown {
             .iter()
             .find(|(c, _)| c == category)
             .map_or(0.0, |(_, t)| *t)
-    }
-}
-
-/// Darshan-like per-resource I/O digest.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IoSummary {
-    /// System resource id.
-    pub resource: String,
-    /// Total bytes transferred.
-    pub bytes: f64,
-    /// Number of transfer spans.
-    pub transfers: u64,
-    /// Total busy time of the spans (overlaps counted per span).
-    pub busy_time: f64,
-}
-
-impl IoSummary {
-    /// Mean achieved bandwidth (bytes / busy time).
-    pub fn mean_bandwidth(&self) -> f64 {
-        if self.busy_time > 0.0 {
-            self.bytes / self.busy_time
-        } else {
-            0.0
-        }
     }
 }
 
@@ -300,17 +248,6 @@ mod tests {
         assert!((sys["fs"] - 5e9).abs() < 1e-3);
         assert!((t.total_flops() - 1.5e16).abs() < 1.0);
         assert!(t.node_bytes().is_empty());
-        assert_eq!(t.overhead_time(), 0.0);
-    }
-
-    #[test]
-    fn io_summary_bandwidths() {
-        let t = sample();
-        let io = t.io_summary();
-        let ext = io.iter().find(|s| s.resource == "ext").unwrap();
-        assert_eq!(ext.transfers, 5);
-        // 5 TB over 5000 busy-seconds -> 1 GB/s mean per-span bandwidth.
-        assert!((ext.mean_bandwidth() - 1e9).abs() < 1e-3);
     }
 
     #[test]
@@ -331,6 +268,5 @@ mod tests {
         assert_eq!(t.makespan(), 0.0);
         assert!(t.task_names().is_empty());
         assert_eq!(t.breakdown().total(), 0.0);
-        assert!(t.io_summary().is_empty());
     }
 }

@@ -104,14 +104,4 @@ proptest! {
             .map_or(0.0, |w| w.magnitude());
         prop_assert!((got - expected).abs() <= 1e-6 * expected.max(1.0));
     }
-
-    #[test]
-    fn io_summary_totals_match(trace in traces()) {
-        let sys = trace.system_bytes();
-        for s in trace.io_summary() {
-            prop_assert!((s.bytes - sys[s.resource.as_str()]).abs() <= 1e-6);
-            prop_assert!(s.transfers >= 1);
-            prop_assert!(s.mean_bandwidth() >= 0.0);
-        }
-    }
 }

@@ -17,15 +17,12 @@
 //! | [`cosmoflow::CosmoFlow`] | node HBM | Fig. 8 |
 //! | [`gptune::GpTune`] | control flow | Figs. 9–10 |
 //!
-//! [`table1`] reproduces Table I (characterization sources),
-//! [`example::fig1_characterization`] the illustrative Fig. 1 model, and
-//! [`archetypes`] offers generic builders (ensemble, pipeline,
-//! MapReduce, cross-facility, training) for sketching new workflows.
+//! [`table1`] reproduces Table I (characterization sources) and
+//! [`example::fig1_characterization`] the illustrative Fig. 1 model.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod archetypes;
 pub mod bgw;
 pub mod cosmoflow;
 pub mod example;

@@ -1,6 +1,5 @@
 //! Facility planning with the model: project one workflow across
-//! machines, ask what bandwidth upgrades its targets require, and sweep
-//! the intra-task-parallelism trade-off analytically.
+//! machines and ask what bandwidth upgrades its targets require.
 //!
 //! ```text
 //! cargo run --example facility_planning
@@ -12,7 +11,6 @@
 //! is infinite, while a modest WAN upgrade is finite and cheap.
 
 use workflow_roofline::core::projection::render_table;
-use workflow_roofline::core::scaling::{smallest_k_meeting_deadline, strong_scaling_trajectory};
 use workflow_roofline::prelude::*;
 use workflow_roofline::workflows::Lcls;
 
@@ -72,57 +70,5 @@ fn main() {
     println!(
         "\nverified: no finite compute peak meets the LCLS target on Cori -- \
          invest in the network, not the nodes"
-    );
-
-    // Intra-task-parallelism sweep for a compute-heavy ensemble (the
-    // workflow-user view): where does the deadline become reachable,
-    // and what does it cost in throughput headroom?
-    println!("\n== Intra-task parallelism sweep (compute-heavy ensemble) ==\n");
-    let ensemble = WorkflowCharacterization::builder("ensemble")
-        .total_tasks(24.0)
-        .parallel_tasks(24.0)
-        .nodes_per_task(16)
-        .makespan(Seconds::secs(3000.0))
-        .node_volume(ids::COMPUTE, Work::Flops(Flops::pflops(40.0)))
-        .target_makespan(Seconds::secs(3600.0))
-        .target_throughput(TasksPerSec(0.01))
-        .build()
-        .expect("valid");
-    let ks = [1.0, 2.0, 4.0, 8.0];
-    let trajectory = strong_scaling_trajectory(
-        &machines::perlmutter_gpu(),
-        &ensemble,
-        &ks,
-        0.08, // 8% serial fraction
-    )
-    .expect("sweeps");
-    println!(
-        "{:>4} {:>8} {:>10} {:>8} {:>16} {:>14}",
-        "k", "nodes", "parallel", "wall", "pred. makespan", "envelope"
-    );
-    for p in &trajectory {
-        println!(
-            "{:>4} {:>8} {:>10} {:>8} {:>14.0} s {:>14.4e}",
-            p.k,
-            p.nodes_per_task,
-            p.parallel_tasks,
-            p.parallelism_wall,
-            p.predicted_makespan.expect("base had makespan").get(),
-            p.envelope.get(),
-        );
-    }
-    match smallest_k_meeting_deadline(&trajectory) {
-        Some(k) => println!("\nsmallest k meeting the deadline: {k}"),
-        None => println!("\nno k in the sweep meets the deadline"),
-    }
-    println!(
-        "(the wall shrinks {}x across the sweep: makespan targets get easier, \
-         throughput targets harder -- Fig. 2c)",
-        trajectory.first().expect("non-empty").parallelism_wall
-            / trajectory
-                .last()
-                .expect("non-empty")
-                .parallelism_wall
-                .max(1)
     );
 }

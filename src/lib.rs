@@ -8,8 +8,8 @@
 //! * [`core`] (re-export of `wrm-core`) — machines, ceilings, walls,
 //!   characterizations, bound/zone classification, what-if transforms,
 //!   and the optimization advisor;
-//! * [`dag`] — workflow skeletons, critical paths, schedules, Gantt
-//!   charts;
+//! * [`dag`] — workflow skeletons, levels and critical-path lengths,
+//!   and the Gantt chart and parallelism profile of a run;
 //! * [`sim`] — a discrete-event simulator with max–min fair shared
 //!   bandwidth and a Slurm-like scheduler (the measurement substrate);
 //! * [`trace`] — lightweight execution traces and their conversion into

@@ -34,12 +34,14 @@ workflow lcls on cori-hsw {
     );
 
     // Characterize from the *trace* (measurement path).
-    let structure = Structure::new(
-        compiled.total_tasks,
-        compiled.parallel_tasks,
-        compiled.nodes_per_task,
-    )
-    .with_targets(compiled.targets);
+    let structure = Structure {
+        targets: compiled.targets,
+        ..Structure::new(
+            compiled.total_tasks,
+            compiled.parallel_tasks,
+            compiled.nodes_per_task,
+        )
+    };
     let measured = characterize(&run.trace, &structure).expect("characterizes");
     assert!((measured.system_volumes[ids::EXTERNAL].get() - 5e12).abs() < 1.0);
 
