@@ -11,10 +11,10 @@
 # (read only: the repo benchmark calls the public API too). A caller is
 # the function's name as a whole word. Comment lines, trailing `//`
 # comments, `pub use` re-exports (multi-line ones too), `mod`
-# declarations, one-line string literals and `fn name` definitions do
-# not count, so a function that only a re-export or a doc comment
-# mentions is flagged. The match is by name: a function that shares its
-# name with a called one, or with a word in a string that spans lines,
+# declarations, string literals (those continued over lines too) and
+# `fn name` definitions do not count, so a function that only a
+# re-export, a doc comment or a message text mentions is flagged. The
+# match is by name: a function that shares its name with a called one
 # passes, so the lint finds dead API but cannot prove an API live.
 #
 # An allowlist entry whose function is gone or has gained a caller
@@ -27,15 +27,21 @@ ident='[A-Za-z_][A-Za-z0-9_]*'
 
 # The lines of a file that count: above its first #[cfg(test)], minus
 # comments, `pub use` re-exports, `mod` declarations and the contents
-# of one-line string literals.
+# of string literals. A line that ends inside a string is joined with
+# the next until the string closes, so a literal continued over lines
+# (with or without a trailing `\`) is blanked whole; the `'"'` char
+# literal is blanked first so its quote opens no string.
 non_test() {
   sed -n '/^[[:space:]]*#\[cfg(test)\]/q; p' "$1" | sed \
     -e '/^[[:space:]]*\/\//d' \
-    -e 's/[[:space:]]\/\/.*$//' \
+    -e "s/'\\\\\{0,1\}\"'/' '/g" \
+    -e ':open' \
+    -e '/^\([^"\\]\|\\.\|"\([^"\\]\|\\.\)*"\)*"\([^"\\]\|\\.\)*\\\{0,1\}$/{$!{N;b open};}' \
+    -e 's/"\([^"\\]\|\\.\)*"/""/g' \
+    -e 's/[[:space:]]\/\/[^\n]*//g' \
     -e '/^[[:space:]]*pub\(([^)]*)\)\{0,1\}[[:space:]]\{1,\}use[[:space:]].*;/d' \
     -e '/^[[:space:]]*pub\(([^)]*)\)\{0,1\}[[:space:]]\{1,\}use[[:space:]]/,/;/d' \
-    -e '/^[[:space:]]*\(pub\(([^)]*)\)\{0,1\}[[:space:]]\{1,\}\)\{0,1\}mod[[:space:]][^{]*;/d' \
-    -e 's/"\([^"\\]\|\\.\)*"/""/g'
+    -e '/^[[:space:]]*\(pub\(([^)]*)\)\{0,1\}[[:space:]]\{1,\}\)\{0,1\}mod[[:space:]][^{]*;/d'
 }
 
 # Every identifier used outside a `fn` definition's name.

@@ -31,7 +31,7 @@
 //! wrm certify <file.wrm>                print the two-sided makespan
 //!                                       certificate as JSON
 //! wrm serve [--addr host:port]          long-running HTTP server exposing
-//!     [--threads N] [--quiet]           simulate/certify/lint/sweep with a
+//!     [--threads N] [--quiet]           simulate/certify/mc/lint/sweep with a
 //!     [--cache-capacity N]              compiled-index LRU (see docs/SERVE.md)
 //! wrm figures [all|<id>] [--out <dir>]  regenerate paper figures
 //! ```
@@ -68,6 +68,10 @@ fn main() -> ExitCode {
 
 fn run(args: &[String]) -> Result<ExitCode, String> {
     let ok = |r: Result<(), String>| r.map(|()| ExitCode::SUCCESS);
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{}", usage());
+        return Ok(ExitCode::SUCCESS);
+    }
     match args.first().map(String::as_str) {
         Some("machines") => ok(cmd_machines()),
         Some("lint") => cmd_lint(&args[1..]).map(ExitCode::from),
@@ -139,8 +143,8 @@ fn usage() -> &'static str {
      \x20                                    makespan interval as JSON\n\
      \x20 serve [--addr host:port] [--threads N] [--cache-capacity N] [--quiet]\n\
      \x20                                    HTTP server for simulate, certify,\n\
-     \x20                                    lint, and sweep over preloaded or\n\
-     \x20                                    posted specs (see docs/SERVE.md)\n\
+     \x20                                    mc, lint, and sweep over preloaded\n\
+     \x20                                    or posted specs (see docs/SERVE.md)\n\
      \x20 figures [all|f1|f2|f3|f4|f5a|f5b|f6|f7a|f7b|f7c|f7d|f8|f9|f10|t1]\n\
      \x20         [--out dir]                 regenerate the paper's figures\n\
      \x20 compare <file.wrm>                 project the workflow onto every\n\
@@ -149,7 +153,7 @@ fn usage() -> &'static str {
      \x20                                    over time\n\
      \x20 import <report.csv> --machine M --structure T,P,N\n\
      \x20         [--svg out.svg]            analyze an external timing report\n\
-     \x20 help                               this text\n"
+     \x20 help, --help, -h                   this text (also after a command)\n"
 }
 
 fn cmd_machines() -> Result<(), String> {

@@ -233,14 +233,6 @@ impl RooflineModel {
         }
     }
 
-    /// True when the point `(x, tps)` lies inside the attainable region.
-    pub fn attainable(&self, x: f64, tps: TasksPerSec) -> bool {
-        match self.envelope_at(x) {
-            Some(env) => tps.get() <= env.get() * (1.0 + 1e-12),
-            None => false,
-        }
-    }
-
     /// The theoretical minimum makespan at the workflow's parallelism:
     /// `n_total / envelope(n_parallel)`.
     pub fn makespan_lower_bound(&self) -> Option<Seconds> {
@@ -427,16 +419,17 @@ mod tests {
     fn envelope_and_attainability() {
         let m = machines::perlmutter_gpu();
         let model = RooflineModel::build(&m, &bgw(64, 4184.86)).unwrap();
-        // Beyond the wall: unattainable.
+        // Beyond the wall: no envelope, so nothing is attainable.
         assert!(model.envelope_at(29.0).is_none());
-        assert!(!model.attainable(29.0, TasksPerSec(1e-9)));
         // At the wall the envelope exists.
         let env = model.envelope_at(28.0).unwrap();
         assert!(env.get() > 0.0);
-        // The dot is attainable; a point above the envelope is not.
+        // The dot lies on or under the envelope at its own x; twice
+        // the wall's envelope lies above it.
         let dot = model.dot.clone().unwrap();
-        assert!(model.attainable(dot.x, dot.tps));
-        assert!(!model.attainable(dot.x, TasksPerSec(env.get() * 2.0)));
+        let at_dot = model.envelope_at(dot.x).unwrap().get() * (1.0 + 1e-12);
+        assert!(dot.tps.get() <= at_dot);
+        assert!(env.get() * 2.0 > at_dot);
         // Negative or non-finite x is not attainable.
         assert!(model.envelope_at(-1.0).is_none());
         assert!(model.envelope_at(f64::NAN).is_none());

@@ -68,16 +68,6 @@ pub struct TaskPoint {
     pub node_efficiency: Option<f64>,
 }
 
-impl TaskPoint {
-    /// The binding (slowest) node resource and its ideal time.
-    pub fn binding(&self) -> Option<(&ResourceId, Seconds)> {
-        self.ceiling_times
-            .iter()
-            .max_by(|a, b| a.1.get().partial_cmp(&b.1.get()).expect("finite"))
-            .map(|(id, t)| (id, *t))
-    }
-}
-
 /// The assembled task view for one machine.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TaskView {
@@ -257,7 +247,11 @@ mod tests {
             );
         let view = TaskView::build(&m, &[task]).unwrap();
         // HBM: 10 s vs compute: 1 s -- HBM binds.
-        let (id, t) = view.points[0].binding().unwrap();
+        let (id, t) = view.points[0]
+            .ceiling_times
+            .iter()
+            .max_by(|a, b| a.1.get().total_cmp(&b.1.get()))
+            .unwrap();
         assert_eq!(id.as_str(), ids::HBM);
         assert!((t.get() - 10.0).abs() < 1e-9);
     }

@@ -23,15 +23,16 @@
 
 use crate::calendar::{CalEv, CalendarQueue};
 use crate::channel::{max_min_rates_into, FlowDemand, FlowRate, RateScratch};
-use crate::index::{BaseIndex, PhaseIx};
+use crate::index::{BaseIndex, NameTable, PhaseIx};
 use crate::overlay::IndexOverlay;
-use crate::spec::{Phase, SpecError, WorkflowSpec};
+use crate::spec::{SpecError, WorkflowSpec};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 use wrm_core::Machine;
-use wrm_trace::{SpanKind, Trace, TraceSpan};
+use wrm_trace::{Trace, TraceSpan};
 
 /// Node-allocation policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -158,12 +159,13 @@ pub struct SimResult {
     pub trace: Trace,
     /// End-to-end makespan in seconds.
     pub makespan: f64,
-    /// Wall time per task.
-    pub task_times: BTreeMap<String, f64>,
+    /// Wall time per task. Keys are the `Arc<str>`s the trace spans
+    /// share; `&str` lookups work through `Borrow<str>`.
+    pub task_times: BTreeMap<Arc<str>, f64>,
     /// Start time per task (after dependencies and node allocation).
-    pub task_starts: BTreeMap<String, f64>,
+    pub task_starts: BTreeMap<Arc<str>, f64>,
     /// Nodes held per task (echoed from the spec, for accounting).
-    pub task_nodes: BTreeMap<String, u64>,
+    pub task_nodes: BTreeMap<Arc<str>, u64>,
     /// The usable pool size the run was scheduled against.
     pub pool_nodes: u64,
 }
@@ -207,7 +209,7 @@ impl SimResult {
         dag.tasks()
             .iter()
             .map(|t| {
-                let start = *self.task_starts.get(&t.name)?;
+                let start = *self.task_starts.get(t.name.as_str())?;
                 Some((start, ends.get(t.name.as_str()).copied().unwrap_or(start)))
             })
             .collect()
@@ -215,37 +217,25 @@ impl SimResult {
 
     /// Materializes a finished run from its trace and each task's start
     /// and end time (indexed like `workflow.tasks`): the one builder the
-    /// DES and the analytic fast path share. One name-sorted pass fills
-    /// all three key/value streams, then `BTreeMap::from_iter`
-    /// bulk-builds each tree from its pre-sorted stream in O(n) —
-    /// repeated B-tree inserts in random name order are measurably
-    /// slower on sweep-sized results.
+    /// DES and the analytic fast path share. Every key is a clone of the
+    /// base's shared task name, and one pass in the base's name order
+    /// fills each map, so `BTreeMap::from_iter` bulk-builds each tree
+    /// from a pre-sorted stream in O(n).
     pub(crate) fn from_schedule(
+        base: &BaseIndex,
         workflow: &WorkflowSpec,
         trace: Trace,
         starts: &[f64],
         ends: &[f64],
         pool_nodes: u64,
     ) -> Self {
-        let tasks = &workflow.tasks;
-        let mut order: Vec<u32> = (0..tasks.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| tasks[a as usize].name.cmp(&tasks[b as usize].name));
-        let mut starts_kv = Vec::with_capacity(order.len());
-        let mut times_kv = Vec::with_capacity(order.len());
-        let mut nodes_kv = Vec::with_capacity(order.len());
-        for &i in &order {
-            let i = i as usize;
-            let name = &tasks[i].name;
-            starts_kv.push((name.clone(), starts[i]));
-            times_kv.push((name.clone(), ends[i] - starts[i]));
-            nodes_kv.push((name.clone(), tasks[i].nodes));
-        }
+        let names = base.names(workflow);
         SimResult {
             makespan: trace.makespan(),
             trace,
-            task_times: BTreeMap::from_iter(times_kv),
-            task_starts: BTreeMap::from_iter(starts_kv),
-            task_nodes: BTreeMap::from_iter(nodes_kv),
+            task_times: names.keyed(|i| ends[i] - starts[i]),
+            task_starts: names.keyed(|i| starts[i]),
+            task_nodes: names.keyed(|i| base.nodes[i]),
             pool_nodes,
         }
     }
@@ -784,6 +774,8 @@ pub(crate) struct Engine<'a> {
     free: u64,
     now: f64,
     done: usize,
+    /// The base's shared names, in [`RunMode::Full`] only.
+    names: Option<&'a NameTable>,
     trace: Trace,
     /// Channel whose first member join pauses the run (incremental
     /// sweep: until then a contention factor on this channel has only
@@ -807,6 +799,11 @@ impl<'a> Engine<'a> {
         mode: RunMode,
     ) -> Self {
         state.reset(base, overlay);
+        let names = (mode == RunMode::Full).then(|| base.names(workflow));
+        let mut trace = Trace::new(workflow.name.clone(), machine_name.to_string());
+        if names.is_some() {
+            trace.spans.reserve_exact(base.phases.len());
+        }
         Engine {
             workflow,
             opts,
@@ -817,7 +814,8 @@ impl<'a> Engine<'a> {
             free: overlay.pool_total,
             now: 0.0,
             done: 0,
-            trace: Trace::new(workflow.name.clone(), machine_name.to_string()),
+            names,
+            trace,
             watch: None,
             at_checkpoint: false,
         }
@@ -1133,14 +1131,14 @@ impl<'a> Engine<'a> {
             let t = task_ix as usize;
             match self.mode {
                 RunMode::Full => {
-                    let task = &self.workflow.tasks[t];
-                    let phase = &task.phases[phase_ix as usize];
+                    let names = self.names.expect("full runs hold the name table");
+                    let slot = (self.base.phase_off[t] + phase_ix) as usize;
                     self.trace.push(TraceSpan::new(
-                        task.name.clone(),
-                        span_kind(phase),
+                        names.tasks[t].clone(),
+                        names.kinds[slot].clone(),
                         phase_start,
                         self.now,
-                        task.nodes,
+                        self.base.nodes[t],
                     ));
                 }
                 RunMode::Summary => {
@@ -1226,6 +1224,7 @@ impl<'a> Engine<'a> {
     /// leaving the engine's buffers recyclable.
     pub(crate) fn take_result(&mut self) -> SimResult {
         SimResult::from_schedule(
+            self.base,
             self.workflow,
             std::mem::replace(&mut self.trace, Trace::new(String::new(), String::new())),
             &self.st.starts,
@@ -1314,6 +1313,10 @@ impl<'a> Engine<'a> {
     pub(crate) fn resume_with(&self, overlay: &'a IndexOverlay) -> Engine<'a> {
         let mut e = self.clone();
         e.overlay = overlay;
+        // The clone holds only the prefix's spans; presize for the rest.
+        e.trace
+            .spans
+            .reserve_exact(e.base.phases.len() - e.trace.spans.len());
         let ch = e
             .watch
             .take()
@@ -1331,27 +1334,6 @@ impl<'a> Engine<'a> {
             }
         }
         e
-    }
-}
-
-pub(crate) fn span_kind(phase: &Phase) -> SpanKind {
-    match phase {
-        Phase::Compute { flops, .. } => SpanKind::Compute { flops: *flops },
-        Phase::NodeData {
-            resource, bytes, ..
-        } => SpanKind::NodeData {
-            resource: resource.clone(),
-            bytes: *bytes,
-        },
-        Phase::SystemData {
-            resource, bytes, ..
-        } => SpanKind::SystemData {
-            resource: resource.clone(),
-            bytes: *bytes,
-        },
-        Phase::Overhead { label, .. } => SpanKind::Overhead {
-            label: label.clone(),
-        },
     }
 }
 

@@ -30,7 +30,9 @@
 use crate::engine::SimError;
 use crate::spec::{DepCsr, Phase, WorkflowSpec};
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 use wrm_core::{Machine, SystemScaling};
+use wrm_trace::SpanKind;
 
 /// One phase, lowered to the quantities the event loop needs.
 #[derive(Debug, Clone, Copy)]
@@ -95,6 +97,81 @@ pub struct BaseIndex {
     /// `TaskTooLarge` depends on the per-point pool, so the overlay
     /// decides.
     pub(crate) first_resource_error: Option<(usize, SimError)>,
+    /// The strings full results share, built by the first full run
+    /// (see [`BaseIndex::names`]).
+    names: OnceLock<NameTable>,
+}
+
+/// The names a full result is built from, each allocated once per base
+/// so every span and result-map key is an `Arc` clone of them.
+#[derive(Clone)]
+pub(crate) struct NameTable {
+    /// Task names, in task order.
+    pub(crate) tasks: Vec<Arc<str>>,
+    /// Task indices in name order: the order of the result maps' keys.
+    pub(crate) by_name: Vec<u32>,
+    /// Each phase slot's span kind (indexed like [`BaseIndex::phases`]),
+    /// its labels and resource ids interned once.
+    pub(crate) kinds: Vec<SpanKind>,
+}
+
+impl NameTable {
+    fn build(workflow: &WorkflowSpec) -> Self {
+        let tasks: Vec<Arc<str>> = workflow
+            .tasks
+            .iter()
+            .map(|t| Arc::from(t.name.as_str()))
+            .collect();
+        let mut by_name: Vec<u32> = (0..tasks.len() as u32).collect();
+        by_name.sort_unstable_by(|&a, &b| tasks[a as usize].cmp(&tasks[b as usize]));
+        let mut interned: BTreeMap<&str, Arc<str>> = BTreeMap::new();
+        let mut intern = |s| interned.entry(s).or_insert_with(|| s.into()).clone();
+        let kinds = workflow
+            .tasks
+            .iter()
+            .flat_map(|t| &t.phases)
+            .map(|p| span_kind(p, &mut intern))
+            .collect();
+        NameTable {
+            tasks,
+            by_name,
+            kinds,
+        }
+    }
+
+    /// A map from each task name to `value(task index)`, built from
+    /// the name-ordered stream in one pass.
+    pub(crate) fn keyed<V>(&self, value: impl Fn(usize) -> V) -> BTreeMap<Arc<str>, V> {
+        self.by_name
+            .iter()
+            .map(|&i| (self.tasks[i as usize].clone(), value(i as usize)))
+            .collect()
+    }
+}
+
+/// The span kind a phase records, its strings made by `intern`.
+pub(crate) fn span_kind<'w>(
+    phase: &'w Phase,
+    intern: &mut impl FnMut(&'w str) -> Arc<str>,
+) -> SpanKind {
+    match phase {
+        Phase::Compute { flops, .. } => SpanKind::Compute { flops: *flops },
+        Phase::NodeData {
+            resource, bytes, ..
+        } => SpanKind::NodeData {
+            resource: intern(resource),
+            bytes: *bytes,
+        },
+        Phase::SystemData {
+            resource, bytes, ..
+        } => SpanKind::SystemData {
+            resource: intern(resource),
+            bytes: *bytes,
+        },
+        Phase::Overhead { label, .. } => SpanKind::Overhead {
+            label: intern(label),
+        },
+    }
 }
 
 impl BaseIndex {
@@ -230,7 +307,15 @@ impl BaseIndex {
             capacity_base,
             channel_idx,
             first_resource_error,
+            names: OnceLock::new(),
         })
+    }
+
+    /// The shared names of full results, built on first use: summary
+    /// and Monte-Carlo runs never need them. `workflow` must be the one
+    /// this base was built from.
+    pub(crate) fn names(&self, workflow: &WorkflowSpec) -> &NameTable {
+        self.names.get_or_init(|| NameTable::build(workflow))
     }
 
     /// Number of tasks.

@@ -12,11 +12,11 @@
 //! and by the paper-workflow tests in `wrm-workflows`.
 
 use crate::channel::{max_min_rates, FlowDemand};
-use crate::engine::{
-    flow_finished, span_kind, time_eps, Scenario, SchedulerPolicy, SimError, SimResult,
-};
+use crate::engine::{flow_finished, time_eps, Scenario, SchedulerPolicy, SimError, SimResult};
+use crate::index::span_kind;
 use crate::spec::{Phase, TaskSpec};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use wrm_core::SystemScaling;
 use wrm_trace::{Trace, TraceSpan};
 
@@ -342,7 +342,7 @@ pub fn simulate_reference(scenario: &Scenario) -> Result<SimResult, SimError> {
             let phase = &task.phases[r.phase_idx];
             trace.push(TraceSpan::new(
                 task.name.clone(),
-                span_kind(phase),
+                span_kind(phase, &mut Arc::from),
                 r.phase_start,
                 now,
                 task.nodes,
@@ -374,14 +374,24 @@ pub fn simulate_reference(scenario: &Scenario) -> Result<SimResult, SimError> {
     let makespan = trace.makespan();
     let task_times = task_starts
         .iter()
-        .filter_map(|(name, start)| task_ends.get(name).map(|end| (name.clone(), end - start)))
+        .filter_map(|(name, start)| {
+            task_ends
+                .get(name)
+                .map(|end| (Arc::from(name.as_str()), end - start))
+        })
         .collect();
-    let task_nodes = tasks.iter().map(|t| (t.name.clone(), t.nodes)).collect();
+    let task_nodes = tasks
+        .iter()
+        .map(|t| (Arc::from(t.name.as_str()), t.nodes))
+        .collect();
     Ok(SimResult {
         trace,
         makespan,
         task_times,
-        task_starts,
+        task_starts: task_starts
+            .into_iter()
+            .map(|(k, v)| (k.into(), v))
+            .collect(),
         task_nodes,
         pool_nodes: pool_total,
     })

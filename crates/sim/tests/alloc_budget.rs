@@ -1,0 +1,82 @@
+//! Allocation budget of a full-result run on a warm base and arena.
+//!
+//! A counting global allocator sees every allocation in this test
+//! binary, so the file holds exactly one test: no other test thread can
+//! add to the count. Allocation counts do not jitter, so a change in
+//! what a full result copies shows here even where wall-clock timings
+//! disagree run to run.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use wrm_core::{ids, machines};
+use wrm_dag::generate::random_layered_tasks;
+use wrm_sim::{simulate_with_base, BaseIndex, Phase, Scenario, SimArena, TaskSpec, WorkflowSpec};
+
+/// Counts `alloc` and `realloc` calls; frees are not counted.
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the counter is a statistic that publishes no other data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was allocated by `System` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` was allocated by `System` with this layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+#[test]
+fn a_warm_full_run_allocates_less_than_once_per_task() {
+    let n_tasks = 2000;
+    let tasks = random_layered_tasks(7, n_tasks, 64, 8, 30.0);
+    let mut wf = WorkflowSpec::new("alloc-budget");
+    for (i, t) in tasks.iter().enumerate() {
+        let mut spec = TaskSpec::new(&t.name, t.nodes).phase(Phase::overhead("setup", t.duration));
+        if i % 4 == 0 {
+            spec = spec.phase(Phase::system_data(ids::FILE_SYSTEM, 1e10));
+        }
+        for &d in &t.deps {
+            spec = spec.after(tasks[d].name.clone());
+        }
+        wf = wf.task(spec);
+    }
+    let scenario = Scenario::new(machines::perlmutter_cpu(), wf);
+    let base = BaseIndex::build(&scenario.machine, &scenario.workflow).expect("builds");
+    let mut arena = SimArena::new();
+    let warm = simulate_with_base(&scenario, &base, &mut arena).expect("runs");
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let result = simulate_with_base(&scenario, &base, &mut arena).expect("runs");
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    assert_eq!(result, warm);
+    assert_eq!(result.task_times.len(), n_tasks);
+    assert!(
+        allocations < n_tasks,
+        "{allocations} allocations for a {n_tasks}-task full run"
+    );
+    for span in &result.trace.spans {
+        let (key, _) = result
+            .task_times
+            .get_key_value(&*span.task)
+            .expect("every span's task has a time");
+        assert!(Arc::ptr_eq(key, &span.task), "{} is a copy", span.task);
+    }
+}

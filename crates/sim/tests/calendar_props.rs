@@ -96,7 +96,7 @@ fn assert_summary_matches(scenario: &Scenario, full: &SimResult) -> SimSummary {
     // index order; replicate the same sequence of operations.
     let mut want_ns = 0.0;
     for t in &scenario.workflow.tasks {
-        want_ns += t.nodes as f64 * full.task_times[&t.name];
+        want_ns += t.nodes as f64 * full.task_times[t.name.as_str()];
     }
     assert_eq!(sum.node_seconds, want_ns, "node-seconds fold");
 
@@ -107,7 +107,7 @@ fn assert_summary_matches(scenario: &Scenario, full: &SimResult) -> SimSummary {
             .spans
             .iter()
             .filter_map(|s| match &s.kind {
-                SpanKind::SystemData { resource, bytes } if *resource == ch.resource => {
+                SpanKind::SystemData { resource, bytes } if **resource == *ch.resource => {
                     Some((s.start, s.end, *bytes))
                 }
                 _ => None,
@@ -172,7 +172,7 @@ fn assert_summary_matches(scenario: &Scenario, full: &SimResult) -> SimSummary {
         }
         for name in &sum.critical_tail {
             assert!(
-                full.task_times.contains_key(name),
+                full.task_times.contains_key(name.as_str()),
                 "tail names a real task: {name}"
             );
         }

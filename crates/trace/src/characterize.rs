@@ -77,12 +77,12 @@ pub fn characterize(
             }
             SpanKind::NodeData { resource, bytes } => {
                 builder = builder.node_volume(
-                    resource.as_str(),
+                    &**resource,
                     Work::Bytes(Bytes(bytes / span.nodes.max(1) as f64 / slot)),
                 );
             }
             SpanKind::SystemData { resource, bytes } => {
-                builder = builder.system_volume(resource.as_str(), Bytes(*bytes));
+                builder = builder.system_volume(&**resource, Bytes(*bytes));
             }
             SpanKind::Overhead { .. } => {}
         }

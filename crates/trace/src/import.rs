@@ -97,7 +97,7 @@ pub fn trace_from_csv(
                     return Err(err(line_no, "node_data needs a resource"));
                 }
                 SpanKind::NodeData {
-                    resource: resource.to_owned(),
+                    resource: resource.into(),
                     bytes: parse_f64(amount, "amount (bytes)", line_no)?,
                 }
             }
@@ -106,13 +106,13 @@ pub fn trace_from_csv(
                     return Err(err(line_no, "system_data needs a resource"));
                 }
                 SpanKind::SystemData {
-                    resource: resource.to_owned(),
+                    resource: resource.into(),
                     bytes: parse_f64(amount, "amount (bytes)", line_no)?,
                 }
             }
             other => match other.strip_prefix("overhead:") {
                 Some(label) if !label.is_empty() => SpanKind::Overhead {
-                    label: label.to_owned(),
+                    label: label.into(),
                 },
                 _ => {
                     return Err(err(
@@ -139,12 +139,14 @@ pub fn trace_to_csv(trace: &Trace) -> String {
             SpanKind::Compute { flops } => {
                 ("compute".to_owned(), "-".to_owned(), format!("{flops}"))
             }
-            SpanKind::NodeData { resource, bytes } => {
-                ("node_data".to_owned(), resource.clone(), format!("{bytes}"))
-            }
+            SpanKind::NodeData { resource, bytes } => (
+                "node_data".to_owned(),
+                resource.to_string(),
+                format!("{bytes}"),
+            ),
             SpanKind::SystemData { resource, bytes } => (
                 "system_data".to_owned(),
-                resource.clone(),
+                resource.to_string(),
                 format!("{bytes}"),
             ),
             SpanKind::Overhead { label } => {

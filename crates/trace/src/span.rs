@@ -7,6 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// What a span spent its time on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -20,21 +21,21 @@ pub enum SpanKind {
     /// Node-local data movement (DRAM, HBM, PCIe).
     NodeData {
         /// Node resource id (matches `wrm_core::ids`).
-        resource: String,
+        resource: Arc<str>,
         /// Total bytes moved by the task across all its nodes.
         bytes: f64,
     },
     /// Shared-system data movement (file system, NICs, external links).
     SystemData {
         /// System resource id.
-        resource: String,
+        resource: Arc<str>,
         /// Total bytes moved by the task.
         bytes: f64,
     },
     /// Fixed control-flow overhead (bash, python, srun, metadata).
     Overhead {
         /// Overhead label for breakdown charts.
-        label: String,
+        label: Arc<str>,
     },
 }
 
@@ -45,16 +46,20 @@ impl SpanKind {
             SpanKind::Compute { .. } => "compute".to_owned(),
             SpanKind::NodeData { resource, .. } => format!("node:{resource}"),
             SpanKind::SystemData { resource, .. } => format!("io:{resource}"),
-            SpanKind::Overhead { label } => label.clone(),
+            SpanKind::Overhead { label } => label.to_string(),
         }
     }
 }
 
 /// One timed phase of one task.
+///
+/// The name and label strings are shared `Arc<str>`s, so a simulated
+/// trace clones one allocation per task into all of its spans; they
+/// serialize, display and compare exactly like `String`s.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceSpan {
     /// Task name the span belongs to.
-    pub task: String,
+    pub task: Arc<str>,
     /// What the time was spent on.
     pub kind: SpanKind,
     /// Start time, seconds from workflow start.
@@ -67,7 +72,13 @@ pub struct TraceSpan {
 
 impl TraceSpan {
     /// Creates a span; panics in debug builds when `end < start`.
-    pub fn new(task: impl Into<String>, kind: SpanKind, start: f64, end: f64, nodes: u64) -> Self {
+    pub fn new(
+        task: impl Into<Arc<str>>,
+        kind: SpanKind,
+        start: f64,
+        end: f64,
+        nodes: u64,
+    ) -> Self {
         debug_assert!(end >= start, "span ends before it starts");
         Self {
             task: task.into(),

@@ -4,6 +4,7 @@
 use crate::span::{SpanKind, TraceSpan};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A complete execution trace of one workflow run.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -49,11 +50,11 @@ impl Trace {
     }
 
     /// Distinct task names in first-appearance order.
-    pub fn task_names(&self) -> Vec<String> {
+    pub fn task_names(&self) -> Vec<Arc<str>> {
         let mut seen = std::collections::BTreeSet::new();
         let mut names = Vec::new();
         for s in &self.spans {
-            if seen.insert(s.task.clone()) {
+            if seen.insert(&*s.task) {
                 names.push(s.task.clone());
             }
         }
@@ -65,7 +66,7 @@ impl Trace {
     pub fn task_time(&self, task: &str) -> Option<f64> {
         let mut start = f64::INFINITY;
         let mut end = f64::NEG_INFINITY;
-        for s in self.spans.iter().filter(|s| s.task == task) {
+        for s in self.spans.iter().filter(|s| &*s.task == task) {
             start = start.min(s.start);
             end = end.max(s.end);
         }
@@ -94,7 +95,7 @@ impl Trace {
         let mut map = BTreeMap::new();
         for s in &self.spans {
             if let SpanKind::SystemData { resource, bytes } = &s.kind {
-                *map.entry(resource.clone()).or_insert(0.0) += bytes;
+                *map.entry(resource.to_string()).or_insert(0.0) += bytes;
             }
         }
         map
@@ -105,7 +106,7 @@ impl Trace {
         let mut map = BTreeMap::new();
         for s in &self.spans {
             if let SpanKind::NodeData { resource, bytes } = &s.kind {
-                *map.entry(resource.clone()).or_insert(0.0) += bytes;
+                *map.entry(resource.to_string()).or_insert(0.0) += bytes;
             }
         }
         map

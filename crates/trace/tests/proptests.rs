@@ -8,11 +8,17 @@ use wrm_trace::{
 fn span_kind() -> impl Strategy<Value = SpanKind> {
     prop_oneof![
         (0.0f64..1e18).prop_map(|flops| SpanKind::Compute { flops }),
-        ("[a-z]{1,8}", 0.0f64..1e15)
-            .prop_map(|(resource, bytes)| SpanKind::NodeData { resource, bytes }),
-        ("[a-z]{1,8}", 0.0f64..1e15)
-            .prop_map(|(resource, bytes)| SpanKind::SystemData { resource, bytes }),
-        "[a-z_]{1,12}".prop_map(|label| SpanKind::Overhead { label }),
+        ("[a-z]{1,8}", 0.0f64..1e15).prop_map(|(resource, bytes)| SpanKind::NodeData {
+            resource: resource.into(),
+            bytes
+        }),
+        ("[a-z]{1,8}", 0.0f64..1e15).prop_map(|(resource, bytes)| SpanKind::SystemData {
+            resource: resource.into(),
+            bytes
+        }),
+        "[a-z_]{1,12}".prop_map(|label| SpanKind::Overhead {
+            label: label.into()
+        }),
     ]
 }
 
