@@ -214,10 +214,11 @@ pub fn mc_scenario(n_tasks: usize, seed: u64) -> Scenario {
 /// at a time), and the capped file-system flows can never contend even
 /// if all of them overlap (`n` × 0.5 GB/s stays below 1 TB/s for
 /// `n ≤ 2000`), so grid points without node-limit queueing take the
-/// analytic fast path outright. Layers run up to 1024 wide, so the DES
-/// fair-share recompute scans hundreds of channel members on every
-/// flow join/leave — work the analytic path answers in closed form.
-/// Deterministic per `n_tasks`.
+/// analytic fast path outright. Layers run up to 1024 wide, so hundreds
+/// of flows share the file system at once; because their caps fit under
+/// its capacity, the DES skips the fair-share solve on every join and
+/// leave there, and a cold DES cell costs about as much as a fast-path
+/// one. Deterministic per `n_tasks`.
 pub fn sweep_scenario(n_tasks: usize) -> Scenario {
     assert!(
         n_tasks <= 2000,

@@ -3,11 +3,16 @@
 //! power-of-two ring of unsorted buckets by `end / width`, so insert is
 //! O(1) and extract-min scans forward from a cursor — O(1) amortized
 //! when the bucket width tracks the mean event spacing, which the queue
-//! re-derives from the live ends at every resize. The binary heap it
-//! replaced survives only as this module's test oracle: the unit fuzz
-//! checks every peek and pop against a `BinaryHeap`, resize storms
-//! included, and `tests/calendar_props.rs` pins whole engine runs
-//! bit-identical to the reference engine.
+//! re-derives from the live ends at every resize. Events with identical
+//! (or sub-width) ends are the exception: they share one bucket however
+//! the width is chosen, so popping k of them one by one rescans that
+//! bucket k times, O(k²). The engine therefore never pops what is due:
+//! [`CalendarQueue::drain_due`] removes every due event with one
+//! `retain` per bucket the due window covers, O(k) for a k-way tie. The
+//! binary heap the queue replaced survives only as this module's test
+//! oracle: the unit fuzz checks every peek, pop and drain against a
+//! `BinaryHeap`, resize storms included, and `tests/calendar_props.rs`
+//! pins whole engine runs bit-identical to the reference engine.
 //!
 //! Why the calendar's internals cannot affect results: the engine never
 //! relies on pop *order* beyond the minimum end value — `collect_due`
@@ -61,6 +66,10 @@ pub(crate) struct CalendarQueue {
     /// Cached location of the current minimum `(bucket, slot)`;
     /// invalidated by pop and resize, maintained by push.
     min_cache: Option<(usize, usize)>,
+    /// Events looked at by minimum scans and drains since the last
+    /// `clear`: the work a test can pin without timing it.
+    #[cfg(test)]
+    pub(crate) examined: u64,
 }
 
 impl Default for CalendarQueue {
@@ -73,6 +82,8 @@ impl Default for CalendarQueue {
             cur: 0,
             bucket_top: 1.0,
             min_cache: None,
+            #[cfg(test)]
+            examined: 0,
         }
     }
 }
@@ -133,6 +144,52 @@ impl CalendarQueue {
         Some(ev)
     }
 
+    /// Moves every event with `end <= threshold` into `out`, in no
+    /// particular order: exactly the events that popping while the
+    /// minimum is due would return, including when the minimum's end is
+    /// NaN, which stops collection before anything is taken. Due ends
+    /// lie between the minimum's end and `threshold`, and `bucket_of`
+    /// is monotone in the end, so they sit in the buckets from the
+    /// minimum's to the threshold's (each bucket once when that span
+    /// wraps the ring); each gets one `retain`.
+    pub(crate) fn drain_due(&mut self, threshold: f64, out: &mut Vec<CalEv>) {
+        let Some((b, s)) = self.find_min() else {
+            return;
+        };
+        let min = self.buckets[b][s].end;
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        if !(min <= threshold) {
+            return;
+        }
+        let first = (min / self.width) as usize;
+        let last = (threshold / self.width) as usize;
+        let span = (last - first).saturating_add(1).min(self.buckets.len());
+        let before = out.len();
+        for k in 0..span {
+            let bucket = &mut self.buckets[(first + k) & self.mask];
+            #[cfg(test)]
+            {
+                self.examined += bucket.len() as u64;
+            }
+            bucket.retain(|&ev| {
+                let due = ev.end <= threshold;
+                if due {
+                    out.push(ev);
+                }
+                !due
+            });
+        }
+        self.len -= out.len() - before;
+        self.min_cache = None;
+        let mut n = self.buckets.len();
+        while self.len * 4 < n && n > MIN_BUCKETS {
+            n /= 2;
+        }
+        if n < self.buckets.len() {
+            self.resize(n);
+        }
+    }
+
     /// Empties the queue in place, keeping the ring and per-bucket
     /// allocations (and the learned width) for the next run.
     pub(crate) fn clear(&mut self) {
@@ -143,6 +200,10 @@ impl CalendarQueue {
         self.cur = 0;
         self.bucket_top = self.width;
         self.min_cache = None;
+        #[cfg(test)]
+        {
+            self.examined = 0;
+        }
     }
 
     /// Locates the minimum event: one "year" scan from the cursor, then
@@ -160,6 +221,10 @@ impl CalendarQueue {
         let mut top = self.bucket_top;
         for _ in 0..n {
             let mut best: Option<(usize, CalEv)> = None;
+            #[cfg(test)]
+            {
+                self.examined += self.buckets[i].len() as u64;
+            }
             for (s, &ev) in self.buckets[i].iter().enumerate() {
                 if ev.end < top && best.is_none_or(|(_, b)| ev_lt(ev, b)) {
                     best = Some((s, ev));
@@ -175,6 +240,10 @@ impl CalendarQueue {
             top += self.width;
         }
         let mut best: Option<(usize, usize, CalEv)> = None;
+        #[cfg(test)]
+        {
+            self.examined += self.len as u64;
+        }
         for (bi, bucket) in self.buckets.iter().enumerate() {
             for (s, &ev) in bucket.iter().enumerate() {
                 if best.is_none_or(|(_, _, b)| ev_lt(ev, b)) {
@@ -191,7 +260,9 @@ impl CalendarQueue {
     /// Rebuilds the ring at `new_n` buckets with a width re-derived from
     /// the observed spacing of the live events (range / count), clamped
     /// away from zero so bucket indexing stays meaningful when events
-    /// cluster at one instant.
+    /// cluster at one instant. With no finite live event (an emptied
+    /// ring, or only infinite ends) the width is kept: there is no
+    /// spacing to learn, and the clamp would read an infinite `hi`.
     fn resize(&mut self, new_n: usize) {
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
@@ -203,12 +274,14 @@ impl CalendarQueue {
                 }
             }
         }
-        let spacing = if hi > lo && self.len > 1 {
-            (hi - lo) / self.len as f64
-        } else {
-            self.width
-        };
-        self.width = spacing.max(f64::EPSILON * hi.abs().max(1.0));
+        if lo <= hi {
+            let spacing = if hi > lo && self.len > 1 {
+                (hi - lo) / self.len as f64
+            } else {
+                self.width
+            };
+            self.width = spacing.max(f64::EPSILON * hi.abs().max(1.0));
+        }
         let old = std::mem::replace(&mut self.buckets, vec![Vec::new(); new_n]);
         self.mask = new_n - 1;
         for bucket in old {
@@ -302,6 +375,25 @@ mod tests {
             a
         }
 
+        /// `drain_due` against popping the heap while the minimum is
+        /// due; the drained sets must match (drain order is free).
+        fn drain_due(&mut self, threshold: f64) -> usize {
+            let mut want = Vec::new();
+            while self.heap.peek().is_some_and(|e| e.end <= threshold) {
+                let e = self.heap.pop().expect("peeked");
+                want.push((e.end.to_bits(), e.token));
+            }
+            let mut got = Vec::new();
+            self.q.drain_due(threshold, &mut got);
+            let mut got: Vec<(u64, u32)> = got.iter().map(|e| (e.end.to_bits(), e.token)).collect();
+            want.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, want, "drain_due({threshold})");
+            assert_eq!(self.q.len, self.heap.len(), "len after drain");
+            self.after_op();
+            got.len()
+        }
+
         fn after_op(&mut self) {
             assert_eq!(key(self.heap.peek().copied()), key(self.q.peek()), "peek");
             let n = self.q.buckets.len();
@@ -346,7 +438,18 @@ mod tests {
             let n_ops = 20 + (mix(&mut state) % 400) as usize;
             for tok in 0..n_ops as u32 {
                 let r = mix(&mut state);
-                if r.is_multiple_of(5) {
+                if r.is_multiple_of(11) {
+                    // Drain a window ahead of the current time: empty,
+                    // ulp-wide, or spanning many buckets (or the ring).
+                    let ahead = match mix(&mut state) % 4 {
+                        0 => 0.0,
+                        1 => 1e-9 * now.max(1.0),
+                        2 => (mix(&mut state) % 1000) as f64,
+                        _ => 1e7,
+                    };
+                    cal.drain_due(now + ahead);
+                    now += ahead;
+                } else if r.is_multiple_of(5) {
                     // Interleave pops; both must agree at every step.
                     if let Some(e) = cal.pop() {
                         if e.end.is_finite() {
@@ -401,6 +504,28 @@ mod tests {
                     tok += 1;
                 }
             }
+            // A drained wave: the same clusters again, taken by
+            // `drain_due` at the cluster's instant, just past its
+            // sub-ulp spread, then everything finite.
+            for _ in 0..2_500 {
+                let r = mix(&mut state);
+                let end = match r % 4 {
+                    0 => base,
+                    1 => f64::from_bits(base.to_bits() + r % 8),
+                    2 => base + (r % 1000) as f64 * 1e-12,
+                    _ => f64::INFINITY,
+                };
+                cal.push(ev(end, tok));
+                tok += 1;
+            }
+            assert!(cal.drain_due(base) > 0);
+            assert!(cal.drain_due(base + 1e-9) > 0);
+            cal.drain_due(f64::MAX);
+            cal.drain_due(f64::INFINITY);
+            assert_eq!(
+                cal.q.len, 0,
+                "infinite ends are due at an infinite threshold"
+            );
         }
         cal.drain();
         assert!(
@@ -409,6 +534,31 @@ mod tests {
             cal.grows,
             cal.shrinks
         );
+    }
+
+    #[test]
+    fn drain_due_takes_a_tie_in_linear_work_and_never_takes_nan() {
+        let mut q = CalendarQueue::default();
+        let k = 10_000u32;
+        for t in 0..k {
+            q.push(ev(7.5, t));
+        }
+        q.push(ev(f64::NAN, k));
+        q.push(ev(9.0, k + 1));
+        q.examined = 0;
+        let mut out = Vec::new();
+        q.drain_due(8.0, &mut out);
+        assert_eq!(out.len(), k as usize);
+        assert!(
+            q.examined <= 3 * u64::from(k),
+            "a {k}-way tie examined {} events",
+            q.examined
+        );
+        out.clear();
+        q.drain_due(f64::INFINITY, &mut out);
+        assert_eq!(key(out.first().copied()), Some((9.0, k + 1)));
+        assert_eq!(out.len(), 1, "a NaN end is never due");
+        assert_eq!(q.len, 1);
     }
 
     #[test]

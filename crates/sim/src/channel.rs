@@ -109,9 +109,28 @@ pub fn max_min_rates_into(
     }
 }
 
+/// True when flows whose caps sum to `cap_sum` (`f64::INFINITY` when
+/// any cap is unbounded) all settle at exactly their own cap on a
+/// channel of `capacity`, whatever the demand order: the caps are
+/// finite and sum below the capacity with a relative `1e-9` margin.
+///
+/// Why the margin proves it: progressive filling settles a flow only by
+/// assigning its literal `cap`, and a round that settles nobody needs
+/// every open cap above `remaining / open`, so the open caps alone
+/// would exceed what is left of the capacity. That contradicts
+/// `cap_sum <= capacity * (1 - 1e-9)` as long as the float drift of the
+/// `remaining` accumulator (at most one rounding of `capacity` per
+/// subtraction, so `n * 2^-53 * capacity` for `n` flows) and of the
+/// caller's own `cap_sum` stay under `1e-9 * capacity`: below about
+/// 9 million flows.
+pub(crate) fn settles_at_caps(cap_sum: f64, capacity: f64) -> bool {
+    cap_sum.is_finite() && cap_sum <= capacity * (1.0 - 1e-9)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn demand(id: usize, cap: f64) -> FlowDemand {
         FlowDemand { id, cap }
@@ -209,5 +228,61 @@ mod tests {
         let rates = max_min_rates(10.0, &flows);
         assert_eq!(rates[0].id, 42);
         assert_eq!(rates[1].id, 7);
+    }
+
+    proptest! {
+        /// The lemma the engine's under-capacity skip and the sweep fast
+        /// path rely on: caps that pass [`settles_at_caps`] settle at
+        /// their own cap, bit for bit, in every demand order.
+        #[test]
+        fn caps_under_capacity_settle_exactly_in_any_order(
+            raw in prop::collection::vec((0u32..4, 0.0f64..1.0), 1..40),
+            capacity_exp in -3i64..13,
+            fill in prop_oneof![0.0f64..1.0, (1i64..10).prop_map(|k| 1.0 - 10f64.powi(-k as i32))],
+            rotations in prop::collection::vec(any::<u64>(), 1..6),
+        ) {
+            let capacity = 10f64.powi(capacity_exp as i32);
+            // Zero caps, ulp-scale caps and ordinary ones, rescaled so the
+            // sum fills `fill` of the capacity.
+            let weights: Vec<f64> = raw
+                .iter()
+                .map(|&(kind, x)| match kind {
+                    0 => 0.0,
+                    1 => x * 1e-12,
+                    _ => x,
+                })
+                .collect();
+            let total: f64 = weights.iter().sum();
+            let scale = if total > 0.0 { fill * capacity / total } else { 0.0 };
+            let mut flows: Vec<FlowDemand> = weights
+                .iter()
+                .enumerate()
+                .map(|(id, &w)| demand(id, w * scale))
+                .collect();
+            let cap_sum: f64 = flows.iter().map(|f| f.cap).sum();
+            if !settles_at_caps(cap_sum, capacity) {
+                return Ok(());
+            }
+            let mut scratch = RateScratch::default();
+            let mut out = Vec::new();
+            for r in rotations {
+                // A pseudo-random permutation per round (Fisher-Yates).
+                let mut s = r;
+                for i in (1..flows.len()).rev() {
+                    s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                    flows.swap(i, (s >> 33) as usize % (i + 1));
+                }
+                max_min_rates_into(capacity, &flows, &mut scratch, &mut out);
+                for (f, r) in flows.iter().zip(&out) {
+                    prop_assert!(
+                        r.rate.to_bits() == f.cap.to_bits(),
+                        "flow {} got {} for cap {}",
+                        f.id,
+                        r.rate,
+                        f.cap
+                    );
+                }
+            }
+        }
     }
 }

@@ -22,7 +22,7 @@
 //! has no contention.
 
 use crate::calendar::{CalEv, CalendarQueue};
-use crate::channel::{max_min_rates_into, FlowDemand, FlowRate, RateScratch};
+use crate::channel::{max_min_rates_into, settles_at_caps, FlowDemand, FlowRate, RateScratch};
 use crate::index::{BaseIndex, NameTable, PhaseIx};
 use crate::overlay::IndexOverlay;
 use crate::spec::{SpecError, WorkflowSpec};
@@ -377,40 +377,45 @@ impl RunSoa {
     }
 }
 
-/// A sorted-vec ordered set of positions. The pending-completion set
-/// only ever holds the entries finishing at one instant (usually one or
-/// two), so binary-search insertion into a flat vec beats a `BTreeSet`
-/// — and, unlike one, it keeps its allocation across arena reuses.
-#[derive(Debug, Clone, Default)]
-struct OrdSet(Vec<u32>);
+/// One channel's running sum of its members' finite caps: the input of
+/// the under-capacity test ([`settles_at_caps`]) that lets a solve be
+/// skipped, kept in O(1) per join and leave.
+///
+/// Drift bound: each add or subtract rounds once, off by at most
+/// `2^-52 * |result|`, and a re-sum of `n` non-negative caps is off by at
+/// most `n * 2^-52 * sum`; `err` accumulates exactly those terms, so the
+/// exact sum never exceeds `sum + err`. A re-sum runs once the updates
+/// since the last one outnumber the members (amortised O(1)), which
+/// keeps `err` below `(2n + 1) * 2^-52` times the largest running sum
+/// since then: far inside the predicate's `1e-9` relative margin.
+#[derive(Debug, Clone, Copy, Default)]
+struct CapSum {
+    sum: f64,
+    /// Upper bound on `|sum - exact sum of the finite member caps|`.
+    err: f64,
+    /// Members whose cap is not finite.
+    unbounded: u32,
+    /// Updates since the last re-sum.
+    ops: u32,
+}
 
-impl OrdSet {
-    fn insert(&mut self, v: u32) {
-        if let Err(i) = self.0.binary_search(&v) {
-            self.0.insert(i, v);
-        }
-    }
+impl CapSum {
+    /// Relative rounding bound of one float operation, with room to
+    /// spare (round-to-nearest is off by at most `2^-53`).
+    const ULP: f64 = f64::EPSILON;
 
-    fn remove(&mut self, v: u32) -> bool {
-        match self.0.binary_search(&v) {
-            Ok(i) => {
-                self.0.remove(i);
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    fn pop_first(&mut self) -> Option<u32> {
-        if self.0.is_empty() {
-            None
+    /// Counts one member's cap in (`sign` 1, a join) or out (`sign` -1,
+    /// a leave).
+    fn add(&mut self, cap: f64, sign: f64) {
+        if cap.is_finite() {
+            self.sum += sign * cap;
+            self.err += self.sum.abs() * Self::ULP;
+        } else if sign > 0.0 {
+            self.unbounded += 1;
         } else {
-            Some(self.0.remove(0))
+            self.unbounded -= 1;
         }
-    }
-
-    fn clear(&mut self) {
-        self.0.clear();
+        self.ops += 1;
     }
 }
 
@@ -466,6 +471,14 @@ pub(crate) struct EngineState {
     /// fair-share solve.
     dirty: Vec<bool>,
     dirty_list: Vec<u32>,
+    /// Per channel: the running sum of its members' finite caps.
+    cap_sums: Vec<CapSum>,
+    /// Per channel: every member that was there at the last solve runs
+    /// at exactly its cap (true for an empty channel).
+    at_caps: Vec<bool>,
+    /// Per channel: tokens of the flows that joined since the last
+    /// solve, in join order.
+    joiners: Vec<Vec<u32>>,
     /// Ready tasks, popped in task-index order (= the reference's sorted
     /// queue).
     ready: BinaryHeap<Reverse<u32>>,
@@ -475,8 +488,16 @@ pub(crate) struct EngineState {
     /// Backfill scratch: ready tasks that did not fit this scan.
     skipped: Vec<u32>,
     /// Positions of finished-but-unprocessed entries during an event's
-    /// completion scan.
-    pending: OrdSet,
+    /// completion scan, ascending. Every update lands at an end: the
+    /// scan pops the smallest, a relocation can only move the largest
+    /// possible position (the old tail) down to the one just vacated,
+    /// below every other, and a phase born finished takes the new tail
+    /// position, above every other.
+    pending: VecDeque<u32>,
+    /// Events `collect_due` drains from the calendar, and their live
+    /// positions.
+    due: Vec<CalEv>,
+    due_pos: Vec<u32>,
     dep_count: Vec<u32>,
     starts: Vec<f64>,
     ends: Vec<f64>,
@@ -488,6 +509,9 @@ pub(crate) struct EngineState {
     rates_out: Vec<FlowRate>,
     rate_scratch: RateScratch,
     sum: SummaryAcc,
+    /// Max–min solves run (not skipped) since the last reset.
+    #[cfg(test)]
+    full_solves: u64,
 }
 
 impl EngineState {
@@ -505,6 +529,14 @@ impl EngineState {
         self.dirty.clear();
         self.dirty.resize(n_channels, false);
         self.dirty_list.clear();
+        self.cap_sums.clear();
+        self.cap_sums.resize(n_channels, CapSum::default());
+        self.at_caps.clear();
+        self.at_caps.resize(n_channels, true);
+        for j in &mut self.joiners {
+            j.clear();
+        }
+        self.joiners.resize_with(n_channels, Vec::new);
         self.ready.clear();
         for (t, &d) in base.dep_count.iter().enumerate() {
             if d == 0 {
@@ -514,6 +546,8 @@ impl EngineState {
         self.deferred.clear();
         self.skipped.clear();
         self.pending.clear();
+        self.due.clear();
+        self.due_pos.clear();
         self.dep_count.clear();
         self.dep_count.extend_from_slice(&base.dep_count);
         self.starts.clear();
@@ -525,6 +559,10 @@ impl EngineState {
         self.demand_scratch.clear();
         self.rates_out.clear();
         self.sum.reset(n_channels);
+        #[cfg(test)]
+        {
+            self.full_solves = 0;
+        }
     }
 }
 
@@ -855,7 +893,7 @@ impl<'a> Engine<'a> {
             PhaseIx::Fixed { duration } => {
                 let end = self.now + duration;
                 if in_scan && end <= self.now + time_eps(self.now) {
-                    self.st.pending.insert(pos);
+                    self.st.pending.push_back(pos);
                 } else {
                     self.st.calendar.push(CalEv { end, token });
                 }
@@ -870,15 +908,18 @@ impl<'a> Engine<'a> {
                 let cap = self.overlay.flow_cap(channel, alloc_base, stream_base);
                 let born_done = flow_finished(bytes, 0.0, self.now);
                 let member_slot = if in_scan && born_done {
-                    self.st.pending.insert(pos);
+                    self.st.pending.push_back(pos);
                     DEAD
                 } else {
-                    let ms = self.st.members[channel as usize].len() as u32;
+                    let ch = channel as usize;
+                    let ms = self.st.members[ch].len() as u32;
                     if self.mode == RunMode::Summary && ms == 0 {
                         // Channel going idle -> busy: open an interval.
-                        self.st.sum.active_since[channel as usize] = self.now;
+                        self.st.sum.active_since[ch] = self.now;
                     }
-                    self.st.members[channel as usize].push(token);
+                    self.st.members[ch].push(token);
+                    self.st.joiners[ch].push(token);
+                    self.st.cap_sums[ch].add(cap, 1.0);
                     self.mark_dirty(channel);
                     ms
                 };
@@ -983,13 +1024,36 @@ impl<'a> Engine<'a> {
     /// (`remaining` brought up to date) and its completion time
     /// recomputed and pushed onto the calendar; unchanged rates touch
     /// nothing, so their calendar entries stay valid.
+    ///
+    /// A channel whose earlier members all run at their caps, and whose
+    /// caps, joiners' included, pass [`settles_at_caps`], skips the
+    /// solve: it would give every flow exactly its cap in any demand
+    /// order, so only the joiners change rate, and leaves and
+    /// relocations change nothing. Pushing just the joiners' calendar
+    /// events, in join order, leaves results unchanged: the calendar
+    /// orders by `(end, token)` and `collect_due` drains into a
+    /// position-ordered set.
     fn recompute(&mut self) {
-        let now = self.now;
         for di in 0..self.st.dirty_list.len() {
             let ch = self.st.dirty_list[di] as usize;
             self.st.dirty[ch] = false;
             if self.st.members[ch].is_empty() {
                 continue;
+            }
+            if self.st.at_caps[ch] && self.under_capacity(ch) {
+                for k in 0..self.st.joiners[ch].len() {
+                    let p = self.st.pos_of[self.st.joiners[ch][k] as usize] as usize;
+                    let cap = self.st.run.cap[p];
+                    if cap != self.st.run.rate[p] {
+                        self.set_rate(p, cap);
+                    }
+                }
+                self.st.joiners[ch].clear();
+                continue;
+            }
+            #[cfg(test)]
+            {
+                self.st.full_solves += 1;
             }
             self.st.demand_scratch.clear();
             for &tok in &self.st.members[ch] {
@@ -1006,34 +1070,78 @@ impl<'a> Engine<'a> {
                 &mut self.st.rate_scratch,
                 &mut self.st.rates_out,
             );
+            let mut at_caps = true;
             for k in 0..self.st.rates_out.len() {
                 let fr = self.st.rates_out[k];
-                let i = fr.id;
-                if fr.rate != self.st.run.rate[i] {
-                    let rem = (self.st.run.remaining[i]
-                        - self.st.run.rate[i] * (now - self.st.run.last_set[i]))
-                        .max(0.0);
-                    self.st.run.remaining[i] = rem;
-                    self.st.run.last_set[i] = now;
-                    self.st.run.rate[i] = fr.rate;
-                    let end = if flow_finished(rem, fr.rate, now) {
-                        now
-                    } else if fr.rate > 0.0 {
-                        now + rem / fr.rate
-                    } else {
-                        f64::INFINITY
-                    };
-                    self.st.run.end[i] = end;
-                    if end.is_finite() {
-                        self.st.calendar.push(CalEv {
-                            end,
-                            token: self.st.run.token[i],
-                        });
-                    }
+                if fr.rate != self.st.run.rate[fr.id] {
+                    self.set_rate(fr.id, fr.rate);
                 }
+                at_caps &= fr.rate == self.st.run.cap[fr.id];
             }
+            self.st.at_caps[ch] = at_caps;
+            self.st.joiners[ch].clear();
         }
         self.st.dirty_list.clear();
+    }
+
+    /// Whether channel `ch`'s member caps pass [`settles_at_caps`],
+    /// judged on the running sum plus its drift bound; re-sums first
+    /// once the updates since the last re-sum outnumber the members.
+    fn under_capacity(&mut self, ch: usize) -> bool {
+        if self.st.cap_sums[ch].ops as usize > self.st.members[ch].len() {
+            self.resum(ch);
+        }
+        let c = self.st.cap_sums[ch];
+        c.unbounded == 0 && settles_at_caps(c.sum + c.err, self.overlay.channel_capacity[ch])
+    }
+
+    /// Recomputes channel `ch`'s cap sum from its members.
+    fn resum(&mut self, ch: usize) {
+        let members = &self.st.members[ch];
+        let mut sum = 0.0;
+        let mut unbounded = 0;
+        for &tok in members {
+            let cap = self.st.run.cap[self.st.pos_of[tok as usize] as usize];
+            if cap.is_finite() {
+                sum += cap;
+            } else {
+                unbounded += 1;
+            }
+        }
+        self.st.cap_sums[ch] = CapSum {
+            sum,
+            err: members.len() as f64 * sum * CapSum::ULP,
+            unbounded,
+            ops: 0,
+        };
+    }
+
+    /// Gives the flow at position `i` a new fair-share rate at the
+    /// current time: materialises its progress under the old rate,
+    /// caches its completion time under the new one and, when finite,
+    /// pushes it onto the calendar.
+    fn set_rate(&mut self, i: usize, rate: f64) {
+        let now = self.now;
+        let rem = (self.st.run.remaining[i]
+            - self.st.run.rate[i] * (now - self.st.run.last_set[i]))
+            .max(0.0);
+        self.st.run.remaining[i] = rem;
+        self.st.run.last_set[i] = now;
+        self.st.run.rate[i] = rate;
+        let end = if flow_finished(rem, rate, now) {
+            now
+        } else if rate > 0.0 {
+            now + rem / rate
+        } else {
+            f64::INFINITY
+        };
+        self.st.run.end[i] = end;
+        if end.is_finite() {
+            self.st.calendar.push(CalEv {
+                end,
+                token: self.st.run.token[i],
+            });
+        }
     }
 
     /// Earliest pending completion: the calendar top, after lazily
@@ -1057,19 +1165,12 @@ impl<'a> Engine<'a> {
         f64::INFINITY
     }
 
-    /// Pops every activity due at the current time into `pending`,
+    /// Drains every activity due at the current time into `pending`,
     /// skipping stale calendar entries.
     fn collect_due(&mut self) {
         let threshold = self.now + time_eps(self.now);
-        while let Some(top) = self.st.calendar.peek() {
-            // `!(<=)` rather than `>` so a NaN end stops the scan instead
-            // of being popped as complete, matching the reference loop.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            let not_due = !(top.end <= threshold);
-            if not_due {
-                break;
-            }
-            let ev = self.st.calendar.pop().expect("peeked");
+        self.st.calendar.drain_due(threshold, &mut self.st.due);
+        for ev in self.st.due.drain(..) {
             let pos = self.st.pos_of[ev.token as usize];
             if pos == DEAD {
                 continue;
@@ -1078,8 +1179,14 @@ impl<'a> Engine<'a> {
             if self.st.run.channel[p] != DEAD && self.st.run.end[p].total_cmp(&ev.end).is_ne() {
                 continue; // superseded by a later rate change
             }
-            self.st.pending.insert(pos);
+            self.st.due_pos.push(pos);
         }
+        // A flow can hold two live events at one end (a zero-byte join's
+        // own and its first solve's).
+        self.st.due_pos.sort_unstable();
+        self.st.due_pos.dedup();
+        debug_assert!(self.st.pending.is_empty());
+        self.st.pending.extend(self.st.due_pos.drain(..));
     }
 
     /// Processes the pending set in ascending position order, which is
@@ -1087,7 +1194,7 @@ impl<'a> Engine<'a> {
     /// entries (`swap_remove` only moves entries from the tail down, so
     /// the scan always reaches the smallest finished position next).
     fn complete_pending(&mut self) {
-        while let Some(p) = self.st.pending.pop_first() {
+        while let Some(p) = self.st.pending.pop_front() {
             let i = p as usize;
             // Copy the finished column out before swap_remove overwrites
             // it with the tail entry.
@@ -1097,6 +1204,7 @@ impl<'a> Engine<'a> {
             let phase_start = self.st.run.phase_start[i];
             let channel = self.st.run.channel[i];
             let member_slot = self.st.run.member_slot[i];
+            let cap = self.st.run.cap[i];
             self.st.run.swap_remove(i);
             self.st.pos_of[token as usize] = DEAD;
             if i < self.st.run.len() {
@@ -1108,8 +1216,9 @@ impl<'a> Engine<'a> {
                     // Relocation reorders this channel's demand list.
                     self.mark_dirty(self.st.run.channel[i]);
                 }
-                if self.st.pending.remove(old_last) {
-                    self.st.pending.insert(p);
+                if self.st.pending.back() == Some(&old_last) {
+                    self.st.pending.pop_back();
+                    self.st.pending.push_front(p);
                 }
             }
             if channel != DEAD && member_slot != DEAD {
@@ -1122,9 +1231,16 @@ impl<'a> Engine<'a> {
                     self.st.run.member_slot[q] = ms as u32;
                 }
                 self.mark_dirty(channel);
-                if self.mode == RunMode::Summary && self.st.members[ch].is_empty() {
-                    // Channel going busy -> idle: close the interval.
-                    self.st.sum.busy[ch] += self.now - self.st.sum.active_since[ch];
+                if self.st.members[ch].is_empty() {
+                    self.st.cap_sums[ch] = CapSum::default();
+                    self.st.at_caps[ch] = true;
+                    self.st.joiners[ch].clear();
+                    if self.mode == RunMode::Summary {
+                        // Channel going busy -> idle: close the interval.
+                        self.st.sum.busy[ch] += self.now - self.st.sum.active_since[ch];
+                    }
+                } else {
+                    self.st.cap_sums[ch].add(cap, -1.0);
                 }
             }
 
@@ -1333,18 +1449,129 @@ impl<'a> Engine<'a> {
                 e.st.run.cap[p] = overlay.flow_cap(ch, alloc_base, stream_base);
             }
         }
+        // Every member is a joiner still waiting for its first solve.
+        debug_assert_eq!(
+            e.st.joiners[ch as usize].len(),
+            e.st.members[ch as usize].len()
+        );
+        e.resum(ch as usize);
         e
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::{Engine, EngineState, Outcome, RunMode, SimOptions};
+    use super::{Engine, EngineState, Outcome, RunMode, Scenario, SimOptions, SimResult};
     use crate::incremental::tests::random_workflow;
     use crate::index::BaseIndex;
     use crate::overlay::IndexOverlay;
+    use crate::reference::simulate_reference;
+    use crate::spec::{Phase, TaskSpec, WorkflowSpec};
     use wrm_core::ids::{EXTERNAL, FILE_SYSTEM};
-    use wrm_core::machines;
+    use wrm_core::{machines, BytesPerSec, Machine};
+
+    /// Work one full run did: full max–min solves and calendar events
+    /// examined.
+    struct Work {
+        full_solves: u64,
+        examined: u64,
+    }
+
+    /// Runs `wf` on a `pool`-node machine with a 1 TB/s file system,
+    /// asserts the result equals the reference engine's, and reports the
+    /// run's work counters.
+    fn run_counted(wf: WorkflowSpec, pool: u64) -> (SimResult, Work) {
+        let machine = Machine::builder("counted", pool)
+            .system(FILE_SYSTEM, "fs", BytesPerSec::gbps(1000.0))
+            .build()
+            .expect("valid machine");
+        let opts = SimOptions::default();
+        let base = BaseIndex::build(&machine, &wf).expect("valid workflow");
+        let overlay = IndexOverlay::build(&base, &wf, &opts).expect("valid options");
+        let mut eng = Engine::new_in(
+            &wf,
+            &machine.name,
+            &opts,
+            &base,
+            &overlay,
+            EngineState::default(),
+            RunMode::Full,
+        );
+        assert!(matches!(eng.advance(), Ok(Outcome::Done)));
+        let work = Work {
+            full_solves: eng.st.full_solves,
+            examined: eng.st.calendar.examined,
+        };
+        let result = eng.take_result();
+        let reference = simulate_reference(&Scenario::new(machine, wf).with_options(opts));
+        assert_eq!(Ok(&result), reference.as_ref(), "engine vs reference");
+        (result, work)
+    }
+
+    /// 400 tasks in staggered waves, each streaming 2 GB through the
+    /// file system under a 0.5 GB/s cap between two overheads: up to 400
+    /// concurrent flows whose caps (200 GB/s) never reach the 1 TB/s
+    /// capacity.
+    fn capped_waves() -> WorkflowSpec {
+        let mut wf = WorkflowSpec::new("capped-waves");
+        for i in 0..400 {
+            wf = wf.task(
+                TaskSpec::new(format!("t{i}"), 1)
+                    .phase(Phase::overhead("stage", f64::from(i % 13)))
+                    .phase(Phase::SystemData {
+                        resource: FILE_SYSTEM.into(),
+                        bytes: 2e9 + f64::from(i % 7) * 1e8,
+                        stream_cap: Some(0.5e9),
+                    })
+                    .phase(Phase::overhead("post", 1.0)),
+            );
+        }
+        wf
+    }
+
+    #[test]
+    fn channels_under_capacity_never_run_a_full_solve() {
+        let (_, work) = run_counted(capped_waves(), 512);
+        assert_eq!(work.full_solves, 0);
+    }
+
+    #[test]
+    fn one_uncapped_flow_brings_full_solves_back() {
+        let wf = capped_waves().task(
+            TaskSpec::new("uncapped", 1)
+                .phase(Phase::overhead("stage", 3.0))
+                .phase(Phase::system_data(FILE_SYSTEM, 5e13)),
+        );
+        let (_, work) = run_counted(wf, 512);
+        assert!(
+            work.full_solves > 50,
+            "{} full solves while an uncapped flow shares the channel",
+            work.full_solves
+        );
+    }
+
+    /// k tasks whose two equal overheads all end at the same two
+    /// instants: draining each k-way tie must examine O(k) calendar
+    /// events, not the ~k²/2 of popping one event per bucket scan.
+    #[test]
+    fn identical_ends_drain_in_linear_work() {
+        let k = 10_000;
+        let mut wf = WorkflowSpec::new("ties");
+        for i in 0..k {
+            wf = wf.task(
+                TaskSpec::new(format!("t{i}"), 1)
+                    .phase(Phase::overhead("a", 2.5))
+                    .phase(Phase::overhead("b", 2.5)),
+            );
+        }
+        let (result, work) = run_counted(wf, k);
+        assert_eq!(result.makespan, 5.0);
+        assert!(
+            work.examined <= 8 * k,
+            "{} events examined for two {k}-way ties",
+            work.examined
+        );
+    }
 
     /// The checkpoint contract the incremental sweep relies on: a
     /// watched run pauses with the watched channel joined but not yet

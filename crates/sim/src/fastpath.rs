@@ -33,6 +33,7 @@
 //! instant may differ (the `Trace` contract documents spans as
 //! unordered), so comparisons sort spans first.
 
+use crate::channel::settles_at_caps;
 use crate::engine::{flow_finished, time_eps, SimResult};
 use crate::index::{BaseIndex, PhaseIx};
 use crate::overlay::IndexOverlay;
@@ -190,10 +191,9 @@ fn verify_nodes(base: &BaseIndex, overlay: &IndexOverlay, sched: &[(f64, f64)]) 
 }
 
 /// Channel sweep: wherever two or more flows coexist on a channel,
-/// their caps must be finite and sum below the capacity with a relative
-/// `1e-9` margin. The margin dwarfs the float drift of both this sweep's
-/// running sum and progressive filling's `remaining` accumulator, so it
-/// proves every solve settles every flow at exactly its cap. Zero-length
+/// their caps must pass [`settles_at_caps`] (the engine's under-capacity
+/// skip asks the same question), which proves every solve settles every
+/// flow at exactly its cap. Zero-length
 /// flows count at their instant (they participate in one solve round);
 /// flows ending exactly when others arrive do not overlap them (the DES
 /// completes before it re-solves).
@@ -203,7 +203,6 @@ fn verify_channels(overlay: &IndexOverlay, flows: &[Vec<FlowIval>]) -> bool {
             continue;
         }
         let capacity = overlay.channel_capacity[ch];
-        let limit = capacity * (1.0 - 1e-9);
         let mut order: Vec<usize> = (0..ivals.len()).collect();
         order.sort_unstable_by(|&a, &b| ivals[a].start.total_cmp(&ivals[b].start));
         // Min-heap of (end, cap) for active flows.
@@ -238,7 +237,7 @@ fn verify_channels(overlay: &IndexOverlay, flows: &[Vec<FlowIval>]) -> bool {
                 cap_sum += iv.cap;
                 i += 1;
             }
-            if active.len() >= 2 && !(cap_sum.is_finite() && cap_sum <= limit) {
+            if active.len() >= 2 && !settles_at_caps(cap_sum, capacity) {
                 return false;
             }
             // Zero-length members of this batch must not leak into later

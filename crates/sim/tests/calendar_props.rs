@@ -20,14 +20,22 @@
 //! interval merging, which may legitimately differ in the last ulp at
 //! touching interval boundaries, so those two carry a 1e-9 relative
 //! tolerance.
+//!
+//! The engine skips the max–min solve on a channel whose members all
+//! run at their caps while the caps fit under its capacity. The
+//! crossing oracle drives capped flows whose cap sum rises above a
+//! channel's capacity and falls back under it, and checks whole runs,
+//! and sweeps over that channel's factor, against the reference engine
+//! and per-point runs.
 
 use proptest::prelude::*;
 use wrm_core::{ids, BytesPerSec, FlopsPerSec, Machine, Rate};
 use wrm_dag::generate::{fork_join_tasks, random_layered_tasks};
 use wrm_sim::reference::simulate_reference;
 use wrm_sim::{
-    simulate, simulate_summary, simulate_summary_with_base, simulate_with_base, BaseIndex, Phase,
-    Scenario, SchedulerPolicy, SimArena, SimOptions, SimResult, SimSummary, TaskSpec, WorkflowSpec,
+    simulate, simulate_summary, simulate_summary_with_base, simulate_with_base, sweep_grid,
+    BaseIndex, Phase, Scenario, SchedulerPolicy, SimArena, SimOptions, SimResult, SimSummary,
+    SweepGrid, TaskSpec, WorkflowSpec,
 };
 use wrm_trace::SpanKind;
 
@@ -320,4 +328,197 @@ fn empty_workflow_summary() {
     let full = simulate(&scenario).unwrap();
     assert_eq!(full.makespan, 0.0);
     assert_summary_matches(&scenario, &full);
+}
+
+/// File-system capacity of the crossing workloads, in bytes/s.
+const CROSSING_FS: f64 = 10e9;
+
+/// The smallest positive stream cap: a contention factor of 0.5 rounds
+/// it to a zero cap.
+const TINY_CAP: f64 = 5e-324;
+
+/// Staggered capped file-system flows whose caps (1–4 GB/s on a 10 GB/s
+/// channel) sum above the capacity while many overlap and back under it
+/// as they finish, plus the members the under-capacity skip must treat
+/// with care: zero-byte flows born finished at a task's start (joining
+/// the channel for one solve) and mid-task (never joining), zero-byte
+/// flows whose cap is zero or sub-normal, uncapped flows joining between
+/// capped ones and, when `stall` is set, one zero- or sub-normal-cap
+/// flow with bytes, which starves and stalls the run. The first `front`
+/// tasks open with a capped flow, so that batch is the channel's first
+/// join and a sweep over its factor checkpoints on it. Returns the
+/// workflow and each capped flow's task name and stream cap, in task
+/// order.
+fn crossing_workload(
+    seed: u64,
+    n_tasks: usize,
+    front: usize,
+    stall: bool,
+) -> (WorkflowSpec, Vec<(String, f64)>) {
+    let mut s = seed;
+    let mut next = move |m: u64| {
+        s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = s;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % m
+    };
+    let fs = |bytes: f64, cap: Option<f64>| Phase::SystemData {
+        resource: ids::FILE_SYSTEM.into(),
+        bytes,
+        stream_cap: cap,
+    };
+    let mut wf = WorkflowSpec::new(format!("crossing[{seed}]"));
+    let mut capped = Vec::new();
+    for i in 0..n_tasks {
+        let name = format!("t{i}");
+        let mut t = TaskSpec::new(&name, 1 + next(3));
+        if i > 0 && next(4) == 0 {
+            t = t.after(format!("t{}", next(i as u64)));
+        }
+        let stagger = Phase::overhead("stagger", next(9) as f64);
+        if i < front {
+            let cap = (2 + next(3)) as f64 * 1e9;
+            capped.push((name, cap));
+            wf = wf.task(
+                t.phase(fs((2 + next(29)) as f64 * 1e9, Some(cap)))
+                    .phase(stagger),
+            );
+            continue;
+        }
+        t = match next(10) {
+            0 => t.phase(fs(0.0, Some(1e9))).phase(Phase::overhead("o", 1.0)),
+            1 => t
+                .phase(stagger)
+                .phase(fs(0.0, Some(TINY_CAP)))
+                .phase(fs(0.0, Some(1e9))),
+            2 => t.phase(fs(0.0, Some(TINY_CAP))).phase(stagger),
+            3 => t
+                .phase(stagger)
+                .phase(fs((2 + next(10)) as f64 * 1e9, None)),
+            _ => {
+                let cap = (1 + next(4)) as f64 * 1e9;
+                capped.push((name, cap));
+                t.phase(stagger)
+                    .phase(fs((2 + next(29)) as f64 * 1e9, Some(cap)))
+                    .phase(Phase::overhead("post", next(3) as f64))
+            }
+        };
+        wf = wf.task(t);
+    }
+    if stall {
+        wf = wf.task(
+            TaskSpec::new("starved", 1)
+                .phase(Phase::overhead("stagger", next(9) as f64))
+                .phase(fs(1e9, Some(TINY_CAP))),
+        );
+    }
+    (wf, capped)
+}
+
+/// Spans sorted, the one detail sweep paths may order differently
+/// within a completion instant.
+fn canonical(mut r: SimResult) -> SimResult {
+    r.trace.spans.sort_by(|a, b| {
+        a.task
+            .cmp(&b.task)
+            .then(a.start.total_cmp(&b.start))
+            .then(a.end.total_cmp(&b.end))
+    });
+    r
+}
+
+proptest! {
+    /// Cap sums crossing the capacity both ways, under both schedulers,
+    /// with and without a node limit: engine == reference (fresh or
+    /// used arena), summary == full-result aggregates, and a sweep over
+    /// the crossing channel's factor — fast path, checkpoint replay and
+    /// cold runs — equals per-point `simulate`.
+    #[test]
+    fn cap_sums_crossing_capacity_agree_with_reference(
+        seed in any::<u64>(),
+        n_tasks in 2usize..40,
+        factor_ix in 0usize..3,
+        backfill in any::<bool>(),
+        limit in any::<bool>(),
+        front in 0usize..7,
+        stall_roll in 0u32..8,
+    ) {
+        let factors = [0.5, 1.0, 1.7];
+        let (wf, _) = crossing_workload(seed, n_tasks, front, stall_roll == 0);
+        let opts = SimOptions {
+            scheduler: if backfill { SchedulerPolicy::Backfill } else { SchedulerPolicy::Fifo },
+            node_limit: limit.then_some(6),
+            ..SimOptions::default()
+        }
+        .with_contention(ids::FILE_SYSTEM, factors[factor_ix]);
+        let scenario = Scenario::new(machine(64, CROSSING_FS / 1e9), wf).with_options(opts);
+        assert_equivalent(&scenario, "crossing");
+
+        let grid = SweepGrid {
+            resource: Some(ids::FILE_SYSTEM.into()),
+            factors: factors.to_vec(),
+            node_limits: vec![None, Some(6)],
+            policies: vec![SchedulerPolicy::Fifo, SchedulerPolicy::Backfill],
+        };
+        let outcome = sweep_grid(&scenario, &grid, 1);
+        for fi in 0..grid.factors.len() {
+            for ni in 0..grid.node_limits.len() {
+                for pi in 0..grid.policies.len() {
+                    let ix = grid.index_of(fi, ni, pi);
+                    let point = Scenario {
+                        options: grid.point_options(&scenario.options, fi, ni, pi),
+                        ..scenario.clone()
+                    };
+                    match (&outcome.results[ix], simulate(&point)) {
+                        (Ok(got), Ok(want)) => prop_assert_eq!(canonical(got.clone()), canonical(want)),
+                        (got, want) => prop_assert_eq!(got, &want),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The crossing workloads do what the oracle above needs: in most runs
+/// the capped flows' cap sum rises above the channel's capacity, and
+/// later falls back to a positive sum under it.
+#[test]
+fn crossing_workloads_cross_capacity_both_ways() {
+    let mut both_ways = 0;
+    let seeds = 64;
+    for seed in 0..seeds {
+        let (wf, capped) = crossing_workload(seed, 30, (seed % 4) as usize, false);
+        let full = simulate(&Scenario::new(machine(64, CROSSING_FS / 1e9), wf)).unwrap();
+        let cap_of: std::collections::HashMap<&str, f64> =
+            capped.iter().map(|(n, c)| (n.as_str(), *c)).collect();
+        let flows: Vec<(f64, f64, f64)> = full
+            .trace
+            .spans
+            .iter()
+            .filter(|s| matches!(s.kind, SpanKind::SystemData { .. }))
+            .filter_map(|s| cap_of.get(&*s.task).map(|&c| (s.start, s.end, c)))
+            .collect();
+        let mut instants: Vec<f64> = flows.iter().map(|f| f.0).collect();
+        instants.sort_by(f64::total_cmp);
+        let mut over = false;
+        let mut back_under = false;
+        for &t in &instants {
+            let sum: f64 = flows
+                .iter()
+                .filter(|f| f.0 <= t && t < f.1)
+                .map(|f| f.2)
+                .sum();
+            if sum > CROSSING_FS {
+                over = true;
+            } else if over && sum > 0.0 {
+                back_under = true;
+            }
+        }
+        both_ways += usize::from(back_under);
+    }
+    assert!(
+        both_ways * 2 > seeds as usize,
+        "only {both_ways} of {seeds} runs crossed the capacity both ways"
+    );
 }
