@@ -116,9 +116,9 @@ fn sweep_threads(c: &mut Criterion) {
 /// The contention x node-limit grid the incremental sweep engine is
 /// benchmarked on: `side` values per axis, single policy. The node axis
 /// (256, 316, ...) brackets the workloads' natural parallelism — the
-/// smallest limits queue (exercising checkpoint replay), the rest run
-/// unqueued (exercising the analytic fast path) — and stays inside the
-/// machine's 4096-node pool at the full 64-value size.
+/// smallest limits queue, the rest run unqueued — and stays inside the
+/// machine's 4096-node pool at the full 64-value size. Every column
+/// runs cold once and replays the rest of its factors.
 fn incremental_grid(side: usize) -> SweepGrid {
     SweepGrid {
         resource: Some(wrm_core::ids::EXTERNAL.into()),
@@ -145,35 +145,14 @@ fn grid_scenarios(base: &Scenario, grid: &SweepGrid) -> Vec<Scenario> {
     out
 }
 
-/// Span order within one completion instant is the single
-/// representation detail the evaluation paths may legitimately differ
-/// in; sort it away and compare everything else exactly.
-fn canonical(mut r: SimResult) -> SimResult {
-    r.trace.spans.sort_by(|a, b| {
-        a.task
-            .cmp(&b.task)
-            .then(a.start.total_cmp(&b.start))
-            .then(a.end.total_cmp(&b.end))
-    });
-    r
-}
-
 /// Asserts the incremental sweep matches cold per-point simulation on
-/// every grid point, bit for bit.
+/// every grid point, bit for bit and span order included.
 fn assert_incremental_matches_cold(base: &Scenario, grid: &SweepGrid) -> wrm_sim::SweepStats {
     let outcome = sweep_grid(base, grid, 1);
     let cold = run_all(&grid_scenarios(base, grid), 1);
     assert_eq!(outcome.results.len(), cold.len());
     for (i, (a, b)) in outcome.results.iter().zip(&cold).enumerate() {
-        match (a, b) {
-            (Ok(x), Ok(y)) => assert_eq!(
-                canonical(x.clone()),
-                canonical(y.clone()),
-                "incremental diverges from cold at grid point {i}"
-            ),
-            (Err(x), Err(y)) => assert_eq!(x, y, "error mismatch at grid point {i}"),
-            (x, y) => panic!("grid point {i}: {x:?} vs {y:?}"),
-        }
+        assert_eq!(a, b, "incremental diverges from cold at grid point {i}");
     }
     outcome.stats
 }
@@ -185,7 +164,7 @@ fn sweep_incremental_smoke(c: &mut Criterion) {
     let base = sweep_scenario(200);
     let grid = incremental_grid(8);
     let stats = assert_incremental_matches_cold(&base, &grid);
-    assert!(stats.fastpath > 0, "fast path unused: {stats:?}");
+    assert!(stats.cold > 0, "no cold run: {stats:?}");
     assert!(stats.replayed > 0, "replay unused: {stats:?}");
     let mut group = c.benchmark_group("engine/sweep_incremental");
     group.bench_function("8x8", |b| {
@@ -540,10 +519,9 @@ fn write_baseline() {
     ];
 
     let json = format!(
-        "{{\n  \"bench\": \"engine/generated\",\n  \"workload\": \"10000 tasks, 32 shared channels, seed 42 (wrm_bench::generated_scenario)\",\n  \"host_cpus\": {cpus},\n  \"makespan_s\": {:.6},\n  \"reference_ms\": {ref_ms:.2},\n  \"optimized_ms\": {opt_ms:.2},\n  \"speedup\": {speedup:.2},\n  \"sweep\": {{\n    \"workload\": \"64 scenarios x 1000 tasks, 8 channels (wrm_sim::run_all)\",\n    \"host_cpus\": {cpus},{sweep_note}\n    \"threads\": [\n{}\n    ]\n  }},\n  \"sweep_incremental\": {{\n    \"workload\": \"1000-task layered pipeline + 16-task chained archive stage (wrm_bench::sweep_scenario)\",\n    \"grid\": \"64 contention factors (0.25..3.40 on ext) x 64 node limits (256..4036), fifo\",\n    \"host_cpus\": {cpus},\n    \"threads\": 1,\n    \"cold_ms\": {cold_ms:.2},\n    \"incremental_ms\": {inc_ms:.2},\n    \"speedup\": {grid_speedup:.2},\n    \"points\": {{ \"fastpath\": {}, \"replayed\": {}, \"cold\": {}, \"reused\": {}, \"errors\": {} }},\n    \"note\": \"single-threaded by construction (algorithmic win); incremental results asserted bit-identical to cold per-point simulation before timing\"\n  }},\n  \"mc\": {{\n    \"workload\": \"10000-task layered DAG, distributional durations, seed 42 (wrm_bench::mc_scenario)\",\n    \"reps\": {mc_reps},\n    \"seed\": 42,\n    \"host_cpus\": {cpus},\n    \"threads\": 1,\n    \"naive_ms\": {naive_ms:.2},\n    \"batched_ms\": {batched_ms:.2},\n    \"speedup\": {mc_speedup:.2},\n    \"makespan_mean_s\": {mc_mean:.6},\n    \"p50_s\": {mc_p50:.6},\n    \"p90_s\": {mc_p90:.6},\n    \"p99_s\": {mc_p99:.6},\n    \"bracket_s\": [{mc_lo:.6}, {mc_hi:.6}],\n    \"note\": \"naive = one single-replication engine call per rep (fresh index + envelope certificates each time); batched makespans asserted bit-identical to the naive loop and across thread counts, bracket containment and degenerate collapse asserted before timing\"\n  }},\n  \"scaling\": {{\n    \"workload\": \"generated layered / fork-join DAGs, 32 shared channels, seed 42 (wrm_bench::generated_scenario / generated_fork_join_scenario)\",\n    \"host_cpus\": {cpus},\n    \"rows\": [\n{}\n    ],\n    \"note\": \"summary-mode makespans asserted bit-equal to the full engine wherever both run; 1M-task row is summary-only (O(channels) result memory)\"\n  }},\n  \"methodology\": \"cargo bench -p wrm-bench --bench engine; headline: best of 5 runs; sweep: best of 3 (cold grid: best of 2; 100k rows: best of 2; 1M row: single run); mc: naive best of 1 (1000 replications amortize per-rep noise), batched best of 3; see docs/PERF.md\"\n}}\n",
+        "{{\n  \"bench\": \"engine/generated\",\n  \"workload\": \"10000 tasks, 32 shared channels, seed 42 (wrm_bench::generated_scenario)\",\n  \"host_cpus\": {cpus},\n  \"makespan_s\": {:.6},\n  \"reference_ms\": {ref_ms:.2},\n  \"optimized_ms\": {opt_ms:.2},\n  \"speedup\": {speedup:.2},\n  \"sweep\": {{\n    \"workload\": \"64 scenarios x 1000 tasks, 8 channels (wrm_sim::run_all)\",\n    \"host_cpus\": {cpus},{sweep_note}\n    \"threads\": [\n{}\n    ]\n  }},\n  \"sweep_incremental\": {{\n    \"workload\": \"1000-task layered pipeline + 16-task chained archive stage (wrm_bench::sweep_scenario)\",\n    \"grid\": \"64 contention factors (0.25..3.40 on ext) x 64 node limits (256..4036), fifo\",\n    \"host_cpus\": {cpus},\n    \"threads\": 1,\n    \"cold_ms\": {cold_ms:.2},\n    \"incremental_ms\": {inc_ms:.2},\n    \"speedup\": {grid_speedup:.2},\n    \"points\": {{ \"replayed\": {}, \"cold\": {}, \"reused\": {}, \"errors\": {} }},\n    \"note\": \"single-threaded by construction (algorithmic win); incremental results asserted bit-identical to cold per-point simulation before timing\"\n  }},\n  \"mc\": {{\n    \"workload\": \"10000-task layered DAG, distributional durations, seed 42 (wrm_bench::mc_scenario)\",\n    \"reps\": {mc_reps},\n    \"seed\": 42,\n    \"host_cpus\": {cpus},\n    \"threads\": 1,\n    \"naive_ms\": {naive_ms:.2},\n    \"batched_ms\": {batched_ms:.2},\n    \"speedup\": {mc_speedup:.2},\n    \"makespan_mean_s\": {mc_mean:.6},\n    \"p50_s\": {mc_p50:.6},\n    \"p90_s\": {mc_p90:.6},\n    \"p99_s\": {mc_p99:.6},\n    \"bracket_s\": [{mc_lo:.6}, {mc_hi:.6}],\n    \"note\": \"naive = one single-replication engine call per rep (fresh index + envelope certificates each time); batched makespans asserted bit-identical to the naive loop and across thread counts, bracket containment and degenerate collapse asserted before timing\"\n  }},\n  \"scaling\": {{\n    \"workload\": \"generated layered / fork-join DAGs, 32 shared channels, seed 42 (wrm_bench::generated_scenario / generated_fork_join_scenario)\",\n    \"host_cpus\": {cpus},\n    \"rows\": [\n{}\n    ],\n    \"note\": \"summary-mode makespans asserted bit-equal to the full engine wherever both run; 1M-task row is summary-only (O(channels) result memory)\"\n  }},\n  \"methodology\": \"cargo bench -p wrm-bench --bench engine; headline: best of 5 runs; sweep: best of 3 (cold grid: best of 2; 100k rows: best of 2; 1M row: single run); mc: naive best of 1 (1000 replications amortize per-rep noise), batched best of 3; see docs/PERF.md\"\n}}\n",
         opt.makespan,
         sweep_json.join(",\n"),
-        grid_stats.fastpath,
         grid_stats.replayed,
         grid_stats.cold,
         grid_stats.reused,
@@ -555,8 +533,8 @@ fn write_baseline() {
     println!("engine baseline: {speedup:.1}x vs reference ({ref_ms:.1} ms -> {opt_ms:.1} ms); wrote {path}");
     println!(
         "incremental sweep: {grid_speedup:.1}x vs cold on the 64x64 grid \
-         ({cold_ms:.0} ms -> {inc_ms:.0} ms; {} fastpath / {} replayed / {} cold / {} reused)",
-        grid_stats.fastpath, grid_stats.replayed, grid_stats.cold, grid_stats.reused
+         ({cold_ms:.0} ms -> {inc_ms:.0} ms; {} replayed / {} cold / {} reused)",
+        grid_stats.replayed, grid_stats.cold, grid_stats.reused
     );
     println!(
         "monte-carlo: {mc_speedup:.1}x vs naive over {mc_reps} replications \

@@ -2,9 +2,8 @@
 //!
 //! Builds the cartesian grid of contention factor x node limit x
 //! scheduler policy and simulates every cell on the incremental sweep
-//! engine (`wrm_sim::sweep_grid`) — one shared base index, an analytic
-//! fast path for uncontended cells, and checkpoint/replay along the
-//! factor axis — printing one row per cell as JSON, JSON lines, or
+//! engine (`wrm_sim::sweep_grid`) — one shared base index and
+//! checkpoint/replay along the factor axis — printing one row per cell as JSON, JSON lines, or
 //! CSV. Every row is bit-identical to per-point simulation, which the
 //! `sweep_matches_per_point_simulation` CLI test checks end to end.
 //! Scenario errors land in the row's `error` column instead of aborting
@@ -115,8 +114,8 @@ pub fn cmd_sweep(args: &[String]) -> Result<(), String> {
         let columns = grid.node_limits.len() * grid.policies.len();
         let workers = wrm_sim::effective_workers(flags.threads, columns);
         let engine = format!(
-            "incremental: {} analytic, {} replayed, {} cold, {} reused, {} error(s)",
-            stats.fastpath, stats.replayed, stats.cold, stats.reused, stats.errors
+            "incremental: {} replayed, {} cold, {} reused, {} error(s)",
+            stats.replayed, stats.cold, stats.reused, stats.errors
         );
         match &flags.out {
             Some(path) => eprintln!(

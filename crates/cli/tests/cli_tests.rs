@@ -576,8 +576,8 @@ fn repeated_sweep_axis_values_print_each_cell_once() {
 
 #[test]
 fn sweep_matches_per_point_simulation() {
-    // The incremental engine behind `wrm sweep` (shared index, analytic
-    // fast path, checkpoint replay) must print exactly the rows that
+    // The incremental engine behind `wrm sweep` (shared index,
+    // checkpoint replay) must print exactly the rows that
     // simulating every grid point from scratch yields.
     let out = wrm()
         .args([

@@ -1,63 +1,10 @@
-//! Longest-path scheduling over a CSR dependency graph.
+//! Work aggregates over the simulator's flat per-task arrays.
 //!
 //! The simulator's indexed form of a workflow (`wrm-sim`'s `BaseIndex`)
-//! stores dependencies as a compressed sparse row table: per-task
-//! unresolved-dependency counts plus a flattened dependents list. The
-//! analytic sweep fast path needs exactly one graph computation over
-//! that form — each task's start is the max of its dependencies' finish
-//! times, its finish is a caller-supplied function of its start — so the
-//! kernel lives here, next to the other graph algorithms, and takes the
-//! CSR arrays directly rather than forcing a conversion to [`crate::Dag`].
-
-/// Computes `(start, finish)` per task over a CSR dependency graph by a
-/// Kahn traversal: a task's start is the maximum finish among its
-/// dependencies (0.0 for roots), and its finish is `finish(task,
-/// start)`, evaluated exactly once in a topological order.
-///
-/// `dep_count[t]` is task `t`'s dependency count;
-/// `dependents[dependents_off[t] .. dependents_off[t+1]]` lists the
-/// tasks unblocked by `t`. Returns `None` when the graph has a cycle
-/// (some task is never released).
-///
-/// The fold uses `f64::max`, which is associative and commutative for
-/// the non-NaN values a schedule produces, so the result is independent
-/// of the order dependents are listed in — a property the bit-exactness
-/// contract of the sweep fast path relies on.
-pub fn longest_path_ends<F>(
-    dep_count: &[u32],
-    dependents_off: &[u32],
-    dependents: &[u32],
-    mut finish: F,
-) -> Option<Vec<(f64, f64)>>
-where
-    F: FnMut(u32, f64) -> f64,
-{
-    let n = dep_count.len();
-    debug_assert_eq!(dependents_off.len(), n + 1);
-    let mut remaining = dep_count.to_vec();
-    let mut sched = vec![(0.0f64, 0.0f64); n];
-    let mut ready: Vec<u32> = (0..n as u32)
-        .filter(|&t| dep_count[t as usize] == 0)
-        .collect();
-    let mut visited = 0usize;
-    while let Some(t) = ready.pop() {
-        visited += 1;
-        let start = sched[t as usize].0;
-        let end = finish(t, start);
-        sched[t as usize].1 = end;
-        let lo = dependents_off[t as usize] as usize;
-        let hi = dependents_off[t as usize + 1] as usize;
-        for &d in &dependents[lo..hi] {
-            let du = d as usize;
-            sched[du].0 = sched[du].0.max(end);
-            remaining[du] -= 1;
-            if remaining[du] == 0 {
-                ready.push(d);
-            }
-        }
-    }
-    (visited == n).then_some(sched)
-}
+//! stores per-task node counts and durations as flat arrays. The
+//! makespan bounds fold them into pool-level quantities, so the kernels
+//! live here, next to the other graph algorithms, and take the arrays
+//! directly rather than forcing a conversion to [`crate::Dag`].
 
 /// Total node-seconds of work: `sum of nodes[t] * duration[t]`. The
 /// per-resource work aggregation the Graham-style makespan upper bound
@@ -99,50 +46,7 @@ pub fn max_coschedulable(node_counts: &[u64], pool: u64) -> usize {
 
 #[cfg(test)]
 mod tests {
-    use super::{longest_path_ends, max_coschedulable, resource_work};
-
-    /// Builds CSR arrays from an edge list `(from, to)`.
-    fn csr(n: usize, edges: &[(u32, u32)]) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
-        let mut dep_count = vec![0u32; n];
-        let mut out = vec![0u32; n];
-        for &(a, b) in edges {
-            dep_count[b as usize] += 1;
-            out[a as usize] += 1;
-        }
-        let mut off = vec![0u32; n + 1];
-        for i in 0..n {
-            off[i + 1] = off[i] + out[i];
-        }
-        let mut cursor = off[..n].to_vec();
-        let mut dependents = vec![0u32; off[n] as usize];
-        for &(a, b) in edges {
-            dependents[cursor[a as usize] as usize] = b;
-            cursor[a as usize] += 1;
-        }
-        (dep_count, off, dependents)
-    }
-
-    #[test]
-    fn chain_accumulates() {
-        let (dc, off, dep) = csr(4, &[(0, 1), (1, 2), (2, 3)]);
-        let sched = longest_path_ends(&dc, &off, &dep, |t, s| s + (t as f64 + 1.0)).unwrap();
-        assert_eq!(sched, vec![(0.0, 1.0), (1.0, 3.0), (3.0, 6.0), (6.0, 10.0)]);
-    }
-
-    #[test]
-    fn diamond_takes_max() {
-        // 0 -> {1 (long), 2 (short)} -> 3
-        let (dc, off, dep) = csr(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let dur = [1.0, 10.0, 2.0, 1.0];
-        let sched = longest_path_ends(&dc, &off, &dep, |t, s| s + dur[t as usize]).unwrap();
-        assert_eq!(sched[3], (11.0, 12.0));
-    }
-
-    #[test]
-    fn cycle_returns_none() {
-        let (dc, off, dep) = csr(3, &[(0, 1), (1, 2), (2, 1)]);
-        assert!(longest_path_ends(&dc, &off, &dep, |_, s| s + 1.0).is_none());
-    }
+    use super::{max_coschedulable, resource_work};
 
     #[test]
     fn work_and_coschedulability() {
@@ -157,18 +61,5 @@ mod tests {
         assert_eq!(max_coschedulable(&[], 4), 0);
         // `nodes 0` tasks occupy like 1 (the compiler's clamp).
         assert_eq!(max_coschedulable(&[0, 0, 0], 2), 2);
-    }
-
-    #[test]
-    fn dependent_order_does_not_change_starts() {
-        // Same diamond, dependents listed in both orders.
-        let a = csr(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let b = csr(4, &[(0, 2), (0, 1), (2, 3), (1, 3)]);
-        let dur = [1.0, 3.0, 7.0, 2.0];
-        let f = |t: u32, s: f64| s + dur[t as usize];
-        assert_eq!(
-            longest_path_ends(&a.0, &a.1, &a.2, f).unwrap(),
-            longest_path_ends(&b.0, &b.1, &b.2, f).unwrap()
-        );
     }
 }

@@ -37,7 +37,7 @@ pub mod generate;
 pub mod graph;
 pub mod profile;
 
-pub use csr::{longest_path_ends, max_coschedulable, resource_work};
+pub use csr::{max_coschedulable, resource_work};
 pub use gantt::{GanttChart, GanttRow};
 pub use graph::{Dag, DagError, Task, TaskId};
 pub use profile::{ParallelismProfile, ProfileStep};

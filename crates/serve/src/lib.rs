@@ -19,7 +19,7 @@
 //!   the simulation work of all in-flight requests;
 //! * per-request **metrics** ([`metrics`]): latency reservoirs per
 //!   endpoint, cache hit/miss/eviction counters, and the sweep engine's
-//!   fastpath/replay/cold path mix, exposed at `/metrics` (Prometheus
+//!   replay/cold/reuse path mix, exposed at `/metrics` (Prometheus
 //!   text) and `/metrics/json`.
 //!
 //! Responses are assembled by the same [`render`] functions the CLI

@@ -27,7 +27,6 @@ struct EndpointStats {
 /// [`IndexCache`] itself and are joined in at render time.
 pub struct Metrics {
     endpoints: Mutex<Vec<(String, EndpointStats)>>,
-    fastpath: AtomicU64,
     replayed: AtomicU64,
     cold: AtomicU64,
     reused: AtomicU64,
@@ -46,7 +45,6 @@ impl Metrics {
     pub fn new() -> Self {
         Self {
             endpoints: Mutex::new(Vec::new()),
-            fastpath: AtomicU64::new(0),
             replayed: AtomicU64::new(0),
             cold: AtomicU64::new(0),
             reused: AtomicU64::new(0),
@@ -78,8 +76,6 @@ impl Metrics {
 
     /// Folds a sweep's evaluation-path statistics into the totals.
     pub fn absorb_sweep(&self, stats: &SweepStats) {
-        self.fastpath
-            .fetch_add(stats.fastpath as u64, Ordering::Relaxed);
         self.replayed
             .fetch_add(stats.replayed as u64, Ordering::Relaxed);
         self.cold.fetch_add(stats.cold as u64, Ordering::Relaxed);
@@ -124,7 +120,6 @@ impl Metrics {
         ));
         out.push_str(&format!("wrm_cache_entries {}\n", cache.len()));
         for (path, counter) in [
-            ("fastpath", &self.fastpath),
             ("replayed", &self.replayed),
             ("cold", &self.cold),
             ("reused", &self.reused),
@@ -184,7 +179,6 @@ impl Metrics {
                 "hit_rate": hit_rate,
             }),
             "sweep_paths": serde_json::json!({
-                "fastpath": self.fastpath.load(Ordering::Relaxed),
                 "replayed": self.replayed.load(Ordering::Relaxed),
                 "cold": self.cold.load(Ordering::Relaxed),
                 "reused": self.reused.load(Ordering::Relaxed),
@@ -225,11 +219,10 @@ mod tests {
         metrics.record("sweep", 300, true);
         metrics.record("simulate", 50, false);
         metrics.absorb_sweep(&SweepStats {
-            fastpath: 3,
             replayed: 2,
             cold: 1,
             reused: 4,
-            errors: 0,
+            ..SweepStats::default()
         });
         let snap = metrics.snapshot(&cache);
         let sweep = snap.get("endpoints").and_then(|e| e.get("sweep")).unwrap();
@@ -254,8 +247,10 @@ mod tests {
             paths.get("reused").and_then(serde_json::Value::as_u64),
             Some(4)
         );
+        assert!(paths.get("fastpath").is_none());
         let text = metrics.prometheus(&cache);
         assert!(text.contains("wrm_requests_total{endpoint=\"sweep\"} 2"));
-        assert!(text.contains("wrm_sweep_points_total{path=\"fastpath\"} 3"));
+        assert!(text.contains("wrm_sweep_points_total{path=\"replayed\"} 2"));
+        assert!(!text.contains("fastpath"));
     }
 }

@@ -231,9 +231,9 @@ mod tests {
     }
 
     proptest! {
-        /// The lemma the engine's under-capacity skip and the sweep fast
-        /// path rely on: caps that pass [`settles_at_caps`] settle at
-        /// their own cap, bit for bit, in every demand order.
+        /// The lemma the engine's under-capacity skip relies on: caps
+        /// that pass [`settles_at_caps`] settle at their own cap, bit for
+        /// bit, in every demand order.
         #[test]
         fn caps_under_capacity_settle_exactly_in_any_order(
             raw in prop::collection::vec((0u32..4, 0.0f64..1.0), 1..40),

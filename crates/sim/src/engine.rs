@@ -14,12 +14,8 @@
 //! rate, at which point its completion time is recomputed once and
 //! cached. Between rate changes the completion time is a constant, so it
 //! lives in the same calendar heap as fixed-phase ends and the event
-//! loop never walks the flow set per event. The payoff is twofold: the
-//! per-event cost drops from `O(flows)` to `O(log events)`, and an
-//! uncontended flow's end becomes a closed-form spawn-time expression —
-//! which is what lets the sweep's analytic fast path replace the whole
-//! DES with a longest-path computation *bit-exactly* when a sweep point
-//! has no contention.
+//! loop never walks the flow set per event: the per-event cost drops
+//! from `O(flows)` to `O(log events)`.
 
 use crate::calendar::{CalEv, CalendarQueue};
 use crate::channel::{max_min_rates_into, settles_at_caps, FlowDemand, FlowRate, RateScratch};
@@ -216,8 +212,7 @@ impl SimResult {
     }
 
     /// Materializes a finished run from its trace and each task's start
-    /// and end time (indexed like `workflow.tasks`): the one builder the
-    /// DES and the analytic fast path share. Every key is a clone of the
+    /// and end time (indexed like `workflow.tasks`). Every key is a clone of the
     /// base's shared task name, and one pass in the base's name order
     /// fills each map, so `BTreeMap::from_iter` bulk-builds each tree
     /// from a pre-sorted stream in O(n).

@@ -1,50 +1,43 @@
-//! The incremental sweep engine: shared-index overlays, the analytic
-//! fast path, and delta re-simulation over a parameter grid.
+//! The incremental sweep engine: shared-index overlays and delta
+//! re-simulation over a parameter grid.
 //!
 //! `wrm sweep` evaluates a full cross product of contention factors,
 //! node limits and scheduler policies over one workflow. Running each
 //! grid point through [`crate::simulate`] repeats almost all of the
 //! work: the topology/duration index is identical everywhere, and
 //! adjacent points differ in a single knob. [`sweep_grid`] exploits that
-//! structure three ways, strongest first:
+//! structure two ways:
 //!
 //! 1. **One base index per sweep.** [`BaseIndex`] (topology, the
 //!    dependents CSR, durations) is built once; each point only builds
 //!    a tiny `IndexOverlay` (channel capacities/factors, pool size) on
 //!    top of it — bit-identical to a cold build, which `overlay::tests`
 //!    proves.
-//! 2. **Analytic fast path.** Points whose overlay yields no channel
-//!    contention and no node queueing skip the DES entirely
-//!    (the `fastpath` module): the makespan is a longest-path over the
-//!    base CSR, exact to the bit.
-//! 3. **Delta re-simulation.** Points are evaluated in *column* order —
+//! 2. **Delta re-simulation.** Points are evaluated in *column* order —
 //!    one column per `(node_limit, policy)` pair, contention factor
-//!    varying innermost — so consecutive DES points differ only in the
-//!    swept resource's factor. The column's first DES point watches the
+//!    varying innermost — so consecutive points differ only in the
+//!    swept resource's factor. The column's first point watches the
 //!    swept channel and pauses, in the same pass, just before the first
 //!    fair-share solve after a flow joins it: until then no solve has
 //!    read the channel's capacity, and its factor has only set its
-//!    members' caps. Every DES point of the column clones that one
+//!    members' caps. Every later point of the column clones that one
 //!    checkpoint, re-derives those caps for its own factor and replays
 //!    only the suffix (`Engine::resume_with`). When the watched channel
 //!    never joins, the run completes, the factor provably never
 //!    matters, and its result is reused outright.
 //!
-//! Changing the *node limit* re-runs the DES cold (one run per column at
-//! most): a pool change can matter from the very first allocation, so
-//! there is no comparable prefix to share, and in practice the fast path
-//! already absorbs the uncontended majority of the node-limit axis.
+//! Changing the *node limit* re-runs the DES cold (at most once per
+//! column): a pool change can matter from the very first allocation, so
+//! there is no comparable prefix to share.
 //!
-//! Every path is exact — [`SweepOutcome::results`] is bit-identical to
-//! running [`crate::simulate`] per point (and, transitively, to
-//! `wrm_sim::reference`), which the oracle proptest below enforces. Only
-//! trace span *order* within one completion instant may differ between
-//! paths; the `Trace` contract leaves that order unspecified.
+//! Every path runs the one DES engine, so [`SweepOutcome::results`] is
+//! equal, span order included, to running [`crate::simulate`] per point
+//! (and, transitively, to `wrm_sim::reference`), which the oracle
+//! proptest below enforces.
 
 use crate::engine::{
     Engine, Outcome, RunMode, Scenario, SchedulerPolicy, SimArena, SimError, SimResult,
 };
-use crate::fastpath::try_fastpath;
 use crate::index::BaseIndex;
 use crate::overlay::IndexOverlay;
 use crate::sweep::fan_out;
@@ -109,12 +102,14 @@ impl SweepGrid {
 /// How the points of a sweep were evaluated.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepStats {
-    /// Points answered analytically (no DES run).
+    /// Always 0: every point runs the DES. Kept while the repo
+    /// benchmark still reads it; ROADMAP item 2 removes it with its
+    /// readers.
     pub fastpath: usize,
     /// Points answered by replaying a checkpointed engine's suffix.
     pub replayed: usize,
     /// Points that paid their column's factor-independent DES prefix
-    /// (the first DES point of each column).
+    /// (the first valid point of each column).
     pub cold: usize,
     /// Points that reused a cold result verbatim (the swept channel
     /// never acquired a member, so the factor provably had no effect).
@@ -125,7 +120,6 @@ pub struct SweepStats {
 
 impl SweepStats {
     fn absorb(&mut self, other: SweepStats) {
-        self.fastpath += other.fastpath;
         self.replayed += other.replayed;
         self.cold += other.cold;
         self.reused += other.reused;
@@ -144,8 +138,8 @@ pub struct SweepOutcome {
     pub stats: SweepStats,
 }
 
-/// How a column answers its DES-requiring points, set by the first.
-enum DesState<'e> {
+/// How a column answers its valid points, set by the first.
+enum ColumnState<'e> {
     /// The watched channel never joined: the factor cannot matter, reuse
     /// the first result.
     Reuse(Box<Result<SimResult, SimError>>),
@@ -238,9 +232,9 @@ pub fn sweep_grid_with_base(
 /// One evaluated grid point: its `SweepGrid::index_of` slot and result.
 pub type IndexedResult = (usize, Result<SimResult, SimError>);
 
-/// Evaluates one `(node_limit, policy)` column across all factors:
-/// fastpath-first, then checkpoint-replay / reuse as the column's
-/// structure allows, the checkpoint in `arena`'s buffers. Returns
+/// Evaluates one `(node_limit, policy)` column across all factors: the
+/// first valid point runs cold, the rest replay from its checkpoint or
+/// reuse its result, the checkpoint in `arena`'s buffers. Returns
 /// `(SweepGrid::index_of slot, result)` pairs plus path statistics.
 ///
 /// Public so external schedulers (the `wrm serve` worker pool) can
@@ -273,7 +267,7 @@ pub fn sweep_column(
 
     let mut out = Vec::with_capacity(points.len());
     let mut stats = SweepStats::default();
-    let mut des: Option<DesState> = None;
+    let mut state: Option<ColumnState> = None;
 
     for (fi, (opts, overlay)) in points.iter().enumerate() {
         let ix = grid.index_of(fi, ni, pi);
@@ -283,48 +277,41 @@ pub fn sweep_column(
                 Err(e.clone())
             }
             Ok(ov) => {
-                if let Some(fast) =
-                    try_fastpath(&scenario.workflow, &scenario.machine.name, base, ov)
+                let first = state.is_none();
+                stats.cold += usize::from(first);
+                match state
+                    .get_or_insert_with(|| first_point(scenario, opts, base, ov, watch, arena))
                 {
-                    stats.fastpath += 1;
-                    Ok(fast)
-                } else {
-                    let first = des.is_none();
-                    stats.cold += usize::from(first);
-                    match des.get_or_insert_with(|| {
-                        first_des_point(scenario, opts, base, ov, watch, arena)
-                    }) {
-                        DesState::Paused(p) => {
-                            stats.replayed += usize::from(!first);
-                            p.resume_with(ov).run()
-                        }
-                        DesState::Reuse(saved) => {
-                            stats.reused += usize::from(!first);
-                            saved.as_ref().clone()
-                        }
+                    ColumnState::Paused(p) => {
+                        stats.replayed += usize::from(!first);
+                        p.resume_with(ov).run()
+                    }
+                    ColumnState::Reuse(saved) => {
+                        stats.reused += usize::from(!first);
+                        saved.as_ref().clone()
                     }
                 }
             }
         };
         out.push((ix, r));
     }
-    if let Some(DesState::Paused(p)) = des {
+    if let Some(ColumnState::Paused(p)) = state {
         arena.state = p.recycle();
     }
     (out, stats)
 }
 
-/// Runs a column's first DES point in `arena`'s buffers, watching the
+/// Runs a column's first valid point in `arena`'s buffers, watching the
 /// swept channel: it pauses at the channel's first join (the column's
 /// checkpoint, which keeps the buffers) or completes without one.
-fn first_des_point<'e>(
+fn first_point<'e>(
     scenario: &'e Scenario,
     opts: &'e crate::engine::SimOptions,
     base: &'e BaseIndex,
     overlay: &'e IndexOverlay,
     watch: Option<u32>,
     arena: &mut SimArena,
-) -> DesState<'e> {
+) -> ColumnState<'e> {
     let mut eng = Engine::new_in(
         &scenario.workflow,
         &scenario.machine.name,
@@ -338,11 +325,11 @@ fn first_des_point<'e>(
         eng = eng.with_watch(ch);
     }
     match eng.advance() {
-        Ok(Outcome::Paused) => DesState::Paused(Box::new(eng)),
+        Ok(Outcome::Paused) => ColumnState::Paused(Box::new(eng)),
         done => {
             let res = done.map(|_| eng.take_result());
             arena.state = eng.recycle();
-            DesState::Reuse(Box::new(res))
+            ColumnState::Reuse(Box::new(res))
         }
     }
 }
@@ -350,33 +337,19 @@ fn first_des_point<'e>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::{sweep_grid, SweepGrid};
-    use crate::engine::{simulate, Scenario, SchedulerPolicy, SimOptions, SimResult};
+    use crate::engine::{simulate, Scenario, SchedulerPolicy, SimOptions};
     use crate::reference::simulate_reference;
     use crate::spec::{Phase, TaskSpec, WorkflowSpec};
     use proptest::prelude::*;
     use wrm_core::ids::{EXTERNAL, FILE_SYSTEM};
     use wrm_core::machines;
 
-    /// Sorts spans (the one representation detail the evaluation paths
-    /// may legitimately order differently within a completion instant)
-    /// and leaves every scalar under exact equality.
-    fn canonicalize(mut r: SimResult) -> SimResult {
-        r.trace.spans.sort_by(|a, b| {
-            a.task
-                .cmp(&b.task)
-                .then(a.start.total_cmp(&b.start))
-                .then(a.end.total_cmp(&b.end))
-        });
-        r
-    }
-
-    /// Asserts the incremental sweep is bit-identical to per-point
-    /// `simulate` and to the reference engine on every grid point.
+    /// Asserts the incremental sweep equals per-point `simulate` and the
+    /// reference engine on every grid point, spans in the same order.
     fn assert_oracle(scenario: &Scenario, grid: &SweepGrid, threads: usize) {
         let outcome = sweep_grid(scenario, grid, threads);
         assert_eq!(outcome.results.len(), grid.len());
-        let n_paths = outcome.stats.fastpath
-            + outcome.stats.replayed
+        let n_paths = outcome.stats.replayed
             + outcome.stats.cold
             + outcome.stats.reused
             + outcome.stats.errors;
@@ -391,37 +364,20 @@ pub(crate) mod tests {
                         workflow: scenario.workflow.clone(),
                         options: opts,
                     };
-                    let expect = simulate(&point);
-                    let refr = simulate_reference(&point);
-                    match (&outcome.results[ix], expect, refr) {
-                        (Ok(got), Ok(want), Ok(want_ref)) => {
-                            assert_eq!(
-                                canonicalize(got.clone()),
-                                canonicalize(want),
-                                "point {ix} (fi={fi} ni={ni} pi={pi}) vs simulate"
-                            );
-                            assert_eq!(
-                                canonicalize(got.clone()),
-                                canonicalize(want_ref),
-                                "point {ix} vs reference"
-                            );
-                        }
-                        (Err(got), Err(want), Err(want_ref)) => {
-                            assert_eq!(got, &want, "point {ix} error vs simulate");
-                            assert_eq!(got, &want_ref, "point {ix} error vs reference");
-                        }
-                        (got, want, want_ref) => {
-                            panic!("point {ix} disagreement: {got:?} vs {want:?} / {want_ref:?}")
-                        }
-                    }
+                    let got = &outcome.results[ix];
+                    assert_eq!(
+                        got,
+                        &simulate(&point),
+                        "point {ix} (fi={fi} ni={ni} pi={pi}) vs simulate"
+                    );
+                    assert_eq!(got, &simulate_reference(&point), "point {ix} vs reference");
                 }
             }
         }
     }
 
     /// A workflow with both contended and uncontended regions, so a
-    /// factor sweep exercises the fast path, the replay path and the
-    /// reuse path.
+    /// factor sweep exercises the replay path and the reuse path.
     fn mixed_workflow() -> WorkflowSpec {
         let mut wf = WorkflowSpec::new("mixed");
         for i in 0..6 {
@@ -493,8 +449,8 @@ pub(crate) mod tests {
         let grid = SweepGrid {
             resource: Some(wrm_core::ids::EXTERNAL.into()),
             factors: vec![0.1, 0.5, 1.0, 5.0],
-            // A tight pool forces queueing, so the fast path stays out
-            // of the way and the reuse path must carry the column.
+            // A tight pool forces queueing; no flow ever joins the
+            // watched link, so the reuse path carries the column.
             node_limits: vec![Some(1024)],
             policies: vec![SchedulerPolicy::Fifo],
         };
@@ -516,16 +472,7 @@ pub(crate) mod tests {
         let serial = sweep_grid(&scenario, &grid, 1);
         let parallel = sweep_grid(&scenario, &grid, 4);
         assert_eq!(serial.stats, parallel.stats);
-        assert_eq!(serial.results.len(), parallel.results.len());
-        for (s, p) in serial.results.iter().zip(parallel.results.iter()) {
-            match (s, p) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(canonicalize(a.clone()), canonicalize(b.clone()));
-                }
-                (Err(a), Err(b)) => assert_eq!(a, b),
-                (a, b) => panic!("thread-count divergence: {a:?} vs {b:?}"),
-            }
-        }
+        assert_eq!(serial.results, parallel.results);
     }
 
     #[test]
@@ -563,8 +510,7 @@ pub(crate) mod tests {
 
     /// Random-workflow generator mixing overheads, compute, capped,
     /// uncapped and zero-byte flows on the given channels, and
-    /// dependencies — enough variety to hit the fast path, replay,
-    /// reuse, errors and both schedulers, and to pause the checkpoint
+    /// dependencies — enough variety to hit replay, reuse, errors and both schedulers, and to pause the checkpoint
     /// run at every kind of first join:
     ///
     /// * flows as a task's 1st, 2nd or 3rd phase, so they join from the

@@ -46,7 +46,6 @@ pub mod bounds;
 mod calendar;
 pub mod channel;
 pub mod engine;
-mod fastpath;
 pub mod incremental;
 mod index;
 pub mod mc;

@@ -1,26 +1,13 @@
 //! Grid-level oracle tests: the incremental sweep engine
-//! (`wrm_sim::sweep_grid` — shared base index + overlays, analytic fast
-//! path, checkpoint/replay) reproduces per-point simulation *and* the
-//! reference engine bit for bit on all four paper workflows.
+//! (`wrm_sim::sweep_grid` — shared base index + overlays,
+//! checkpoint/replay) reproduces per-point simulation *and* the
+//! reference engine bit for bit, span order included, on all four paper
+//! workflows.
 
 use wrm_core::{ids, machines};
 use wrm_sim::reference::simulate_reference;
-use wrm_sim::{simulate, sweep_grid, Scenario, SchedulerPolicy, SimResult, SweepGrid};
+use wrm_sim::{simulate, sweep_grid, Scenario, SchedulerPolicy, SweepGrid};
 use wrm_workflows::{Bgw, CosmoFlow, Day, GpTune, Lcls, Mode};
-
-/// Sorts trace spans by a stable key. The evaluation paths agree on the
-/// span *set* exactly but may order simultaneous completions
-/// differently (the `Trace` contract leaves that order unspecified);
-/// every scalar stays under exact comparison.
-fn canonical(mut r: SimResult) -> SimResult {
-    r.trace.spans.sort_by(|a, b| {
-        a.task
-            .cmp(&b.task)
-            .then(a.start.total_cmp(&b.start))
-            .then(a.end.total_cmp(&b.end))
-    });
-    r
-}
 
 /// Runs the grid incrementally and checks every point against cold
 /// `simulate` and `simulate_reference`.
@@ -37,29 +24,17 @@ fn assert_grid_oracle(scenario: &Scenario, grid: &SweepGrid, label: &str) {
                     ni,
                     pi,
                 ));
-                let cold = simulate(&point);
-                let reference = simulate_reference(&point);
-                match (&outcome.results[ix], cold, reference) {
-                    (Ok(got), Ok(want), Ok(want_ref)) => {
-                        assert_eq!(
-                            canonical(got.clone()),
-                            canonical(want),
-                            "{label} point {ix} vs cold simulate"
-                        );
-                        assert_eq!(
-                            canonical(got.clone()),
-                            canonical(want_ref),
-                            "{label} point {ix} vs reference"
-                        );
-                    }
-                    (Err(got), Err(want), Err(want_ref)) => {
-                        assert_eq!(got, &want, "{label} point {ix} error vs cold");
-                        assert_eq!(got, &want_ref, "{label} point {ix} error vs reference");
-                    }
-                    (got, want, want_ref) => panic!(
-                        "{label} point {ix} disagreement: {got:?} vs {want:?} / {want_ref:?}"
-                    ),
-                }
+                let got = &outcome.results[ix];
+                assert_eq!(
+                    got,
+                    &simulate(&point),
+                    "{label} point {ix} vs cold simulate"
+                );
+                assert_eq!(
+                    got,
+                    &simulate_reference(&point),
+                    "{label} point {ix} vs reference"
+                );
             }
         }
     }
