@@ -22,7 +22,7 @@ pub use diagnostics::{Diagnostic, Severity, Span, SuggestedEdit};
 pub use fixit::{apply as apply_fixes, collect_edits, FixOutcome};
 pub use ir::AnalysisIr;
 pub use rules::{
-    lint_ast, lint_errors, lint_source, lint_source_with_context, lint_with_context, max_severity,
-    rule, RuleInfo, RULES,
+    lint_ast, lint_errors, lint_errors_with_context, lint_source, lint_source_with_context,
+    lint_with_context, max_severity, rule, RuleInfo, RULES,
 };
 pub use sarif::{to_sarif, validate_sarif};

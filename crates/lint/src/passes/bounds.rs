@@ -142,46 +142,73 @@ fn overprovisioned(ctx: &AnalysisContext, cert: &Certificate, out: &mut Vec<Diag
 /// W010/E010 against the declared makespan target. Returns `true` when
 /// E010 fired.
 fn target_interval(ctx: &AnalysisContext, cert: &Certificate, out: &mut Vec<Diagnostic>) -> bool {
-    let Some((target, target_span)) = ctx.ir.makespan else {
+    let Some((target, target_span)) = declared_target(ctx) else {
         return false;
     };
-    if target <= 0.0 || target.is_nan() {
-        return false;
-    }
-
-    // E010: below the zero-channel bound — infeasible under ANY channel
-    // provisioning. Strictly stronger than W009's chain bound.
-    let floor = ctx.lower_envelope.as_ref().unwrap_or(cert);
-    if floor.lo_zero_channel.is_finite() && target < floor.lo_zero_channel * (1.0 - TOL) {
-        let mut diag = Diagnostic::error(
-            "E010",
-            target_span,
-            format!(
-                "makespan target {target}s is infeasible under any channel provisioning: \
-                 with every channel infinitely fast, fixed phases alone still need {:.3}s",
-                floor.lo_zero_channel
-            ),
-        )
-        .with_help(format!(
-            "the zero-channel bound is max(fixed-phase chain, node-pool floor {:.3}s); \
-             the full certified interval is [{:.3}s, {:.3}s]",
-            floor.pool_floor_fixed, cert.lo, cert.hi
-        ));
-        if target_span.has_range() && cert.lo.is_finite() {
-            let raised = format!("{}s", cert.lo.ceil());
-            diag = diag.with_fix(SuggestedEdit::replace_span(
-                target_span,
-                raised.clone(),
-                format!("raise the makespan target to {raised}"),
-            ));
-        }
-        out.push(diag);
+    if infeasible(ctx, cert, target, target_span, out) {
         return true;
     }
+    undetermined(cert, target, target_span, out);
+    false
+}
 
-    // W010: inside the certified interval — undetermined. Below `lo` is
-    // W009/E010 territory; at or above `hi` the target is certified met
-    // and needs no diagnostic.
+/// E010 alone, the one error this module emits: all that the error
+/// gate ([`crate::lint_errors`]) needs from the certificate.
+pub(crate) fn infeasible_target(ctx: &AnalysisContext, out: &mut Vec<Diagnostic>) {
+    if let (Some(cert), Some((target, target_span))) = (&ctx.certificate, declared_target(ctx)) {
+        infeasible(ctx, cert, target, target_span, out);
+    }
+}
+
+/// The declared makespan target and its span, when it is positive.
+fn declared_target(ctx: &AnalysisContext) -> Option<(f64, Span)> {
+    ctx.ir.makespan.filter(|&(target, _)| target > 0.0)
+}
+
+/// E010: the target is below the zero-channel bound — infeasible under
+/// ANY channel provisioning. Strictly stronger than W009's chain bound.
+/// Returns `true` when it fired.
+fn infeasible(
+    ctx: &AnalysisContext,
+    cert: &Certificate,
+    target: f64,
+    target_span: Span,
+    out: &mut Vec<Diagnostic>,
+) -> bool {
+    let floor = ctx.lower_envelope.as_ref().unwrap_or(cert);
+    if !(floor.lo_zero_channel.is_finite() && target < floor.lo_zero_channel * (1.0 - TOL)) {
+        return false;
+    }
+    let mut diag = Diagnostic::error(
+        "E010",
+        target_span,
+        format!(
+            "makespan target {target}s is infeasible under any channel provisioning: \
+             with every channel infinitely fast, fixed phases alone still need {:.3}s",
+            floor.lo_zero_channel
+        ),
+    )
+    .with_help(format!(
+        "the zero-channel bound is max(fixed-phase chain, node-pool floor {:.3}s); \
+         the full certified interval is [{:.3}s, {:.3}s]",
+        floor.pool_floor_fixed, cert.lo, cert.hi
+    ));
+    if target_span.has_range() && cert.lo.is_finite() {
+        let raised = format!("{}s", cert.lo.ceil());
+        diag = diag.with_fix(SuggestedEdit::replace_span(
+            target_span,
+            raised.clone(),
+            format!("raise the makespan target to {raised}"),
+        ));
+    }
+    out.push(diag);
+    true
+}
+
+/// W010: the target is inside the certified interval — undetermined.
+/// Below `lo` is W009/E010 territory; at or above `hi` the target is
+/// certified met and needs no diagnostic.
+fn undetermined(cert: &Certificate, target: f64, target_span: Span, out: &mut Vec<Diagnostic>) {
     if cert.lo.is_finite() && target >= cert.lo * (1.0 - TOL) && target < cert.hi * (1.0 - TOL) {
         let witness = cert.cp_lo_witness.join(" -> ");
         let mut floors: Vec<String> = cert
@@ -228,7 +255,6 @@ fn target_interval(ctx: &AnalysisContext, cert: &Certificate, out: &mut Vec<Diag
             )),
         );
     }
-    false
 }
 
 /// Span of the lexically first `system_bytes` phase in the file.

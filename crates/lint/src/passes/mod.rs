@@ -30,6 +30,16 @@ use wrm_lang::ast::WorkflowAst;
 use wrm_lang::Compiled;
 use wrm_sim::{certify, Certificate, SimOptions};
 
+/// Which rules a lint run evaluates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Scope {
+    /// Every rule: what `wrm lint` reports.
+    All,
+    /// Only the checks that can emit an error: the gate in front of
+    /// `simulate`, `certify`, `analyze` and `sweep`.
+    Errors,
+}
+
 /// Everything the passes share, built once per lint run.
 pub struct AnalysisContext {
     /// The resolved target machine, when `on <machine>` names one.
@@ -42,11 +52,13 @@ pub struct AnalysisContext {
     /// on this.
     pub compiled: Option<Compiled>,
     /// The workflow's roofline model on `machine`, when it builds.
+    /// Only warnings read it, so an errors-only run never builds it.
     pub model: Option<RooflineModel>,
     /// The two-sided makespan certificate of `compiled` on `machine`
     /// (default simulation options). `None` without both, or when the
     /// simulator rejects the scenario (e.g. an unknown resource,
-    /// already surfaced as W001).
+    /// already surfaced as W001). An errors-only run builds it only
+    /// when the spec declares a makespan target, which E010 checks.
     pub certificate: Option<Certificate>,
     /// The certificate of the lower envelope, where every distribution
     /// is replaced by the low end of its support: its lower bounds hold
@@ -59,6 +71,18 @@ impl AnalysisContext {
     /// Lowers `ast` and, when `has_errors` is false, compiles it,
     /// builds the roofline model and certifies it.
     pub fn build(ast: &WorkflowAst, machine: Option<Machine>, has_errors: bool) -> Self {
+        Self::build_in(Scope::All, ast, machine, has_errors)
+    }
+
+    /// [`AnalysisContext::build`] for the rules of `scope`: under
+    /// [`Scope::Errors`] it skips the roofline model, and the
+    /// certificate too when no makespan target is declared.
+    pub(crate) fn build_in(
+        scope: Scope,
+        ast: &WorkflowAst,
+        machine: Option<Machine>,
+        has_errors: bool,
+    ) -> Self {
         let ir = AnalysisIr::lower(ast, machine.as_ref());
         let compiled = if has_errors {
             None
@@ -76,10 +100,16 @@ impl AnalysisContext {
         let (Some(m), Some(c)) = (&ctx.machine, &ctx.compiled) else {
             return ctx;
         };
-        ctx.model = c
-            .characterization()
-            .ok()
-            .and_then(|wf| RooflineModel::build_lenient(m, &wf).ok());
+        let all = scope == Scope::All;
+        if all {
+            ctx.model = c
+                .characterization()
+                .ok()
+                .and_then(|wf| RooflineModel::build_lenient(m, &wf).ok());
+        }
+        if !all && ctx.ir.makespan.is_none() {
+            return ctx;
+        }
         let options = SimOptions::default();
         ctx.certificate = certify(m, &c.spec, &options).ok();
         let distributional = c.spec.tasks.iter().any(|t| !t.dists.is_empty());
@@ -99,6 +129,12 @@ pub fn run(ast: &WorkflowAst, ctx: &AnalysisContext, out: &mut Vec<Diagnostic>) 
     channels::starved(ctx, out);
     let e010_fired = bounds::certified_interval(ctx, out);
     makespan::interval_bound(ctx, out, e010_fired);
+}
+
+/// Runs the passes that can emit an error: E009 and E010.
+pub(crate) fn run_errors(ctx: &AnalysisContext, out: &mut Vec<Diagnostic>) {
+    structure::unreachable_tasks(ctx, out);
+    bounds::infeasible_target(ctx, out);
 }
 
 /// Human-readable bytes/s for diagnostics ("1.50 GB/s").

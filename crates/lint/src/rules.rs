@@ -34,7 +34,7 @@
 //! certificate ([`wrm_sim::certify`]).
 
 use crate::diagnostics::{Diagnostic, Severity, Span, SuggestedEdit};
-use crate::passes::{self, AnalysisContext};
+use crate::passes::{self, AnalysisContext, Scope};
 use std::collections::{BTreeMap, BTreeSet};
 use wrm_core::{machines, Machine, WorkUnit};
 use wrm_lang::ast::{PhaseAst, TaskAst, WorkflowAst};
@@ -227,7 +227,10 @@ fn sp(s: wrm_lang::Span) -> Span {
 /// Lints source text: a parse failure becomes a single `E000`
 /// diagnostic; otherwise all semantic rules run over the AST.
 pub fn lint_source(source: &str) -> Vec<Diagnostic> {
-    lint_source_with_context(source).0
+    match wrm_lang::parse(source) {
+        Ok(ast) => lint_ast(&ast),
+        Err(e) => vec![syntax_error(&e)],
+    }
 }
 
 /// [`lint_source`], also returning the analysis context the passes ran
@@ -238,15 +241,17 @@ pub fn lint_source_with_context(source: &str) -> (Vec<Diagnostic>, Option<Analys
             let (diags, ctx) = lint_with_context(&ast);
             (diags, Some(ctx))
         }
-        Err(e) => (
-            vec![Diagnostic::error(
-                "E000",
-                Span::new(e.line, e.col),
-                format!("syntax error: {}", e.message),
-            )],
-            None,
-        ),
+        Err(e) => (vec![syntax_error(&e)], None),
     }
+}
+
+/// E000: a parse failure as a diagnostic.
+fn syntax_error(e: &wrm_lang::LangError) -> Diagnostic {
+    Diagnostic::error(
+        "E000",
+        Span::new(e.line, e.col),
+        format!("syntax error: {}", e.message),
+    )
 }
 
 /// Runs every semantic rule over a parsed workflow, then the analyzer
@@ -260,6 +265,29 @@ pub fn lint_ast(ast: &WorkflowAst) -> Vec<Diagnostic> {
 /// shared, so a caller can take its compiled spec and certificate
 /// instead of compiling and certifying the workflow a second time.
 pub fn lint_with_context(ast: &WorkflowAst) -> (Vec<Diagnostic>, AnalysisContext) {
+    lint_in(Scope::All, ast)
+}
+
+/// Only the error-severity findings — what `analyze`, `simulate`,
+/// `certify` and `sweep` gate on before compiling. Equal to
+/// [`lint_ast`] filtered to [`Severity::Error`], in the same order, but
+/// runs only the checks that can emit an error.
+pub fn lint_errors(ast: &WorkflowAst) -> Vec<Diagnostic> {
+    lint_errors_with_context(ast).0
+}
+
+/// [`lint_errors`], also returning the [`AnalysisContext`] it ran on,
+/// so a caller can take its compiled spec. The context holds no
+/// roofline model, and a certificate only when the spec declares a
+/// makespan target (E010 checks the target against it).
+pub fn lint_errors_with_context(ast: &WorkflowAst) -> (Vec<Diagnostic>, AnalysisContext) {
+    lint_in(Scope::Errors, ast)
+}
+
+/// The one lint driver: the per-statement checks, then the analyzer
+/// passes, restricted to the rules of `scope`.
+fn lint_in(scope: Scope, ast: &WorkflowAst) -> (Vec<Diagnostic>, AnalysisContext) {
+    let all = scope == Scope::All;
     let machine = resolve_machine(ast);
     let mut out = Vec::new();
 
@@ -270,13 +298,23 @@ pub fn lint_with_context(ast: &WorkflowAst) -> (Vec<Diagnostic>, AnalysisContext
     check_values(ast, &mut out);
     if let Some(m) = &machine {
         check_machine_fit(ast, m, &mut out);
-        check_dead_ceilings(ast, m, &mut out);
+        if all {
+            check_dead_ceilings(ast, m, &mut out);
+        }
     }
-    check_unused_machines(ast, &mut out);
+    if all {
+        check_unused_machines(ast, &mut out);
+    }
     let has_errors = out.iter().any(|d| d.severity == Severity::Error);
-    let ctx = AnalysisContext::build(ast, machine, has_errors);
-    check_targets(ast, &ctx, &mut out);
-    passes::run(ast, &ctx, &mut out);
+    let ctx = AnalysisContext::build_in(scope, ast, machine, has_errors);
+    if all {
+        check_targets(ast, &ctx, &mut out);
+        passes::run(ast, &ctx, &mut out);
+    } else {
+        passes::run_errors(&ctx, &mut out);
+        // `check_values` emits W003 and W004 beside its errors.
+        out.retain(|d| d.severity == Severity::Error);
+    }
 
     // Every AST span now carries a position; a 0:0 diagnostic here means
     // a rule fabricated a span instead of taking it from the source.
@@ -287,15 +325,6 @@ pub fn lint_with_context(ast: &WorkflowAst) -> (Vec<Diagnostic>, AnalysisContext
     );
     out.sort_by(|a, b| (a.span, &a.code, &a.message).cmp(&(b.span, &b.code, &b.message)));
     (out, ctx)
-}
-
-/// Only the error-severity findings — what `analyze`/`simulate` gate on
-/// before compiling.
-pub fn lint_errors(ast: &WorkflowAst) -> Vec<Diagnostic> {
-    lint_ast(ast)
-        .into_iter()
-        .filter(|d| d.severity == Severity::Error)
-        .collect()
 }
 
 /// The worst severity in a batch, if any.
@@ -446,15 +475,18 @@ fn check_cycles(ast: &WorkflowAst, out: &mut Vec<Diagnostic>) {
         .collect();
     // settled[i]: fully explored with no cycle, or already reported.
     let mut settled = vec![false; ast.tasks.len()];
+    // Iterative DFS with an explicit path so fuzzed inputs with very
+    // long chains cannot overflow the stack. The path buffers are shared
+    // by every start: each DFS pops its whole path, clearing them.
+    let mut path: Vec<usize> = Vec::new();
+    let mut edge_pos: Vec<usize> = Vec::new();
+    let mut on_path = vec![false; ast.tasks.len()];
     for start in 0..ast.tasks.len() {
         if settled[start] {
             continue;
         }
-        // Iterative DFS with an explicit path so fuzzed inputs with very
-        // long chains cannot overflow the stack.
-        let mut path: Vec<usize> = vec![start];
-        let mut edge_pos: Vec<usize> = vec![0];
-        let mut on_path = vec![false; ast.tasks.len()];
+        path.push(start);
+        edge_pos.push(0);
         on_path[start] = true;
         while let Some(&node) = path.last() {
             let deps = &ast.tasks[node].after;
@@ -1058,6 +1090,44 @@ workflow w on m {
         let errs = lint_errors(&ast);
         assert!(!errs.is_empty());
         assert!(errs.iter().all(|d| d.severity == Severity::Error));
+    }
+
+    fn repo_spec(rel: &str) -> (String, WorkflowAst) {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../workflows")
+            .join(rel);
+        let source = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        let ast = wrm_lang::parse(&source).unwrap();
+        (source, ast)
+    }
+
+    #[test]
+    fn the_error_gate_skips_what_only_warnings_read() {
+        // No makespan target: only warnings read the model and the
+        // certificate, so the gate builds neither.
+        let (_, ast) = repo_spec("node_pressure.wrm");
+        let (_, full) = lint_with_context(&ast);
+        assert!(full.model.is_some() && full.certificate.is_some());
+        let (errors, gate) = lint_errors_with_context(&ast);
+        assert!(errors.is_empty());
+        assert!(gate.compiled.is_some());
+        assert!(gate.model.is_none() && gate.certificate.is_none());
+    }
+
+    #[test]
+    fn the_error_gate_certifies_a_target_for_e010() {
+        let (source, ast) = repo_spec("bad/infeasible_floor.wrm");
+        let (errors, gate) = lint_errors_with_context(&ast);
+        assert!(gate.certificate.is_some() && gate.model.is_none());
+        let full: Vec<Diagnostic> = lint_ast(&ast)
+            .into_iter()
+            .filter(|d| d.code == "E010")
+            .collect();
+        assert_eq!(errors.len(), 1);
+        assert_eq!(full.len(), 1);
+        assert_eq!(errors[0], full[0]);
+        assert_eq!(errors[0].render(&source), full[0].render(&source));
     }
 
     #[test]

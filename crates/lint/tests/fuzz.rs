@@ -3,10 +3,30 @@
 //! `lint_source` is the entry point the CLI hands raw files to, so it
 //! has to absorb arbitrary bytes (E000), arbitrary parseable-but-absurd
 //! specs (the parser is deliberately permissive about values), and
-//! hostile dependency graphs without crashing.
+//! hostile dependency graphs without crashing. On every generated spec
+//! that parses, the error gate (`lint_errors`) must return exactly the
+//! full lint's errors, in the same order.
 
 use proptest::prelude::*;
-use wrm_lint::{apply_fixes, collect_edits, lint_source, max_severity, Severity};
+use wrm_lint::{
+    apply_fixes, collect_edits, lint_ast, lint_errors, lint_source, max_severity, Severity,
+};
+
+/// Fails unless `lint_errors` equals `lint_ast` filtered to errors,
+/// element for element. Sources that do not parse pass: both runs
+/// start from an AST.
+fn gate_matches_full_lint(src: &str) -> Result<(), TestCaseError> {
+    let Ok(ast) = wrm_lang::parse(src) else {
+        return Ok(());
+    };
+    let full: Vec<_> = lint_ast(&ast)
+        .into_iter()
+        .filter(|d| d.severity == Severity::Error)
+        .collect();
+    let gate = lint_errors(&ast);
+    prop_assert!(gate == full, "{src}\ngate: {gate:?}\nfull: {full:?}");
+    Ok(())
+}
 
 proptest! {
     #[test]
@@ -23,7 +43,9 @@ proptest! {
         Just("1TB"), Just("0"), Just("-3"), Just("2.5GB/s"), Just("pm-cpu"),
         Just("a"), Just("b"), Just("\n"),
     ], 0..40)) {
-        let _ = lint_source(&words.join(" "));
+        let src = words.join(" ");
+        let _ = lint_source(&src);
+        gate_matches_full_lint(&src)?;
     }
 
     #[test]
@@ -46,6 +68,7 @@ proptest! {
             prop_assert!(wrm_lint::rule(&d.code).is_some(), "unregistered code {}", d.code);
             prop_assert!(d.code != "E000", "valid spec produced a syntax error");
         }
+        gate_matches_full_lint(&src)?;
     }
 
     #[test]
@@ -76,6 +99,7 @@ proptest! {
             prop_assert_eq!(max_severity(&diags), Some(Severity::Error));
             prop_assert!(diags.iter().any(|d| d.code == "E004"));
         }
+        gate_matches_full_lint(&src)?;
     }
 
     /// `--fix` round trip: applying every suggested edit yields a file

@@ -5,7 +5,7 @@
 //! shipped workflow in `workflows/` lints without errors; and the
 //! fixture set jointly exercises every rule in the registry.
 
-use wrm_lint::{lint_source, Diagnostic, Severity, RULES};
+use wrm_lint::{lint_ast, lint_errors, lint_source, Diagnostic, Severity, RULES};
 
 fn workflows_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../workflows")
@@ -519,6 +519,43 @@ fn shipped_workflows_lint_without_errors() {
         }
     }
     assert!(seen >= 4, "expected the four shipped workflows, saw {seen}");
+}
+
+/// Every `.wrm` file under `dir`, recursively.
+fn wrm_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display())) {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            wrm_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "wrm") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn the_error_gate_matches_the_full_lint_on_every_repo_spec() {
+    let mut files = Vec::new();
+    wrm_files(&workflows_dir(), &mut files);
+    files.sort();
+    let mut with_errors = 0;
+    for path in &files {
+        let source = std::fs::read_to_string(path).unwrap();
+        let Ok(ast) = wrm_lang::parse(&source) else {
+            continue; // E000 comes from the parser, not from either run
+        };
+        let full: Vec<Diagnostic> = lint_ast(&ast)
+            .into_iter()
+            .filter(|d| d.severity == Severity::Error)
+            .collect();
+        with_errors += usize::from(!full.is_empty());
+        assert_eq!(lint_errors(&ast), full, "{}", path.display());
+    }
+    assert!(
+        with_errors >= 10,
+        "only {with_errors} of {} specs have errors",
+        files.len()
+    );
 }
 
 #[test]

@@ -16,10 +16,12 @@
 //!   flows on a shared channel, optional `uniform(..)` overheads) the
 //!   simulator must agree: the DES makespan, or every Monte-Carlo
 //!   sample of a distributional spec, exceeds the target. W009 and W010
-//!   must never fire together.
+//!   must never fire together. On the same specs, where E010 fires,
+//!   the error gate (`lint_errors`) must return exactly the full lint's
+//!   errors, in the same order.
 
 use proptest::prelude::*;
-use wrm_lint::{lint_source, Severity};
+use wrm_lint::{lint_errors, lint_source, Severity};
 use wrm_sim::{certify, mc_run, simulate_summary, McOptions, Scenario, SimOptions};
 
 fn workflows_dir() -> std::path::PathBuf {
@@ -183,6 +185,14 @@ proptest! {
         let target: f64 = target_text.parse().expect("formatted float");
         let src = spec_source(&groups, pool, ext, Some(&target_text));
         let diags = lint_source(&src);
+        let errors: Vec<_> = diags
+            .iter()
+            .filter(|d| d.severity == Severity::Error)
+            .cloned()
+            .collect();
+        let ast = wrm_lang::parse(&src).expect("generated spec parses");
+        let gate = lint_errors(&ast);
+        prop_assert!(gate == errors, "{src}\ngate: {gate:?}\nfull: {errors:?}");
         let fired = |code: &str| diags.iter().any(|d| d.code == code);
         prop_assert!(
             diags.iter().all(|d| d.severity != Severity::Error || d.code == "E010"),

@@ -10,19 +10,16 @@ use wrm_workflows::{Bgw, CosmoFlow, Day, GpTune, Lcls, Mode};
 /// The builtin workflow names [`builtin_scenario`] accepts.
 pub const BUILTINS: [&str; 5] = ["lcls", "bgw", "cosmoflow", "gptune-rci", "gptune-spawn"];
 
-/// Parses and compiles a workflow source, running the error-severity
-/// lint subset first so a broken spec fails with spanned diagnostics
-/// instead of whatever the compiler trips over first. `path` labels
-/// the diagnostics (a file path in the CLI, a client-provided label on
-/// the server). The spec is compiled once: the lint run's own compile
-/// is returned.
+/// Parses and compiles a workflow source, running only the lint rules
+/// that can emit an error first ([`wrm_lint::lint_errors_with_context`])
+/// so a broken spec fails with spanned diagnostics instead of whatever
+/// the compiler trips over first. Warnings are not computed; `wrm lint`
+/// reports them. `path` labels the diagnostics (a file path in the CLI,
+/// a client-provided label on the server). The spec is compiled once:
+/// the lint run's own compile is returned.
 pub fn compile_checked(path: &str, source: &str) -> Result<wrm_lang::Compiled, String> {
     let ast = wrm_lang::parse(source).map_err(|e| format!("{path}:{e}"))?;
-    let (diags, ctx) = wrm_lint::lint_with_context(&ast);
-    let errors: Vec<_> = diags
-        .iter()
-        .filter(|d| d.severity == wrm_lint::Severity::Error)
-        .collect();
+    let (errors, ctx) = wrm_lint::lint_errors_with_context(&ast);
     if !errors.is_empty() {
         let mut msg = String::new();
         for d in &errors {
@@ -128,11 +125,15 @@ mod tests {
         }
     }
 
-    /// The pipeline `compile_checked` replaces: lint errors first, then
-    /// a compile of its own.
+    /// The pipeline `compile_checked` replaces: the full lint filtered
+    /// to its errors, then a compile of its own. It runs every rule, so
+    /// it also checks that the errors-only lint misses no error.
     fn lint_then_compile(path: &str, source: &str) -> Result<wrm_lang::Compiled, String> {
         let ast = wrm_lang::parse(source).map_err(|e| format!("{path}:{e}"))?;
-        let errors = wrm_lint::lint_errors(&ast);
+        let errors: Vec<_> = wrm_lint::lint_ast(&ast)
+            .into_iter()
+            .filter(|d| d.severity == wrm_lint::Severity::Error)
+            .collect();
         if !errors.is_empty() {
             let mut msg = String::new();
             for d in &errors {
