@@ -210,30 +210,6 @@ impl SimResult {
             })
             .collect()
     }
-
-    /// Materializes a finished run from its trace and each task's start
-    /// and end time (indexed like `workflow.tasks`). Every key is a clone of the
-    /// base's shared task name, and one pass in the base's name order
-    /// fills each map, so `BTreeMap::from_iter` bulk-builds each tree
-    /// from a pre-sorted stream in O(n).
-    pub(crate) fn from_schedule(
-        base: &BaseIndex,
-        workflow: &WorkflowSpec,
-        trace: Trace,
-        starts: &[f64],
-        ends: &[f64],
-        pool_nodes: u64,
-    ) -> Self {
-        let names = base.names(workflow);
-        SimResult {
-            makespan: trace.makespan(),
-            trace,
-            task_times: names.keyed(|i| ends[i] - starts[i]),
-            task_starts: names.keyed(|i| starts[i]),
-            task_nodes: names.keyed(|i| base.nodes[i]),
-            pool_nodes,
-        }
-    }
 }
 
 pub(crate) const EPS: f64 = 1e-9;
@@ -414,45 +390,12 @@ impl CapSum {
     }
 }
 
-/// Streaming aggregates accumulated during a [`RunMode::Summary`] run,
-/// replicating exactly what would be derived from the full result:
-/// the makespan folds (`Trace::makespan`'s min-start/max-end over spans,
-/// in span order), per-channel busy time (maximal member-presence
-/// intervals, closed in chronological order), and per-channel byte and
-/// flow counts (accumulated at each flow completion, i.e. in trace
-/// order).
-#[derive(Debug, Clone, Default)]
-struct SummaryAcc {
-    span_min_start: f64,
-    span_max_end: f64,
-    n_spans: u64,
-    /// Time each channel's member count last became non-zero.
-    active_since: Vec<f64>,
-    busy: Vec<f64>,
-    bytes: Vec<f64>,
-    flows: Vec<u64>,
-}
-
-impl SummaryAcc {
-    fn reset(&mut self, n_channels: usize) {
-        self.span_min_start = f64::INFINITY;
-        self.span_max_end = 0.0;
-        self.n_spans = 0;
-        self.active_since.clear();
-        self.active_since.resize(n_channels, 0.0);
-        self.busy.clear();
-        self.busy.resize(n_channels, 0.0);
-        self.bytes.clear();
-        self.bytes.resize(n_channels, 0.0);
-        self.flows.clear();
-        self.flows.resize(n_channels, 0);
-    }
-}
-
 /// Every growable buffer an engine run needs, grouped so a
-/// [`SimArena`] can keep them warm between runs: after the first run of
-/// a similar size, the event loop performs no heap allocation at all
-/// (the fair-share solver included, via the `rates_into` variants).
+/// [`SimArena`] can keep them warm between runs. After a first run of
+/// a similar size, the per-event buffers (the run set, queues, member
+/// lists and fair-share scratch, via the `rates_into` variants) stop
+/// growing; the calendar does not yet, as its resize rebuilds its
+/// buckets (see docs/PERF.md for the measured counts).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EngineState {
     run: RunSoa,
@@ -503,7 +446,6 @@ pub(crate) struct EngineState {
     demand_scratch: Vec<FlowDemand>,
     rates_out: Vec<FlowRate>,
     rate_scratch: RateScratch,
-    sum: SummaryAcc,
     /// Max–min solves run (not skipped) since the last reset.
     #[cfg(test)]
     full_solves: u64,
@@ -553,7 +495,6 @@ impl EngineState {
         self.released_by.resize(n, DEAD);
         self.demand_scratch.clear();
         self.rates_out.clear();
-        self.sum.reset(n_channels);
         #[cfg(test)]
         {
             self.full_solves = 0;
@@ -564,10 +505,11 @@ impl EngineState {
 /// A reusable simulation arena: owns every growable buffer the engine
 /// needs, so repeated [`simulate_with_base`] /
 /// [`simulate_summary_with_base`] calls (sweeps, Monte-Carlo batches,
-/// server workers) stop allocating once the buffers have grown to the
-/// workload's high-water mark. Results never depend on what the arena
-/// ran before; [`simulate`] and [`simulate_summary`] simply pass a fresh
-/// one.
+/// server workers) reuse them instead of regrowing them per run. A warm
+/// run still allocates: on a 2k-task layered DAG, 286 times for a
+/// summary (mostly calendar bucket regrowth) and 806 for a full result
+/// (mostly its maps' B-tree nodes). Results never depend on what the arena ran before;
+/// [`simulate`] and [`simulate_summary`] simply pass a fresh one.
 #[derive(Debug, Default)]
 pub struct SimArena {
     pub(crate) state: EngineState,
@@ -580,20 +522,9 @@ impl SimArena {
     }
 }
 
-/// What a run materializes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RunMode {
-    /// Full results: a trace span per phase plus per-task maps
-    /// ([`SimResult`]).
-    #[default]
-    Full,
-    /// Streaming aggregates only ([`SimSummary`]): O(channels) result
-    /// memory and no per-span or per-task materialization — the mode
-    /// that lets 1M-task DAGs run in bounded memory.
-    Summary,
-}
-
-/// Aggregate statistics of a [`RunMode::Summary`] run. Every field is
+/// Aggregate statistics of a summary run ([`simulate_summary`]): O(channels)
+/// result memory and no per-span or per-task materialization, which
+/// lets 1M-task DAGs run in bounded memory. Every field is
 /// bit-identical to the same statistic derived from the corresponding
 /// full [`SimResult`] (enforced by `tests/calendar_props.rs`).
 #[derive(Debug, Clone, PartialEq)]
@@ -650,8 +581,8 @@ pub fn simulate(scenario: &Scenario) -> Result<SimResult, SimError> {
     simulate_with_base(scenario, &base, &mut SimArena::new())
 }
 
-/// Runs the simulation in [`RunMode::Summary`]: streaming aggregates
-/// only, O(channels) result memory.
+/// Runs the simulation keeping streaming aggregates only
+/// ([`SimSummary`]): O(channels) result memory.
 pub fn simulate_summary(scenario: &Scenario) -> Result<SimSummary, SimError> {
     let base = BaseIndex::build(&scenario.machine, &scenario.workflow)?;
     simulate_summary_with_base(scenario, &base, &mut SimArena::new())
@@ -660,8 +591,8 @@ pub fn simulate_summary(scenario: &Scenario) -> Result<SimSummary, SimError> {
 /// [`simulate`] against a prebuilt [`BaseIndex`] and a reusable
 /// [`SimArena`] — the hot path of sweeps and of the resident server: an
 /// index-cache hit skips spec validation and index compilation entirely
-/// and goes straight to overlay construction, and a warm arena makes the
-/// run allocation-free.
+/// and goes straight to overlay construction, and a warm arena spares
+/// the run most of its buffer growth.
 ///
 /// `base` must have been built from this scenario's `(machine,
 /// workflow)` pair (e.g. by [`BaseIndex::build`]); results are undefined
@@ -672,14 +603,7 @@ pub fn simulate_with_base(
     arena: &mut SimArena,
 ) -> Result<SimResult, SimError> {
     let overlay = IndexOverlay::build(base, &scenario.workflow, &scenario.options)?;
-    run_point_in(
-        &scenario.workflow,
-        &scenario.machine.name,
-        &scenario.options,
-        base,
-        &overlay,
-        arena,
-    )
+    run_point_in::<FullSink>(scenario, base, &overlay, arena)
 }
 
 /// [`simulate_summary`] against a prebuilt [`BaseIndex`] and a reusable
@@ -691,64 +615,217 @@ pub fn simulate_summary_with_base(
     arena: &mut SimArena,
 ) -> Result<SimSummary, SimError> {
     let overlay = IndexOverlay::build(base, &scenario.workflow, &scenario.options)?;
-    run_point_in(
-        &scenario.workflow,
-        &scenario.machine.name,
-        &scenario.options,
-        base,
-        &overlay,
-        arena,
-    )
+    run_point_in::<SummarySink>(scenario, base, &overlay, arena)
 }
 
-/// What a run materializes once it reaches [`Outcome::Done`]; the type
-/// picks the [`RunMode`], so a mode and its result cannot mismatch.
-pub(crate) trait RunOutput: Sized {
-    const MODE: RunMode;
-    fn take(engine: &mut Engine<'_>) -> Self;
+/// What a run materializes, picked at compile time: the event loop
+/// calls these hooks where it reaches them, and each sink keeps only
+/// what its output needs.
+pub(crate) trait Sink<'a>: Clone {
+    /// What [`Sink::finish`] materializes.
+    type Output;
+
+    /// A sink for a fresh run of `workflow` over `base`.
+    fn new(workflow: &'a WorkflowSpec, machine_name: &str, base: &'a BaseIndex) -> Self;
+
+    /// Channel `ch` went idle -> busy (its first member joined) at `now`.
+    fn channel_busy(&mut self, _ch: usize, _now: f64) {}
+
+    /// Channel `ch` went busy -> idle (its last member left) at `now`.
+    fn channel_idle(&mut self, _ch: usize, _now: f64) {}
+
+    /// Phase slot `slot` of task `t` ran from `start` to `now`. Called
+    /// in trace order.
+    fn phase_end(&mut self, t: usize, slot: usize, start: f64, now: f64);
+
+    /// Materializes the output of a finished run from its schedule.
+    fn finish(self, st: &EngineState, pool_nodes: u64) -> Self::Output;
 }
 
-impl RunOutput for SimResult {
-    const MODE: RunMode = RunMode::Full;
-    fn take(engine: &mut Engine<'_>) -> Self {
-        engine.take_result()
+/// The full sink: a trace span per phase plus per-task maps
+/// ([`SimResult`]), every name an `Arc` clone of the base's name table.
+pub(crate) struct FullSink<'a> {
+    base: &'a BaseIndex,
+    names: &'a NameTable,
+    trace: Trace,
+}
+
+/// A clone keeps the span capacity, so an engine resumed from a paused
+/// one (see [`Engine::resume_with`]) pushes its suffix without regrowing.
+impl Clone for FullSink<'_> {
+    fn clone(&self) -> Self {
+        let mut trace = Trace::new(self.trace.workflow.clone(), self.trace.machine.clone());
+        trace.spans.reserve_exact(self.trace.spans.capacity());
+        trace.spans.extend_from_slice(&self.trace.spans);
+        FullSink { trace, ..*self }
     }
 }
 
-impl RunOutput for SimSummary {
-    const MODE: RunMode = RunMode::Summary;
-    fn take(engine: &mut Engine<'_>) -> Self {
-        engine.take_summary()
+impl<'a> Sink<'a> for FullSink<'a> {
+    type Output = SimResult;
+
+    fn new(workflow: &'a WorkflowSpec, machine_name: &str, base: &'a BaseIndex) -> Self {
+        let mut trace = Trace::new(workflow.name.clone(), machine_name);
+        trace.spans.reserve_exact(base.phases.len());
+        let names = base.names(workflow);
+        FullSink { base, names, trace }
+    }
+
+    fn phase_end(&mut self, t: usize, slot: usize, start: f64, now: f64) {
+        self.trace.push(TraceSpan::new(
+            self.names.tasks[t].clone(),
+            self.names.kinds[slot].clone(),
+            start,
+            now,
+            self.base.nodes[t],
+        ));
+    }
+
+    /// One pass in the name table's name order fills each map, so
+    /// `BTreeMap::from_iter` bulk-builds each tree from a pre-sorted
+    /// stream in O(n).
+    fn finish(self, st: &EngineState, pool_nodes: u64) -> SimResult {
+        let (starts, ends) = (&st.starts, &st.ends);
+        SimResult {
+            makespan: self.trace.makespan(),
+            trace: self.trace,
+            task_times: self.names.keyed(|i| ends[i] - starts[i]),
+            task_starts: self.names.keyed(|i| starts[i]),
+            task_nodes: self.names.keyed(|i| self.base.nodes[i]),
+            pool_nodes,
+        }
     }
 }
 
-/// The one driver every entry point shares: builds an [`Engine`] for a
-/// prebuilt `(base, overlay)` point over the arena's recycled buffers,
-/// runs it to completion, and hands the buffers back to the arena.
-pub(crate) fn run_point_in<T: RunOutput>(
-    workflow: &WorkflowSpec,
-    machine_name: &str,
-    opts: &SimOptions,
-    base: &BaseIndex,
-    overlay: &IndexOverlay,
+/// The summary sink: streaming aggregates ([`SimSummary`]) that
+/// replicate exactly what would be derived from the full result: the
+/// makespan folds (`Trace::makespan`'s min-start/max-end over spans, in
+/// span order), per-channel busy time (maximal member-presence
+/// intervals, closed in chronological order), and per-channel byte and
+/// flow counts (accumulated at each flow completion, i.e. in trace
+/// order).
+#[derive(Clone)]
+pub(crate) struct SummarySink<'a> {
+    workflow: &'a WorkflowSpec,
+    base: &'a BaseIndex,
+    span_min_start: f64,
+    span_max_end: f64,
+    n_spans: u64,
+    /// Time each channel's member count last became non-zero.
+    active_since: Vec<f64>,
+    channels: Vec<ChannelSummary>,
+}
+
+impl<'a> Sink<'a> for SummarySink<'a> {
+    type Output = SimSummary;
+
+    fn new(workflow: &'a WorkflowSpec, _machine_name: &str, base: &'a BaseIndex) -> Self {
+        let channel = |id: &String| ChannelSummary {
+            resource: id.clone(),
+            busy: 0.0,
+            bytes: 0.0,
+            flows: 0,
+        };
+        SummarySink {
+            workflow,
+            base,
+            span_min_start: f64::INFINITY,
+            span_max_end: 0.0,
+            n_spans: 0,
+            active_since: vec![0.0; base.channel_ids.len()],
+            channels: base.channel_ids.iter().map(channel).collect(),
+        }
+    }
+
+    fn channel_busy(&mut self, ch: usize, now: f64) {
+        self.active_since[ch] = now;
+    }
+
+    fn channel_idle(&mut self, ch: usize, now: f64) {
+        self.channels[ch].busy += now - self.active_since[ch];
+    }
+
+    /// The folds `Trace::makespan` would perform over the span this sink
+    /// does not keep, plus per-channel byte and flow counts.
+    fn phase_end(&mut self, _t: usize, slot: usize, start: f64, now: f64) {
+        self.n_spans += 1;
+        self.span_min_start = self.span_min_start.min(start);
+        self.span_max_end = self.span_max_end.max(now);
+        if let PhaseIx::Flow { channel, bytes, .. } = self.base.phases[slot] {
+            let c = &mut self.channels[channel as usize];
+            c.bytes += bytes;
+            c.flows += 1;
+        }
+    }
+
+    fn finish(self, st: &EngineState, pool_nodes: u64) -> SimSummary {
+        let makespan = if self.span_min_start.is_finite() {
+            self.span_max_end - self.span_min_start
+        } else {
+            0.0
+        };
+        let n = self.base.n_tasks();
+        let mut node_seconds = 0.0;
+        for t in 0..n {
+            node_seconds += self.base.nodes[t] as f64 * (st.ends[t] - st.starts[t]);
+        }
+        // Critical-path tail: walk released-by links back from the
+        // first task attaining the maximum end time.
+        let mut critical_tail = Vec::new();
+        let mut critical_tail_len = 0;
+        if n > 0 {
+            let mut best = 0usize;
+            for t in 1..n {
+                if st.ends[t] > st.ends[best] {
+                    best = t;
+                }
+            }
+            let mut cur = best as u32;
+            loop {
+                if critical_tail.len() < TAIL_CAP {
+                    critical_tail.push(self.workflow.tasks[cur as usize].name.clone());
+                }
+                critical_tail_len += 1;
+                match st.released_by[cur as usize] {
+                    DEAD => break,
+                    prev => cur = prev,
+                }
+            }
+            // The walk goes end -> root; report in execution order.
+            critical_tail.reverse();
+        }
+        SimSummary {
+            makespan,
+            n_tasks: n,
+            n_spans: self.n_spans,
+            pool_nodes,
+            node_seconds,
+            channels: self.channels,
+            critical_tail_len,
+            critical_tail,
+        }
+    }
+}
+
+/// Runs a prebuilt `(base, overlay)` point of `scenario` to completion
+/// over the arena's recycled buffers, materializing sink `S`'s output.
+pub(crate) fn run_point_in<'a, S: Sink<'a>>(
+    scenario: &'a Scenario,
+    base: &'a BaseIndex,
+    overlay: &'a IndexOverlay,
     arena: &mut SimArena,
-) -> Result<T, SimError> {
-    let mut engine = Engine::new_in(
-        workflow,
-        machine_name,
-        opts,
-        base,
-        overlay,
-        std::mem::take(&mut arena.state),
-        T::MODE,
-    );
-    let result = match engine.advance() {
-        Ok(Outcome::Done) => Ok(T::take(&mut engine)),
-        Ok(Outcome::Paused) => unreachable!("no watch armed"),
-        Err(e) => Err(e),
-    };
-    arena.state = engine.recycle();
-    result
+) -> Result<S::Output, SimError> {
+    let (workflow, opts) = (&scenario.workflow, &scenario.options);
+    Engine::<S>::new_in(workflow, &scenario.machine.name, opts, base, overlay, arena).run(arena)
+}
+
+/// Where [`Engine::drive`] left a run.
+pub(crate) enum Step<'a, S: Sink<'a>> {
+    /// The run ended: its sink's output, or the error that stopped it.
+    Done(Result<S::Output, SimError>),
+    /// Paused at the watch, buffers and all: the checkpoint
+    /// [`Engine::resume_with`] clones.
+    Paused(Box<Engine<'a, S>>),
 }
 
 /// Outcome of [`Engine::advance`].
@@ -796,20 +873,17 @@ pub(crate) enum Outcome {
 /// then clone the paused state per grid point with a different overlay
 /// ([`Engine::resume_with`]) and replay only the suffix.
 #[derive(Clone)]
-pub(crate) struct Engine<'a> {
-    workflow: &'a WorkflowSpec,
+pub(crate) struct Engine<'a, S> {
     opts: &'a SimOptions,
     base: &'a BaseIndex,
     overlay: &'a IndexOverlay,
-    mode: RunMode,
+    /// What the run materializes.
+    sink: S,
     /// Every growable buffer, arena-recyclable (see [`SimArena`]).
     st: EngineState,
     free: u64,
     now: f64,
     done: usize,
-    /// The base's shared names, in [`RunMode::Full`] only.
-    names: Option<&'a NameTable>,
-    trace: Trace,
     /// Channel whose first member join pauses the run (incremental
     /// sweep: until then a contention factor on this channel has only
     /// set the caps of its flows).
@@ -819,36 +893,27 @@ pub(crate) struct Engine<'a> {
     at_checkpoint: bool,
 }
 
-impl<'a> Engine<'a> {
-    /// An engine at time zero over recycled buffers (see [`SimArena`]),
-    /// in an explicit run mode.
+impl<'a, S: Sink<'a>> Engine<'a, S> {
+    /// An engine at time zero over the arena's recycled buffers.
     pub(crate) fn new_in(
         workflow: &'a WorkflowSpec,
-        machine_name: &'a str,
+        machine_name: &str,
         opts: &'a SimOptions,
         base: &'a BaseIndex,
         overlay: &'a IndexOverlay,
-        mut state: EngineState,
-        mode: RunMode,
+        arena: &mut SimArena,
     ) -> Self {
-        state.reset(base, overlay);
-        let names = (mode == RunMode::Full).then(|| base.names(workflow));
-        let mut trace = Trace::new(workflow.name.clone(), machine_name.to_string());
-        if names.is_some() {
-            trace.spans.reserve_exact(base.phases.len());
-        }
+        let mut st = std::mem::take(&mut arena.state);
+        st.reset(base, overlay);
         Engine {
-            workflow,
             opts,
             base,
             overlay,
-            mode,
-            st: state,
+            sink: S::new(workflow, machine_name, base),
+            st,
             free: overlay.pool_total,
             now: 0.0,
             done: 0,
-            names,
-            trace,
             watch: None,
             at_checkpoint: false,
         }
@@ -908,9 +973,8 @@ impl<'a> Engine<'a> {
                 } else {
                     let ch = channel as usize;
                     let ms = self.st.members[ch].len() as u32;
-                    if self.mode == RunMode::Summary && ms == 0 {
-                        // Channel going idle -> busy: open an interval.
-                        self.st.sum.active_since[ch] = self.now;
+                    if ms == 0 {
+                        self.sink.channel_busy(ch, self.now);
                     }
                     self.st.members[ch].push(token);
                     self.st.joiners[ch].push(token);
@@ -1230,44 +1294,15 @@ impl<'a> Engine<'a> {
                     self.st.cap_sums[ch] = CapSum::default();
                     self.st.at_caps[ch] = true;
                     self.st.joiners[ch].clear();
-                    if self.mode == RunMode::Summary {
-                        // Channel going busy -> idle: close the interval.
-                        self.st.sum.busy[ch] += self.now - self.st.sum.active_since[ch];
-                    }
+                    self.sink.channel_idle(ch, self.now);
                 } else {
                     self.st.cap_sums[ch].add(cap, -1.0);
                 }
             }
 
             let t = task_ix as usize;
-            match self.mode {
-                RunMode::Full => {
-                    let names = self.names.expect("full runs hold the name table");
-                    let slot = (self.base.phase_off[t] + phase_ix) as usize;
-                    self.trace.push(TraceSpan::new(
-                        names.tasks[t].clone(),
-                        names.kinds[slot].clone(),
-                        phase_start,
-                        self.now,
-                        self.base.nodes[t],
-                    ));
-                }
-                RunMode::Summary => {
-                    // The folds `Trace::makespan` would perform over the
-                    // span this branch does not emit, plus per-channel
-                    // byte/flow accounting.
-                    self.st.sum.n_spans += 1;
-                    self.st.sum.span_min_start = self.st.sum.span_min_start.min(phase_start);
-                    self.st.sum.span_max_end = self.st.sum.span_max_end.max(self.now);
-                    if channel != DEAD {
-                        let slot = (self.base.phase_off[t] + phase_ix) as usize;
-                        if let PhaseIx::Flow { bytes, .. } = self.base.phases[slot] {
-                            self.st.sum.bytes[channel as usize] += bytes;
-                            self.st.sum.flows[channel as usize] += 1;
-                        }
-                    }
-                }
-            }
+            let slot = (self.base.phase_off[t] + phase_ix) as usize;
+            self.sink.phase_end(t, slot, phase_start, self.now);
             let next_phase = phase_ix + 1;
             if next_phase < self.base.n_phases(t) {
                 self.spawn(task_ix, next_phase, true);
@@ -1331,87 +1366,25 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Materializes the final [`SimResult`] after [`Outcome::Done`],
-    /// leaving the engine's buffers recyclable.
-    pub(crate) fn take_result(&mut self) -> SimResult {
-        SimResult::from_schedule(
-            self.base,
-            self.workflow,
-            std::mem::replace(&mut self.trace, Trace::new(String::new(), String::new())),
-            &self.st.starts,
-            &self.st.ends,
-            self.overlay.pool_total,
-        )
-    }
-
-    /// Materializes the [`SimSummary`] of a [`RunMode::Summary`] run
-    /// after [`Outcome::Done`].
-    pub(crate) fn take_summary(&mut self) -> SimSummary {
-        let sum = &self.st.sum;
-        let makespan = if sum.span_min_start.is_finite() {
-            sum.span_max_end - sum.span_min_start
-        } else {
-            0.0
+    /// The one driver behind every run: advances until the run ends or
+    /// pauses at its watch. An ended run materializes its output (or
+    /// stops at its error) and hands its buffers back to `arena`; a
+    /// paused engine comes back whole, as a checkpoint.
+    pub(crate) fn drive(mut self, arena: &mut SimArena) -> Step<'a, S> {
+        let done = match self.advance() {
+            Ok(Outcome::Paused) => return Step::Paused(Box::new(self)),
+            done => done,
         };
-        let n = self.base.n_tasks();
-        let mut node_seconds = 0.0;
-        for t in 0..n {
-            node_seconds += self.base.nodes[t] as f64 * (self.st.ends[t] - self.st.starts[t]);
-        }
-        let channels = self
-            .base
-            .channel_ids
-            .iter()
-            .enumerate()
-            .map(|(ci, id)| ChannelSummary {
-                resource: id.clone(),
-                busy: sum.busy[ci],
-                bytes: sum.bytes[ci],
-                flows: sum.flows[ci],
-            })
-            .collect();
-        // Critical-path tail: walk released-by links back from the
-        // first task attaining the maximum end time.
-        let mut critical_tail = Vec::new();
-        let mut critical_tail_len = 0;
-        if n > 0 {
-            let mut best = 0usize;
-            for t in 1..n {
-                if self.st.ends[t] > self.st.ends[best] {
-                    best = t;
-                }
-            }
-            let mut cur = best as u32;
-            loop {
-                if critical_tail.len() < TAIL_CAP {
-                    critical_tail.push(self.workflow.tasks[cur as usize].name.clone());
-                }
-                critical_tail_len += 1;
-                match self.st.released_by[cur as usize] {
-                    DEAD => break,
-                    prev => cur = prev,
-                }
-            }
-            // The walk goes end -> root; report in execution order.
-            critical_tail.reverse();
-        }
-        SimSummary {
-            makespan,
-            n_tasks: n,
-            n_spans: sum.n_spans,
-            pool_nodes: self.overlay.pool_total,
-            node_seconds,
-            channels,
-            critical_tail_len,
-            critical_tail,
-        }
+        let output = done.map(|_| self.sink.finish(&self.st, self.overlay.pool_total));
+        arena.state = self.st;
+        Step::Done(output)
     }
 
-    /// Runs to completion.
-    pub(crate) fn run(mut self) -> Result<SimResult, SimError> {
-        match self.advance()? {
-            Outcome::Done => Ok(self.take_result()),
-            Outcome::Paused => unreachable!("run() is never called with a watch armed"),
+    /// Runs to completion through [`Engine::drive`].
+    pub(crate) fn run(self, arena: &mut SimArena) -> Result<S::Output, SimError> {
+        match self.drive(arena) {
+            Step::Done(output) => output,
+            Step::Paused(_) => unreachable!("run() is never called with a watch armed"),
         }
     }
 
@@ -1421,13 +1394,9 @@ impl<'a> Engine<'a> {
     /// sweep column): before the pause no solve has read that capacity,
     /// and the factor has only set the caps of the channel's members,
     /// which are re-derived here with the spawn expression.
-    pub(crate) fn resume_with(&self, overlay: &'a IndexOverlay) -> Engine<'a> {
+    pub(crate) fn resume_with(&self, overlay: &'a IndexOverlay) -> Self {
         let mut e = self.clone();
         e.overlay = overlay;
-        // The clone holds only the prefix's spans; presize for the rest.
-        e.trace
-            .spans
-            .reserve_exact(e.base.phases.len() - e.trace.spans.len());
         let ch = e
             .watch
             .take()
@@ -1456,7 +1425,7 @@ impl<'a> Engine<'a> {
 
 #[cfg(test)]
 mod tests {
-    use super::{Engine, EngineState, Outcome, RunMode, Scenario, SimOptions, SimResult};
+    use super::{Engine, FullSink, Scenario, SimArena, SimOptions, SimResult, Step};
     use crate::incremental::tests::random_workflow;
     use crate::index::BaseIndex;
     use crate::overlay::IndexOverlay;
@@ -1483,21 +1452,14 @@ mod tests {
         let opts = SimOptions::default();
         let base = BaseIndex::build(&machine, &wf).expect("valid workflow");
         let overlay = IndexOverlay::build(&base, &wf, &opts).expect("valid options");
-        let mut eng = Engine::new_in(
-            &wf,
-            &machine.name,
-            &opts,
-            &base,
-            &overlay,
-            EngineState::default(),
-            RunMode::Full,
-        );
-        assert!(matches!(eng.advance(), Ok(Outcome::Done)));
+        let mut arena = SimArena::new();
+        let eng =
+            Engine::<FullSink>::new_in(&wf, &machine.name, &opts, &base, &overlay, &mut arena);
+        let result = eng.run(&mut arena).expect("runs");
         let work = Work {
-            full_solves: eng.st.full_solves,
-            examined: eng.st.calendar.examined,
+            full_solves: arena.state.full_solves,
+            examined: arena.state.calendar.examined,
         };
-        let result = eng.take_result();
         let reference = simulate_reference(&Scenario::new(machine, wf).with_options(opts));
         assert_eq!(Ok(&result), reference.as_ref(), "engine vs reference");
         (result, work)
@@ -1589,21 +1551,19 @@ mod tests {
                 continue;
             };
             let new = || {
-                Engine::new_in(
+                Engine::<FullSink>::new_in(
                     &wf,
                     &machine.name,
                     &opts,
                     &base,
                     &overlay,
-                    EngineState::default(),
-                    RunMode::Full,
+                    &mut SimArena::new(),
                 )
             };
-            let cold = new().run();
+            let cold = new().run(&mut SimArena::new());
             let ch = base.channel_idx[resource];
-            let mut eng = new().with_watch(ch);
-            match eng.advance() {
-                Ok(Outcome::Paused) => {
+            match new().with_watch(ch).drive(&mut SimArena::new()) {
+                Step::Paused(eng) => {
                     paused += 1;
                     let members = &eng.st.members[ch as usize];
                     assert!(!members.is_empty(), "seed {seed}: paused without a join");
@@ -1611,10 +1571,10 @@ mod tests {
                         let p = eng.st.pos_of[tok as usize] as usize;
                         assert_eq!(eng.st.run.rate[p], 0.0, "seed {seed}: solved before pause");
                     }
-                    assert_eq!(eng.resume_with(&overlay).run(), cold, "seed {seed}");
+                    let resumed = eng.resume_with(&overlay).run(&mut SimArena::new());
+                    assert_eq!(resumed, cold, "seed {seed}");
                 }
-                Ok(Outcome::Done) => assert_eq!(Ok(eng.take_result()), cold, "seed {seed}"),
-                Err(e) => assert_eq!(Err(e), cold, "seed {seed}"),
+                Step::Done(result) => assert_eq!(result, cold, "seed {seed}"),
             }
         }
         assert!(paused > 100, "only {paused} runs paused");

@@ -36,7 +36,7 @@
 //! proptest below enforces.
 
 use crate::engine::{
-    Engine, Outcome, RunMode, Scenario, SchedulerPolicy, SimArena, SimError, SimResult,
+    Engine, FullSink, Scenario, SchedulerPolicy, SimArena, SimError, SimResult, Step,
 };
 use crate::index::BaseIndex;
 use crate::overlay::IndexOverlay;
@@ -136,16 +136,6 @@ pub struct SweepOutcome {
     pub results: Vec<Result<SimResult, SimError>>,
     /// How the points were evaluated.
     pub stats: SweepStats,
-}
-
-/// How a column answers its valid points, set by the first.
-enum ColumnState<'e> {
-    /// The watched channel never joined: the factor cannot matter, reuse
-    /// the first result.
-    Reuse(Box<Result<SimResult, SimError>>),
-    /// Engine checkpointed just before the first solve that reads the
-    /// swept channel; replay the suffix per overlay.
-    Paused(Box<Engine<'e>>),
 }
 
 /// Evaluates the full grid over `scenario`, using up to `threads` worker
@@ -267,7 +257,8 @@ pub fn sweep_column(
 
     let mut out = Vec::with_capacity(points.len());
     let mut stats = SweepStats::default();
-    let mut state: Option<ColumnState> = None;
+    // How the column answers its valid points, set by the first.
+    let mut state: Option<Step<FullSink>> = None;
 
     for (fi, (opts, overlay)) in points.iter().enumerate() {
         let ix = grid.index_of(fi, ni, pi);
@@ -282,20 +273,26 @@ pub fn sweep_column(
                 match state
                     .get_or_insert_with(|| first_point(scenario, opts, base, ov, watch, arena))
                 {
-                    ColumnState::Paused(p) => {
+                    // Checkpointed just before the first solve that reads
+                    // the swept channel: replay the suffix on a clone per
+                    // overlay. The clone's buffers are freed at once, so
+                    // the next clone reuses their memory.
+                    Step::Paused(p) => {
                         stats.replayed += usize::from(!first);
-                        p.resume_with(ov).run()
+                        p.resume_with(ov).run(&mut SimArena::new())
                     }
-                    ColumnState::Reuse(saved) => {
+                    // The watched channel never joined: the factor cannot
+                    // matter, reuse the first result.
+                    Step::Done(saved) => {
                         stats.reused += usize::from(!first);
-                        saved.as_ref().clone()
+                        saved.clone()
                     }
                 }
             }
         };
         out.push((ix, r));
     }
-    if let Some(ColumnState::Paused(p)) = state {
+    if let Some(Step::Paused(p)) = state {
         arena.state = p.recycle();
     }
     (out, stats)
@@ -311,27 +308,20 @@ fn first_point<'e>(
     overlay: &'e IndexOverlay,
     watch: Option<u32>,
     arena: &mut SimArena,
-) -> ColumnState<'e> {
-    let mut eng = Engine::new_in(
+) -> Step<'e, FullSink<'e>> {
+    let eng = Engine::new_in(
         &scenario.workflow,
         &scenario.machine.name,
         opts,
         base,
         overlay,
-        std::mem::take(&mut arena.state),
-        RunMode::Full,
+        arena,
     );
-    if let Some(ch) = watch {
-        eng = eng.with_watch(ch);
+    match watch {
+        Some(ch) => eng.with_watch(ch),
+        None => eng,
     }
-    match eng.advance() {
-        Ok(Outcome::Paused) => ColumnState::Paused(Box::new(eng)),
-        done => {
-            let res = done.map(|_| eng.take_result());
-            arena.state = eng.recycle();
-            ColumnState::Reuse(Box::new(res))
-        }
-    }
+    .drive(arena)
 }
 
 #[cfg(test)]

@@ -59,7 +59,7 @@ pub use bounds::{certify, certify_with_base, Certificate, ChannelFloor, TaskBoun
 pub use channel::{max_min_rates, max_min_rates_into, FlowDemand, FlowRate, RateScratch};
 pub use engine::{
     simulate, simulate_summary, simulate_summary_with_base, simulate_with_base, ChannelSummary,
-    RunMode, Scenario, SchedulerPolicy, SimArena, SimError, SimOptions, SimResult, SimSummary,
+    Scenario, SchedulerPolicy, SimArena, SimError, SimOptions, SimResult, SimSummary,
 };
 pub use incremental::{
     sweep_column, sweep_grid, sweep_grid_with_base, IndexedResult, SweepGrid, SweepOutcome,

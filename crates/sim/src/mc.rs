@@ -14,11 +14,11 @@
 //!   clones it and patches only the dist-bearing slots per replication
 //!   (a slot write is one enum field), so the per-replication cost is
 //!   the event loop, not spec validation + index lowering.
-//! * **Warm arenas.** Each worker owns one [`SimArena`]; every
-//!   replication after its first allocates nothing
+//! * **Warm arenas.** Each worker owns one [`SimArena`], whose buffers
+//!   every replication after its first reuses, calendar buckets aside
 //!   ([`crate::simulate_summary_with_base`] recycles the engine state).
-//! * **Streaming summaries.** Replications run in
-//!   [`crate::RunMode::Summary`], so per-replication memory is
+//! * **Streaming summaries.** Replications run through the engine's
+//!   summary sink ([`crate::SimSummary`]), so per-replication memory is
 //!   O(channels) and the only thing retained per rep is its makespan.
 //! * **Splittable PRNG.** Replication `i` seeds its own generator from
 //!   `seed ^ i` (scrambled through SplitMix64 by `seed_from_u64`), so

@@ -106,10 +106,11 @@ where
         return (0..jobs).map(|i| work(&mut state, i)).collect();
     }
     let claim = ChunkClaim::new(jobs, chunk);
-    let worker_outputs = crossbeam::scope(|scope| {
+    let mut results: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     let mut state = init();
                     let mut out = Vec::new();
                     while let Some(range) = claim.next_range() {
@@ -121,20 +122,17 @@ where
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(std::thread::ScopedJoinHandle::join)
-            .collect::<Vec<_>>()
-    })
-    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-
-    let mut results: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
-    for joined in worker_outputs {
-        let out = joined.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-        for (i, r) in out {
-            results[i] = Some(r);
+        // A re-raised panic unwinds out of the scope only after every
+        // other worker has finished.
+        for handle in handles {
+            let out = handle
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            for (i, r) in out {
+                results[i] = Some(r);
+            }
         }
-    }
+    });
     results
         .into_iter()
         .map(|r| r.expect("every job index was claimed"))
