@@ -806,3 +806,70 @@ fn jsonl_traces_match_golden_files() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `wrm sweep` rows are pinned byte for byte in CSV and JSON: error
+/// rows (a node limit below a task's width), both policies, node limits
+/// and contention factors, on a `.wrm` file and on a builtin. The
+/// CLI/server identity tests cannot see a bug both front ends share;
+/// these files can.
+#[test]
+fn sweep_rows_match_golden_files() {
+    let node_pressure = format!(
+        "{}/../../workflows/node_pressure.wrm",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let cases: [(&str, &[&str]); 2] = [
+        (
+            "sweep_node_pressure",
+            &[
+                &node_pressure,
+                "--resource",
+                "fs",
+                "--factors",
+                "0.5,1,2",
+                "--nodes",
+                "4,5,8",
+                "--policies",
+                "fifo,backfill",
+            ],
+        ),
+        (
+            "sweep_lcls",
+            &[
+                "lcls",
+                "--resource",
+                "ext",
+                "--factors",
+                "0.2,0.5,1,2",
+                "--nodes",
+                "64,2388",
+                "--policies",
+                "fifo,backfill",
+            ],
+        ),
+    ];
+    for (name, args) in cases {
+        for format in ["csv", "json"] {
+            let out = wrm()
+                .arg("sweep")
+                .args(args)
+                .args(["--format", format, "--quiet"])
+                .output()
+                .expect("runs");
+            assert!(
+                out.status.success(),
+                "{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let golden = format!(
+                "{}/tests/golden/{name}.{format}",
+                env!("CARGO_MANIFEST_DIR")
+            );
+            assert_eq!(
+                String::from_utf8(out.stdout).expect("utf-8"),
+                std::fs::read_to_string(&golden).expect("golden"),
+                "{name}.{format}"
+            );
+        }
+    }
+}
