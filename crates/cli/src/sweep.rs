@@ -2,9 +2,10 @@
 //!
 //! Builds the cartesian grid of contention factor x node limit x
 //! scheduler policy and simulates every cell on the incremental sweep
-//! engine (`wrm_sim::sweep_grid`) — one shared base index and
-//! checkpoint/replay along the factor axis — printing one row per cell as JSON, JSON lines, or
-//! CSV. Every row is bit-identical to per-point simulation, which the
+//! engine (`wrm_sim::sweep_grid_points`) — one shared base index and
+//! checkpoint/replay along the factor axis, each cell keeping only its
+//! row — printing one row per cell as JSON, JSON lines, or CSV. Every
+//! row is bit-identical to per-point simulation, which the
 //! `sweep_matches_per_point_simulation` CLI test checks end to end.
 //! Scenario errors land in the row's `error` column instead of aborting
 //! the whole sweep.
@@ -56,7 +57,8 @@ pub fn cmd_sweep(args: &[String]) -> Result<(), String> {
     )?;
     let cells = render::grid_cells(&grid);
 
-    let wrm_sim::SweepOutcome { results, stats } = wrm_sim::sweep_grid(&base, &grid, flags.threads);
+    let wrm_sim::SweepOutcome { results, stats } =
+        wrm_sim::sweep_grid_points(&base, &grid, flags.threads);
 
     let workflow = base.workflow.name.as_str();
     let machine = base.machine.name.as_str();

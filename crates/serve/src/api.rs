@@ -18,7 +18,7 @@ use std::io::Write;
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 use wrm_mc::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use wrm_sim::{SimOptions, SweepStats};
+use wrm_sim::{SimOptions, SweepPoint, SweepStats};
 
 const TEXT: &str = "text/plain; charset=utf-8";
 const JSON: &str = "application/json";
@@ -457,14 +457,14 @@ fn sweep<W: Write>(
         .flat_map(|ni| (0..grid.policies.len()).map(move |pi| (ni, pi)))
         .collect();
 
-    let (tx, rx) = mpsc::channel::<(Vec<wrm_sim::IndexedResult>, SweepStats)>();
+    let (tx, rx) = mpsc::channel::<(Vec<wrm_sim::IndexedResult<SweepPoint>>, SweepStats)>();
     for &(ni, pi) in &columns {
         let tx = tx.clone();
         let entry = Arc::clone(&entry);
         let grid = Arc::clone(&grid);
         state.pool.submit(Box::new(move |arena| {
             let (results, stats) =
-                wrm_sim::sweep_column(&entry.scenario, &grid, &entry.base, ni, pi, arena);
+                wrm_sim::sweep_column_points(&entry.scenario, &grid, &entry.base, ni, pi, arena);
             let _ = tx.send((results, stats));
         }));
     }
@@ -473,7 +473,7 @@ fn sweep<W: Write>(
     let workflow = entry.scenario.workflow.name.as_str();
     let machine = entry.scenario.machine.name.as_str();
     let resource = grid.resource.clone().unwrap_or_default();
-    let mut slots: Vec<Option<Result<wrm_sim::SimResult, wrm_sim::SimError>>> =
+    let mut slots: Vec<Option<Result<SweepPoint, wrm_sim::SimError>>> =
         (0..grid.len()).map(|_| None).collect();
     let mut emitted = 0usize;
 

@@ -17,6 +17,7 @@
 
 use wrm_sim::{
     Certificate, McResult, Scenario, SchedulerPolicy, SimError, SimResult, SimSummary, SweepGrid,
+    SweepPoint,
 };
 use wrm_trace::{characterize, Structure};
 
@@ -133,23 +134,32 @@ pub fn grid_cells(grid: &SweepGrid) -> Vec<SweepCell> {
 pub const SWEEP_CSV_HEADER: &str = "workflow,machine,resource,factor,node_limit,policy,\
                                     makespan_s,node_seconds,utilization,error\n";
 
-/// Renders one sweep cell as a CSV row (with trailing newline).
+/// Renders one sweep cell as a CSV row (with trailing newline). A row
+/// reads only the cell's [`SweepPoint`], so `result` is either a
+/// point or a full [`SimResult`] (taken through `SweepPoint::from`),
+/// with the same bytes.
 #[must_use]
-pub fn sweep_row_csv(
+pub fn sweep_row_csv<R>(
     workflow: &str,
     machine: &str,
     resource: &str,
     cell: &SweepCell,
-    result: &Result<SimResult, SimError>,
-) -> String {
+    result: &Result<R, SimError>,
+) -> String
+where
+    for<'r> SweepPoint: From<&'r R>,
+{
     let node_limit = cell.node_limit.map(|n| n.to_string()).unwrap_or_default();
     let (makespan, node_seconds, utilization, error) = match result {
-        Ok(r) => (
-            format!("{:.6}", r.makespan),
-            format!("{:.3}", r.node_seconds()),
-            format!("{:.6}", r.utilization()),
-            String::new(),
-        ),
+        Ok(r) => {
+            let p = SweepPoint::from(r);
+            (
+                format!("{:.6}", p.makespan),
+                format!("{:.3}", p.node_seconds),
+                format!("{:.6}", p.utilization()),
+                String::new(),
+            )
+        }
         Err(e) => (
             String::new(),
             String::new(),
@@ -172,22 +182,29 @@ pub fn sweep_row_csv(
     )
 }
 
-/// Renders one sweep cell as a JSON row value.
+/// Renders one sweep cell as a JSON row value; `result` as for
+/// [`sweep_row_csv`].
 #[must_use]
-pub fn sweep_row_value(
+pub fn sweep_row_value<R>(
     workflow: &str,
     machine: &str,
     resource: &str,
     cell: &SweepCell,
-    result: &Result<SimResult, SimError>,
-) -> serde_json::Value {
+    result: &Result<R, SimError>,
+) -> serde_json::Value
+where
+    for<'r> SweepPoint: From<&'r R>,
+{
     let (makespan, node_seconds, utilization, error) = match result {
-        Ok(r) => (
-            serde_json::json!(r.makespan),
-            serde_json::json!(r.node_seconds()),
-            serde_json::json!(r.utilization()),
-            serde_json::Value::Null,
-        ),
+        Ok(r) => {
+            let p = SweepPoint::from(r);
+            (
+                serde_json::json!(p.makespan),
+                serde_json::json!(p.node_seconds),
+                serde_json::json!(p.utilization()),
+                serde_json::Value::Null,
+            )
+        }
         Err(e) => (
             serde_json::Value::Null,
             serde_json::Value::Null,

@@ -47,10 +47,16 @@ const MIN_BUCKETS: usize = 16;
 /// remembers which bucket the current "year" scan reached and events map
 /// to buckets by `(end / width) mod nbuckets`. The ring resizes (and
 /// re-derives `width` from the observed event spacing) whenever the load
-/// factor leaves `[1/4, 2]`.
+/// factor leaves `[1/4, 2]`. A resize keeps every bucket's allocation:
+/// a shrink parks the buckets it drops in `spare`, a grow takes them
+/// back, so a warm queue stops allocating once its buckets have grown.
 #[derive(Debug, Clone)]
 pub(crate) struct CalendarQueue {
     buckets: Vec<Vec<CalEv>>,
+    /// Empty buckets, capacity kept, that the ring dropped on a shrink.
+    spare: Vec<Vec<CalEv>>,
+    /// The live events while a resize rehashes them.
+    moving: Vec<CalEv>,
     /// `buckets.len() - 1`; the ring size is a power of two.
     mask: usize,
     /// Seconds of simulated time each bucket covers.
@@ -76,6 +82,8 @@ impl Default for CalendarQueue {
     fn default() -> Self {
         CalendarQueue {
             buckets: vec![Vec::new(); MIN_BUCKETS],
+            spare: Vec::new(),
+            moving: Vec::new(),
             mask: MIN_BUCKETS - 1,
             width: 1.0,
             len: 0,
@@ -190,8 +198,8 @@ impl CalendarQueue {
         }
     }
 
-    /// Empties the queue in place, keeping the ring and per-bucket
-    /// allocations (and the learned width) for the next run.
+    /// Empties the queue in place, keeping the ring, the spare buckets,
+    /// their allocations and the learned width for the next run.
     pub(crate) fn clear(&mut self) {
         for b in &mut self.buckets {
             b.clear();
@@ -263,6 +271,11 @@ impl CalendarQueue {
     /// cluster at one instant. With no finite live event (an emptied
     /// ring, or only infinite ends) the width is kept: there is no
     /// spacing to learn, and the clamp would read an infinite `hi`.
+    ///
+    /// The events move out through `moving` and back into the same
+    /// bucket vectors, so no bucket allocation is lost: the ring's
+    /// buckets are emptied in place, extra ones come from `spare`, and
+    /// the ones a shrink drops go there.
     fn resize(&mut self, new_n: usize) {
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
@@ -282,14 +295,23 @@ impl CalendarQueue {
             };
             self.width = spacing.max(f64::EPSILON * hi.abs().max(1.0));
         }
-        let old = std::mem::replace(&mut self.buckets, vec![Vec::new(); new_n]);
-        self.mask = new_n - 1;
-        for bucket in old {
-            for ev in bucket {
-                let b = self.bucket_of(ev.end);
-                self.buckets[b].push(ev);
-            }
+        let mut moving = std::mem::take(&mut self.moving);
+        for bucket in &mut self.buckets {
+            moving.append(bucket);
         }
+        if new_n < self.buckets.len() {
+            self.spare.extend(self.buckets.drain(new_n..));
+        } else {
+            let spare = &mut self.spare;
+            self.buckets
+                .resize_with(new_n, || spare.pop().unwrap_or_default());
+        }
+        self.mask = new_n - 1;
+        for ev in moving.drain(..) {
+            let b = self.bucket_of(ev.end);
+            self.buckets[b].push(ev);
+        }
+        self.moving = moving;
         self.min_cache = None;
         self.reposition(if lo.is_finite() { lo } else { f64::INFINITY });
     }

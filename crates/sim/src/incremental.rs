@@ -34,9 +34,17 @@
 //! equal, span order included, to running [`crate::simulate`] per point
 //! (and, transitively, to `wrm_sim::reference`), which the oracle
 //! proptest below enforces.
+//!
+//! What a cell keeps is the drivers' one type parameter. The full
+//! result ([`sweep_grid`], [`sweep_column`]) carries a trace and
+//! per-task maps; a row ([`sweep_grid_points`], [`sweep_column_points`])
+//! keeps only what `wrm sweep` prints, a [`SweepPoint`] the engine's
+//! point sink folds from the same run, bit-identical to the full
+//! result's row (a second proptest below).
 
 use crate::engine::{
-    Engine, FullSink, Scenario, SchedulerPolicy, SimArena, SimError, SimResult, Step,
+    Engine, FullSink, PointSink, Scenario, SchedulerPolicy, SimArena, SimError, SimResult, Sink,
+    Step, SweepPoint,
 };
 use crate::index::BaseIndex;
 use crate::overlay::IndexOverlay;
@@ -128,14 +136,31 @@ impl SweepStats {
 }
 
 /// A completed sweep: per-point results in [`SweepGrid::index_of`]
-/// order, plus evaluation-path statistics.
+/// order, plus evaluation-path statistics. `R` is what each cell keeps:
+/// the full [`SimResult`] ([`sweep_grid`]) or only its row
+/// ([`SweepPoint`], [`sweep_grid_points`]).
 #[derive(Debug)]
-pub struct SweepOutcome {
-    /// One result per grid point, bit-identical to
+pub struct SweepOutcome<R = SimResult> {
+    /// One result per grid point, bit-identical to (the row of)
     /// [`crate::simulate`] on that point's scenario.
-    pub results: Vec<Result<SimResult, SimError>>,
+    pub results: Vec<Result<R, SimError>>,
     /// How the points were evaluated.
     pub stats: SweepStats,
+}
+
+/// What a sweep cell keeps, and the sink that produces it: the one
+/// type parameter of the column and grid drivers.
+pub(crate) trait Cell: Clone + Send {
+    /// The sink whose output this is.
+    type Sink<'a>: Sink<'a, Output = Self>;
+}
+
+impl Cell for SimResult {
+    type Sink<'a> = FullSink<'a>;
+}
+
+impl Cell for SweepPoint {
+    type Sink<'a> = PointSink<'a>;
 }
 
 /// Evaluates the full grid over `scenario`, using up to `threads` worker
@@ -150,6 +175,24 @@ pub struct SweepOutcome {
 /// [`crate::simulate`] with that point's options.
 #[must_use]
 pub fn sweep_grid(scenario: &Scenario, grid: &SweepGrid, threads: usize) -> SweepOutcome {
+    grid_cold(scenario, grid, threads)
+}
+
+/// [`sweep_grid`] keeping only each cell's row: the same paths, stats
+/// and errors, every [`SweepPoint`] bit-identical to
+/// `SweepPoint::from(&simulate(point))`. What `wrm sweep` runs.
+#[must_use]
+pub fn sweep_grid_points(
+    scenario: &Scenario,
+    grid: &SweepGrid,
+    threads: usize,
+) -> SweepOutcome<SweepPoint> {
+    grid_cold(scenario, grid, threads)
+}
+
+/// The driver behind [`sweep_grid`] and [`sweep_grid_points`]: builds
+/// the base index, then runs [`grid_with_base`].
+fn grid_cold<R: Cell>(scenario: &Scenario, grid: &SweepGrid, threads: usize) -> SweepOutcome<R> {
     let n = grid.len();
     if n == 0 {
         return SweepOutcome {
@@ -172,7 +215,7 @@ pub fn sweep_grid(scenario: &Scenario, grid: &SweepGrid, threads: usize) -> Swee
             };
         }
     };
-    sweep_grid_with_base(scenario, grid, threads, &base)
+    grid_with_base(scenario, grid, threads, &base)
 }
 
 /// [`sweep_grid`] against a prebuilt [`BaseIndex`] — the resident
@@ -186,6 +229,17 @@ pub fn sweep_grid_with_base(
     threads: usize,
     base: &BaseIndex,
 ) -> SweepOutcome {
+    grid_with_base(scenario, grid, threads, base)
+}
+
+/// The grid driver: fans the columns out over [`column`] and merges
+/// their cells into [`SweepGrid::index_of`] order.
+fn grid_with_base<R: Cell>(
+    scenario: &Scenario,
+    grid: &SweepGrid,
+    threads: usize,
+    base: &BaseIndex,
+) -> SweepOutcome<R> {
     let n = grid.len();
     if n == 0 {
         return SweepOutcome {
@@ -199,9 +253,9 @@ pub fn sweep_grid_with_base(
     let n_policies = grid.policies.len();
     let columns = grid.node_limits.len() * n_policies;
     let column_outputs = fan_out(columns, threads, 1, SimArena::new, |arena, c| {
-        sweep_column(scenario, grid, base, c / n_policies, c % n_policies, arena)
+        column::<R>(scenario, grid, base, c / n_policies, c % n_policies, arena)
     });
-    let mut results: Vec<Option<Result<SimResult, SimError>>> = (0..n).map(|_| None).collect();
+    let mut results: Vec<Option<Result<R, SimError>>> = (0..n).map(|_| None).collect();
     let mut stats = SweepStats::default();
     for (out, col_stats) in column_outputs {
         stats.absorb(col_stats);
@@ -219,8 +273,9 @@ pub fn sweep_grid_with_base(
     }
 }
 
-/// One evaluated grid point: its `SweepGrid::index_of` slot and result.
-pub type IndexedResult = (usize, Result<SimResult, SimError>);
+/// One evaluated grid point: its `SweepGrid::index_of` slot and result
+/// (the full [`SimResult`], or a [`SweepPoint`] row).
+pub type IndexedResult<R = SimResult> = (usize, Result<R, SimError>);
 
 /// Evaluates one `(node_limit, policy)` column across all factors: the
 /// first valid point runs cold, the rest replay from its checkpoint or
@@ -239,6 +294,36 @@ pub fn sweep_column(
     pi: usize,
     arena: &mut SimArena,
 ) -> (Vec<IndexedResult>, SweepStats) {
+    column(scenario, grid, base, ni, pi, arena)
+}
+
+/// [`sweep_column`] keeping only each cell's row: the same paths,
+/// stats and errors, every [`SweepPoint`] bit-identical to
+/// `SweepPoint::from(&simulate(point))`, without a trace or per-task
+/// maps per cell. What the `wrm serve` worker pool runs per
+/// `POST /v1/sweep` column.
+pub fn sweep_column_points(
+    scenario: &Scenario,
+    grid: &SweepGrid,
+    base: &BaseIndex,
+    ni: usize,
+    pi: usize,
+    arena: &mut SimArena,
+) -> (Vec<IndexedResult<SweepPoint>>, SweepStats) {
+    column(scenario, grid, base, ni, pi, arena)
+}
+
+/// The column driver behind [`sweep_column`] and
+/// [`sweep_column_points`]: one path for the cold first point, the
+/// checkpoint replays and the reuse, whatever the cells keep.
+fn column<R: Cell>(
+    scenario: &Scenario,
+    grid: &SweepGrid,
+    base: &BaseIndex,
+    ni: usize,
+    pi: usize,
+    arena: &mut SimArena,
+) -> (Vec<IndexedResult<R>>, SweepStats) {
     // Prebuilt per-point options and overlays, so the engines (and the
     // checkpoint) can borrow them for the whole column.
     let points: Vec<(crate::engine::SimOptions, Result<IndexOverlay, SimError>)> =
@@ -258,7 +343,7 @@ pub fn sweep_column(
     let mut out = Vec::with_capacity(points.len());
     let mut stats = SweepStats::default();
     // How the column answers its valid points, set by the first.
-    let mut state: Option<Step<FullSink>> = None;
+    let mut state: Option<Step<R::Sink<'_>>> = None;
 
     for (fi, (opts, overlay)) in points.iter().enumerate() {
         let ix = grid.index_of(fi, ni, pi);
@@ -301,14 +386,14 @@ pub fn sweep_column(
 /// Runs a column's first valid point in `arena`'s buffers, watching the
 /// swept channel: it pauses at the channel's first join (the column's
 /// checkpoint, which keeps the buffers) or completes without one.
-fn first_point<'e>(
+fn first_point<'e, S: Sink<'e>>(
     scenario: &'e Scenario,
     opts: &'e crate::engine::SimOptions,
     base: &'e BaseIndex,
     overlay: &'e IndexOverlay,
     watch: Option<u32>,
     arena: &mut SimArena,
-) -> Step<'e, FullSink<'e>> {
+) -> Step<'e, S> {
     let eng = Engine::new_in(
         &scenario.workflow,
         &scenario.machine.name,
@@ -326,8 +411,8 @@ fn first_point<'e>(
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use super::{sweep_grid, SweepGrid};
-    use crate::engine::{simulate, Scenario, SchedulerPolicy, SimOptions};
+    use super::{sweep_grid, sweep_grid_points, SweepGrid, SweepStats};
+    use crate::engine::{simulate, Scenario, SchedulerPolicy, SimOptions, SweepPoint};
     use crate::reference::simulate_reference;
     use crate::spec::{Phase, TaskSpec, WorkflowSpec};
     use proptest::prelude::*;
@@ -364,6 +449,39 @@ pub(crate) mod tests {
                 }
             }
         }
+    }
+
+    /// Asserts the point sweep keeps, per grid point, the row of
+    /// per-point `simulate` bit for bit (`to_bits` on the floats) or its
+    /// error, with the same path statistics as the full-result sweep.
+    /// Returns those statistics.
+    fn assert_points(scenario: &Scenario, grid: &SweepGrid, threads: usize) -> SweepStats {
+        let outcome = sweep_grid_points(scenario, grid, threads);
+        assert_eq!(outcome.stats, sweep_grid(scenario, grid, threads).stats);
+        assert_eq!(outcome.results.len(), grid.len());
+        for fi in 0..grid.factors.len() {
+            for ni in 0..grid.node_limits.len() {
+                for pi in 0..grid.policies.len() {
+                    let ix = grid.index_of(fi, ni, pi);
+                    let point = Scenario {
+                        machine: scenario.machine.clone(),
+                        workflow: scenario.workflow.clone(),
+                        options: grid.point_options(&scenario.options, fi, ni, pi),
+                    };
+                    let bits = |p: &SweepPoint| {
+                        (p.makespan.to_bits(), p.node_seconds.to_bits(), p.pool_nodes)
+                    };
+                    let got = outcome.results[ix].as_ref().map(bits);
+                    let want = simulate(&point).map(|r| bits(&SweepPoint::from(&r)));
+                    assert_eq!(
+                        got,
+                        want.as_ref().copied(),
+                        "point {ix} (fi={fi} ni={ni} pi={pi})"
+                    );
+                }
+            }
+        }
+        outcome.stats
     }
 
     /// A workflow with both contended and uncontended regions, so a
@@ -425,6 +543,7 @@ pub(crate) mod tests {
         );
         assert_eq!(outcome.stats.cold, 1, "one cold run per column");
         assert_oracle(&scenario, &grid, 1);
+        assert_eq!(assert_points(&scenario, &grid, 1), outcome.stats);
     }
 
     #[test]
@@ -448,6 +567,7 @@ pub(crate) mod tests {
         assert_eq!(outcome.stats.cold, 1);
         assert_eq!(outcome.stats.reused, 3);
         assert_oracle(&scenario, &grid, 1);
+        assert_eq!(assert_points(&scenario, &grid, 1), outcome.stats);
     }
 
     #[test]
@@ -602,6 +722,50 @@ pub(crate) mod tests {
                 policies: vec![SchedulerPolicy::Fifo, SchedulerPolicy::Backfill],
             };
             assert_oracle(&scenario, &grid, threads);
+        }
+
+        /// The point sweep's oracle: on random workflows and random
+        /// grids (factor, node-limit and policy axes of random length,
+        /// pools too small for some tasks), every cell's row, whether
+        /// cold, replayed or reused, equals the row of per-point
+        /// `simulate` bit for bit, errors and path statistics included.
+        #[test]
+        fn point_sweep_matches_simulate_rows(
+            seed in any::<u64>(),
+            n_tasks in 0usize..25,
+            machine_ix in 0usize..2,
+            sweep_fs in any::<bool>(),
+            threads in 1usize..4,
+            factors in prop::collection::vec(
+                prop_oneof![Just(0.1), Just(0.5), Just(1.0), Just(1.7), Just(4.0)],
+                1..5,
+            ),
+            node_mask in 1u8..16,
+            policy_mask in 1u8..4,
+        ) {
+            let (machine, channels) = if machine_ix == 0 {
+                (machines::cori_haswell(), vec![EXTERNAL])
+            } else {
+                (machines::perlmutter_cpu(), vec![EXTERNAL, FILE_SYSTEM])
+            };
+            let resource = if sweep_fs { *channels.last().unwrap() } else { EXTERNAL };
+            let wf = random_workflow(seed, n_tasks, &channels);
+            let scenario = Scenario::new(machine, wf);
+            // Non-empty subsets of each axis, picked by bit mask.
+            fn pick<T: Copy>(mask: u8, all: &[T]) -> Vec<T> {
+                all.iter()
+                    .enumerate()
+                    .filter(|(i, _)| mask >> i & 1 == 1)
+                    .map(|(_, &v)| v)
+                    .collect()
+            }
+            let grid = SweepGrid {
+                resource: Some(resource.into()),
+                factors,
+                node_limits: pick(node_mask, &[None, Some(24), Some(64), Some(4096)]),
+                policies: pick(policy_mask, &[SchedulerPolicy::Fifo, SchedulerPolicy::Backfill]),
+            };
+            assert_points(&scenario, &grid, threads);
         }
     }
 }

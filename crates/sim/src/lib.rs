@@ -59,11 +59,11 @@ pub use bounds::{certify, certify_with_base, Certificate, ChannelFloor, TaskBoun
 pub use channel::{max_min_rates, max_min_rates_into, FlowDemand, FlowRate, RateScratch};
 pub use engine::{
     simulate, simulate_summary, simulate_summary_with_base, simulate_with_base, ChannelSummary,
-    Scenario, SchedulerPolicy, SimArena, SimError, SimOptions, SimResult, SimSummary,
+    Scenario, SchedulerPolicy, SimArena, SimError, SimOptions, SimResult, SimSummary, SweepPoint,
 };
 pub use incremental::{
-    sweep_column, sweep_grid, sweep_grid_with_base, IndexedResult, SweepGrid, SweepOutcome,
-    SweepStats,
+    sweep_column, sweep_column_points, sweep_grid, sweep_grid_points, sweep_grid_with_base,
+    IndexedResult, SweepGrid, SweepOutcome, SweepStats,
 };
 pub use index::BaseIndex;
 pub use mc::{mc_run, mc_run_with_base, McOptions, McResult, Percentile};

@@ -1,5 +1,5 @@
-//! Allocation budget of a full-result run and a summary run on a warm
-//! base and arena.
+//! Allocation budget of a full-result run, a summary run and a sweep
+//! column of rows on a warm base and arena.
 //!
 //! A counting global allocator sees every allocation in this test
 //! binary, so the file holds exactly one test: no other test thread can
@@ -13,8 +13,8 @@ use std::sync::Arc;
 use wrm_core::{ids, machines};
 use wrm_dag::generate::random_layered_tasks;
 use wrm_sim::{
-    simulate_summary_with_base, simulate_with_base, BaseIndex, Phase, Scenario, SimArena, TaskSpec,
-    WorkflowSpec,
+    simulate_summary_with_base, simulate_with_base, sweep_column, sweep_column_points, BaseIndex,
+    Phase, Scenario, SchedulerPolicy, SimArena, SweepGrid, TaskSpec, WorkflowSpec,
 };
 
 /// Counts `alloc` and `realloc` calls; frees are not counted.
@@ -47,8 +47,15 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations a warm summary run of the test's spec may make: the
-/// count measured before the engine's outputs became sinks.
-const SUMMARY_BUDGET: usize = 287;
+/// count measured once the calendar kept its buckets across resizes
+/// (O(channels) plus the critical tail's names; 286 before).
+const SUMMARY_BUDGET: usize = 44;
+
+/// Allocations a warm 4-cell column of sweep rows may make (one cold
+/// run, three replays): the measured count, mostly each replay's clone
+/// of the checkpoint's buffers. The same column of full results makes
+/// 2,862.
+const POINT_COLUMN_BUDGET: usize = 615;
 
 #[test]
 fn a_warm_full_run_allocates_less_than_once_per_task() {
@@ -88,9 +95,9 @@ fn a_warm_full_run_allocates_less_than_once_per_task() {
         assert!(Arc::ptr_eq(key, &span.task), "{} is a copy", span.task);
     }
 
-    // The summary path on the same warm arena. Most of its allocations
-    // are calendar bucket regrowth; the summary itself adds O(channels)
-    // plus the critical tail's names, never O(tasks).
+    // The summary path on the same warm arena: the calendar keeps its
+    // buckets, so what is left is the summary itself, O(channels) plus
+    // the critical tail's names, never O(tasks).
     let warm = simulate_summary_with_base(&scenario, &base, &mut arena).expect("runs");
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let summary = simulate_summary_with_base(&scenario, &base, &mut arena).expect("runs");
@@ -100,5 +107,32 @@ fn a_warm_full_run_allocates_less_than_once_per_task() {
     assert!(
         allocations <= SUMMARY_BUDGET,
         "{allocations} allocations for a {n_tasks}-task summary run"
+    );
+
+    // A warm sweep column over the `fs` factor: one cold run paused at
+    // the first `fs` join, then a replay per further factor.
+    let grid = SweepGrid {
+        resource: Some(ids::FILE_SYSTEM.into()),
+        factors: vec![0.5, 1.0, 2.0, 4.0],
+        node_limits: vec![None],
+        policies: vec![SchedulerPolicy::Fifo],
+    };
+    let count = |arena: &mut SimArena, points: bool| {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let stats = if points {
+            sweep_column_points(&scenario, &grid, &base, 0, 0, arena).1
+        } else {
+            sweep_column(&scenario, &grid, &base, 0, 0, arena).1
+        };
+        (ALLOCATIONS.load(Ordering::Relaxed) - before, stats)
+    };
+    count(&mut arena, true);
+    let (points, stats) = count(&mut arena, true);
+    let (full, full_stats) = count(&mut arena, false);
+    assert_eq!(stats, full_stats);
+    assert_eq!((stats.cold, stats.replayed), (1, 3), "{stats:?}");
+    assert!(
+        points <= POINT_COLUMN_BUDGET && points * 4 < full,
+        "{points} allocations for a column of rows, {full} for full results"
     );
 }
