@@ -520,10 +520,10 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
     let (compiled, machine) = load(&flags)?;
     let mut wf = compiled.characterization().map_err(|e| e.to_string())?;
+    let scenario = Scenario::new(machine, compiled.spec).with_options(sim_options(&flags));
+    let machine = &scenario.machine;
 
     if flags.simulate {
-        let scenario =
-            Scenario::new(machine.clone(), compiled.spec.clone()).with_options(sim_options(&flags));
         let result = simulate(&scenario).map_err(|e| e.to_string())?;
         wf.makespan = Some(Seconds(result.makespan));
         println!("simulated makespan: {:.2} s", result.makespan);
@@ -531,7 +531,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 
     // The certified two-sided bound prints alongside the roofline:
     // whatever the schedule, the makespan provably lands in [lo, hi].
-    if let Ok(cert) = wrm_sim::certify(&machine, &compiled.spec, &sim_options(&flags)) {
+    if let Ok(cert) = wrm_sim::certify(machine, &scenario.workflow, &scenario.options) {
         println!(
             "certified makespan interval: [{:.2} s, {:.2} s]",
             cert.lo, cert.hi
@@ -543,8 +543,6 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     // the roofline dot.
     let mut whisker = None;
     if flags.reps > 0 {
-        let scenario =
-            Scenario::new(machine.clone(), compiled.spec.clone()).with_options(sim_options(&flags));
         let mc = wrm_sim::mc_run(
             &scenario,
             &wrm_sim::McOptions {
@@ -557,7 +555,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         print!(
             "{}",
             wrm_serve::render::mc_report(
-                &compiled.spec.name,
+                &scenario.workflow.name,
                 &machine.name,
                 &mc,
                 flags.percentiles
@@ -573,7 +571,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         }
     }
 
-    let model = RooflineModel::build_lenient(&machine, &wf).map_err(|e| e.to_string())?;
+    let model = RooflineModel::build_lenient(machine, &wf).map_err(|e| e.to_string())?;
     print!("{}", report::render(&model));
 
     if flags.ascii {
@@ -592,7 +590,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
         println!("wrote {path}");
     }
     if let Some(path) = &flags.html {
-        let html = build_html_report(&flags, &compiled, &machine, &model)?;
+        let html = build_html_report(flags.simulate, &scenario, &model)?;
         std::fs::write(path, html).map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {path}");
     }
@@ -603,12 +601,12 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
 /// and (when --simulate ran) the Gantt chart, time breakdown, and
 /// parallelism profile from the simulated run.
 fn build_html_report(
-    flags: &Flags,
-    compiled: &wrm_lang::Compiled,
-    machine: &wrm_core::Machine,
+    simulated: bool,
+    scenario: &Scenario,
     model: &RooflineModel,
 ) -> Result<String, String> {
     use wrm_plot::Section;
+    let machine = &scenario.machine;
     let mut sections = vec![
         Section::Heading("Analysis".into()),
         Section::Pre(report::render(model)),
@@ -621,17 +619,15 @@ fn build_html_report(
     {
         sections.push(Section::Svg(svg));
     }
-    if let Ok(dag0) = compiled.dag(machine) {
+    if let Ok(dag0) = scenario.workflow.to_dag(machine) {
         if let Some(svg) = wrm_plot::skeleton::render_svg(&dag0, 860.0) {
             sections.push(Section::Heading("Skeleton".into()));
             sections.push(Section::Svg(svg));
         }
     }
-    if flags.simulate {
-        let scenario =
-            Scenario::new(machine.clone(), compiled.spec.clone()).with_options(sim_options(flags));
-        let result = simulate(&scenario).map_err(|e| e.to_string())?;
-        let (dag, intervals) = run_intervals(compiled, machine, &result)?;
+    if simulated {
+        let result = simulate(scenario).map_err(|e| e.to_string())?;
+        let (dag, intervals) = run_intervals(scenario, &result)?;
         let chart = GanttChart::build(&dag, &intervals).map_err(|e| e.to_string())?;
         sections.push(Section::Heading("Gantt chart".into()));
         sections.push(Section::Svg(wrm_plot::gantt_plot::render_svg(
@@ -659,15 +655,17 @@ fn build_html_report(
     ))
 }
 
-/// The workflow graph and each task's `(start, end)` in `result`, the
-/// input of the Gantt chart and parallelism profile: both draw the
-/// simulated run itself.
+/// The workflow graph with ideal durations on the scenario's machine
+/// and each task's `(start, end)` in `result`, the input of the Gantt
+/// chart and parallelism profile: both draw the simulated run itself.
 fn run_intervals(
-    compiled: &wrm_lang::Compiled,
-    machine: &wrm_core::Machine,
+    scenario: &Scenario,
     result: &wrm_sim::SimResult,
 ) -> Result<(Dag, Vec<(f64, f64)>), String> {
-    let dag = compiled.dag(machine).map_err(|e| e.to_string())?;
+    let dag = scenario
+        .workflow
+        .to_dag(&scenario.machine)
+        .map_err(|e| format!("workflow graph: {e}"))?;
     let intervals = result
         .task_intervals(&dag)
         .ok_or("the simulated run is missing a task of the workflow graph")?;
@@ -677,8 +675,8 @@ fn run_intervals(
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
     let (compiled, machine) = load(&flags)?;
-    let scenario =
-        Scenario::new(machine.clone(), compiled.spec.clone()).with_options(sim_options(&flags));
+    let scenario = Scenario::new(machine, compiled.spec).with_options(sim_options(&flags));
+    let (name, machine_name) = (&scenario.workflow.name, &scenario.machine.name);
     if flags.reps > 0 {
         if flags.gantt || flags.jsonl.is_some() {
             return Err(
@@ -698,12 +696,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
         print!(
             "{}",
-            wrm_serve::render::mc_report(
-                &compiled.spec.name,
-                &machine.name,
-                &mc,
-                flags.percentiles
-            )
+            wrm_serve::render::mc_report(name, machine_name, &mc, flags.percentiles)
         );
         return Ok(());
     }
@@ -716,7 +709,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         let sum = wrm_sim::simulate_summary(&scenario).map_err(|e| e.to_string())?;
         print!(
             "{}",
-            wrm_serve::render::summary_report(&compiled.spec.name, &machine.name, &sum)
+            wrm_serve::render::summary_report(name, machine_name, &sum)
         );
         return Ok(());
     }
@@ -728,16 +721,11 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     );
     print!(
         "{}",
-        wrm_serve::render::simulate_report(
-            &compiled.spec.name,
-            &machine.name,
-            &result,
-            &structure
-        )?
+        wrm_serve::render::simulate_report(name, machine_name, &result, &structure)?
     );
 
     if flags.gantt {
-        let (dag, intervals) = run_intervals(&compiled, &machine, &result)?;
+        let (dag, intervals) = run_intervals(&scenario, &result)?;
         let chart = GanttChart::build(&dag, &intervals).map_err(|e| e.to_string())?;
         println!("\n{}", wrm_plot::ascii::gantt(&chart, 72));
     }
@@ -852,15 +840,15 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
 fn cmd_profile(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args)?;
     let (compiled, machine) = load(&flags)?;
-    let scenario =
-        Scenario::new(machine.clone(), compiled.spec.clone()).with_options(sim_options(&flags));
+    let scenario = Scenario::new(machine, compiled.spec).with_options(sim_options(&flags));
     let result = simulate(&scenario).map_err(|e| e.to_string())?;
 
-    let (dag, intervals) = run_intervals(&compiled, &machine, &result)?;
+    let (dag, intervals) = run_intervals(&scenario, &result)?;
     let profile = ParallelismProfile::build(&dag, &intervals);
+    let name = &scenario.workflow.name;
     println!(
-        "{} on {}: makespan {:.2} s",
-        compiled.spec.name, machine.name, result.makespan
+        "{name} on {}: makespan {:.2} s",
+        scenario.machine.name, result.makespan
     );
     println!(
         "  peak concurrency: {} tasks / {} nodes",
@@ -874,7 +862,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     );
     if let Some(path) = &flags.svg {
         let svg = wrm_plot::profile_plot::render_svg(
-            &format!("{} parallelism profile", compiled.spec.name),
+            &format!("{name} parallelism profile"),
             &profile,
             760.0,
         );

@@ -181,6 +181,26 @@ fn error_paths_are_reported() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown machine"));
 
+    // Unknown statement in a machine block: one sentence, one line.
+    std::fs::write(
+        &bad,
+        "machine m {\n  bogus x 1GB/s\n}\nworkflow w on m { task a { } }",
+    )
+    .expect("write");
+    let out = wrm()
+        .args(["simulate", bad.to_str().expect("utf8")])
+        .output()
+        .expect("runs");
+    assert!(!out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        format!(
+            "wrm: {}:2:9: unknown machine statement `bogus` (expected nodes, node, system, \
+             or system_per_node)\n",
+            bad.display()
+        )
+    );
+
     // Unknown figure id.
     let out = wrm().args(["figures", "f99"]).output().expect("runs");
     assert!(!out.status.success());
@@ -721,7 +741,8 @@ fn charts_draw_the_simulated_run() {
     let compiled =
         wrm_lang::compile_source(&std::fs::read_to_string(spec).expect("spec")).expect("compiles");
     let dag = compiled
-        .dag(compiled.machine.as_ref().expect("inline machine"))
+        .spec
+        .to_dag(compiled.machine.as_ref().expect("inline machine"))
         .expect("dag");
     let intervals: Vec<(f64, f64)> = dag
         .tasks()

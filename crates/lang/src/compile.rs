@@ -1,5 +1,6 @@
 //! Compiler: [`WorkflowAst`] -> simulator spec + roofline
-//! characterization + planning DAG.
+//! characterization. The planning DAG is the spec's own
+//! (`WorkflowSpec::to_dag`).
 //!
 //! Replicated tasks (`task analyze[5]`) expand to `analyze[0]` ..
 //! `analyze[4]`; `after analyze` gates on *every* replica, `after
@@ -12,7 +13,6 @@ use wrm_core::{
     machines, Bytes, BytesPerSec, Flops, FlopsPerSec, Machine, Rate, Seconds, TargetSpec,
     TasksPerSec, Work, WorkflowCharacterization,
 };
-use wrm_dag::Dag;
 use wrm_sim::{Phase, TaskSpec, WorkflowSpec};
 
 /// A fully-compiled workflow.
@@ -33,13 +33,6 @@ pub struct Compiled {
 }
 
 impl Compiled {
-    /// The dependency DAG with ideal durations on `machine`.
-    pub fn dag(&self, machine: &Machine) -> Result<Dag, LangError> {
-        self.spec
-            .to_dag(machine)
-            .map_err(|e| LangError::new(format!("workflow graph: {e}"), 0, 0))
-    }
-
     /// The plan-time characterization of this workflow on its roofline:
     /// per-slot node volumes and total system volumes, with targets
     /// attached and no measured makespan (simulate to get the dot).
@@ -267,16 +260,10 @@ pub fn compile(ast: &WorkflowAst) -> Result<Compiled, LangError> {
         }
     }
 
-    spec.validate()
-        .map_err(|e| LangError::new(format!("invalid workflow: {e}"), 0, 0))?;
-
-    // Structure: width of the widest level.
-    let dag = spec
-        .to_dag_with(|_| 0.0)
-        .map_err(|e| LangError::new(format!("workflow graph: {e}"), 0, 0))?;
+    // Structure: width of the widest level, from a validated spec.
     let parallel =
-        dag.max_width()
-            .map_err(|e| LangError::new(format!("workflow graph: {e}"), 0, 0))? as f64;
+        spec.max_width()
+            .map_err(|e| LangError::new(format!("invalid workflow: {e}"), 0, 0))? as f64;
 
     // Custom machines declared in the file shadow the presets.
     let machine = match &ast.machine {
@@ -287,7 +274,8 @@ pub fn compile(ast: &WorkflowAst) -> Result<Compiled, LangError> {
                 None => machines::by_name(name).ok_or_else(|| {
                     LangError::new(
                         format!(
-                            "unknown machine `{name}` (known presets: pm-gpu, pm-cpu,                              cori-hsw; or declare `machine {name} {{ ... }}`)"
+                            "unknown machine `{name}` (known presets: pm-gpu, pm-cpu, \
+                             cori-hsw; or declare `machine {name} {{ ... }}`)"
                         ),
                         ast.machine_span.line,
                         ast.machine_span.col,
@@ -551,6 +539,23 @@ workflow w on pm-gpu { task a { nodes 1 compute 1GFLOP } }
         let bad = "machine m { warp 9 } workflow w on m { task a { } }";
         let e = compile_source(bad).unwrap_err();
         assert!(e.message.contains("unknown machine statement"), "{e}");
+    }
+
+    #[test]
+    fn machine_errors_read_as_one_sentence() {
+        let e = compile_source("machine m {\n  bogus x 1GB/s\n}\nworkflow w on m { task a { } }")
+            .unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "2:9: unknown machine statement `bogus` (expected nodes, node, system, or \
+             system_per_node)"
+        );
+        let e = compile_source("workflow w on summit { task a { } }").unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "1:15: unknown machine `summit` (known presets: pm-gpu, pm-cpu, cori-hsw; or \
+             declare `machine summit { ... }`)"
+        );
     }
 }
 

@@ -9,252 +9,215 @@
 //!
 //! `#` starts a line comment. Identifiers are
 //! `[A-Za-z_][A-Za-z0-9_.-]*`.
+//!
+//! The scan runs over bytes: every token is ASCII, so a non-ASCII
+//! character can only sit in a comment or be an error, and every slice
+//! the lexer takes starts and ends on a character boundary. Columns
+//! still count characters.
 
 use crate::token::{LangError, Token, TokenKind, Unit};
 
+/// Byte-volume suffixes; with a `/s` they are rates.
+const BYTE_SUFFIXES: [(&str, f64); 6] = [
+    ("b", 1.0),
+    ("kb", 1e3),
+    ("mb", 1e6),
+    ("gb", 1e9),
+    ("tb", 1e12),
+    ("pb", 1e15),
+];
+
+/// Every other suffix, none of which takes a `/s`.
+const OTHER_SUFFIXES: [(&str, f64, Unit); 20] = [
+    ("flop", 1.0, Unit::Flops),
+    ("flops", 1.0, Unit::Flops),
+    ("kflop", 1e3, Unit::Flops),
+    ("kflops", 1e3, Unit::Flops),
+    ("mflop", 1e6, Unit::Flops),
+    ("mflops", 1e6, Unit::Flops),
+    ("gflop", 1e9, Unit::Flops),
+    ("gflops", 1e9, Unit::Flops),
+    ("tflop", 1e12, Unit::Flops),
+    ("tflops", 1e12, Unit::Flops),
+    ("pflop", 1e15, Unit::Flops),
+    ("pflops", 1e15, Unit::Flops),
+    ("ms", 1e-3, Unit::Seconds),
+    ("s", 1.0, Unit::Seconds),
+    ("sec", 1.0, Unit::Seconds),
+    ("secs", 1.0, Unit::Seconds),
+    ("min", 60.0, Unit::Seconds),
+    ("h", 3600.0, Unit::Seconds),
+    ("hr", 3600.0, Unit::Seconds),
+    ("hrs", 3600.0, Unit::Seconds),
+];
+
 fn unit_of(suffix: &str) -> Option<(f64, Unit)> {
-    let s = suffix.to_ascii_lowercase();
-    let (body, rate) = match s.strip_suffix("/s") {
-        Some(b) => (b.to_owned(), true),
-        None => (s.clone(), false),
+    let (body, rate) = match suffix.as_bytes() {
+        [body @ .., b'/', b's' | b'S'] => (&suffix[..body.len()], true),
+        _ => (suffix, false),
     };
-    let bytes = |scale: f64| {
-        Some(if rate {
+    if let Some(&(_, scale)) = BYTE_SUFFIXES
+        .iter()
+        .find(|(s, _)| body.eq_ignore_ascii_case(s))
+    {
+        return Some(if rate {
             (scale, Unit::BytesPerSec)
         } else {
             (scale, Unit::Bytes)
-        })
-    };
-    match body.as_str() {
-        "b" => bytes(1.0),
-        "kb" => bytes(1e3),
-        "mb" => bytes(1e6),
-        "gb" => bytes(1e9),
-        "tb" => bytes(1e12),
-        "pb" => bytes(1e15),
-        _ if rate => None,
-        "flop" | "flops" => Some((1.0, Unit::Flops)),
-        "kflop" | "kflops" => Some((1e3, Unit::Flops)),
-        "mflop" | "mflops" => Some((1e6, Unit::Flops)),
-        "gflop" | "gflops" => Some((1e9, Unit::Flops)),
-        "tflop" | "tflops" => Some((1e12, Unit::Flops)),
-        "pflop" | "pflops" => Some((1e15, Unit::Flops)),
-        "ms" => Some((1e-3, Unit::Seconds)),
-        "s" | "sec" | "secs" => Some((1.0, Unit::Seconds)),
-        "min" => Some((60.0, Unit::Seconds)),
-        "h" | "hr" | "hrs" => Some((3600.0, Unit::Seconds)),
-        _ => None,
+        });
     }
+    if rate {
+        return None;
+    }
+    OTHER_SUFFIXES
+        .iter()
+        .find(|(s, _, _)| body.eq_ignore_ascii_case(s))
+        .map(|&(_, scale, unit)| (scale, unit))
 }
 
 /// Tokenizes `source`.
-pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>, LangError> {
+    let bytes = source.as_bytes();
     let mut tokens = Vec::new();
     let mut line = 1usize;
     let mut col = 1usize;
-    let mut offset = 0usize;
-    let mut chars = source.chars().peekable();
+    let mut i = 0usize;
+    // Advances `i` past every byte that satisfies the predicate.
+    let skip_while = |mut i: usize, keep: fn(u8) -> bool| {
+        while bytes.get(i).is_some_and(|&b| keep(b)) {
+            i += 1;
+        }
+        i
+    };
 
-    macro_rules! bump {
-        ($c:expr) => {{
-            offset += $c.len_utf8();
-            if $c == '\n' {
+    while let Some(&b) = bytes.get(i) {
+        let start = i;
+        let kind = match b {
+            b'\n' => {
+                i += 1;
                 line += 1;
                 col = 1;
-            } else {
+                continue;
+            }
+            b' ' | b'\t' | b'\r' | b',' | b';' => {
+                i += 1;
                 col += 1;
+                continue;
             }
-        }};
-    }
-
-    while let Some(&c) = chars.peek() {
-        let (tline, tcol, tstart) = (line, col, offset);
-        match c {
-            ' ' | '\t' | '\r' | '\n' | ',' | ';' => {
-                chars.next();
-                bump!(c);
+            b'#' => {
+                // Comment to end of line; the newline is scanned next.
+                i = bytes[i..]
+                    .iter()
+                    .position(|&c| c == b'\n')
+                    .map_or(bytes.len(), |n| i + n);
+                col += source[start..i].chars().count();
+                continue;
             }
-            '#' => {
-                // Comment to end of line.
-                while let Some(&c2) = chars.peek() {
-                    chars.next();
-                    bump!(c2);
-                    if c2 == '\n' {
-                        break;
-                    }
-                }
+            b'{' => {
+                i += 1;
+                TokenKind::LBrace
             }
-            '{' => {
-                chars.next();
-                bump!(c);
-                tokens.push(Token {
-                    kind: TokenKind::LBrace,
-                    line: tline,
-                    col: tcol,
-                    offset: tstart,
-                    len: offset - tstart,
-                });
+            b'}' => {
+                i += 1;
+                TokenKind::RBrace
             }
-            '}' => {
-                chars.next();
-                bump!(c);
-                tokens.push(Token {
-                    kind: TokenKind::RBrace,
-                    line: tline,
-                    col: tcol,
-                    offset: tstart,
-                    len: offset - tstart,
-                });
+            b'[' => {
+                i += 1;
+                TokenKind::LBracket
             }
-            '[' => {
-                chars.next();
-                bump!(c);
-                tokens.push(Token {
-                    kind: TokenKind::LBracket,
-                    line: tline,
-                    col: tcol,
-                    offset: tstart,
-                    len: offset - tstart,
-                });
+            b']' => {
+                i += 1;
+                TokenKind::RBracket
             }
-            ']' => {
-                chars.next();
-                bump!(c);
-                tokens.push(Token {
-                    kind: TokenKind::RBracket,
-                    line: tline,
-                    col: tcol,
-                    offset: tstart,
-                    len: offset - tstart,
-                });
+            b'(' => {
+                i += 1;
+                TokenKind::LParen
             }
-            '(' => {
-                chars.next();
-                bump!(c);
-                tokens.push(Token {
-                    kind: TokenKind::LParen,
-                    line: tline,
-                    col: tcol,
-                    offset: tstart,
-                    len: offset - tstart,
-                });
+            b')' => {
+                i += 1;
+                TokenKind::RParen
             }
-            ')' => {
-                chars.next();
-                bump!(c);
-                tokens.push(Token {
-                    kind: TokenKind::RParen,
-                    line: tline,
-                    col: tcol,
-                    offset: tstart,
-                    len: offset - tstart,
-                });
-            }
-            '0'..='9' | '.' | '-' => {
-                let mut num = String::new();
-                if c == '-' {
+            b'0'..=b'9' | b'.' | b'-' => {
+                if b == b'-' {
                     // A leading minus starts a negative number (`-` in
                     // the middle of an identifier is consumed by the
                     // identifier arm below). The value is almost always
                     // a lint error — the lexer stays permissive so the
                     // linter can point at it.
-                    num.push('-');
-                    chars.next();
-                    bump!(c);
-                    match chars.peek() {
-                        Some(&d) if d.is_ascii_digit() || d == '.' => {}
-                        _ => return Err(LangError::new("unexpected character `-`", tline, tcol)),
+                    i += 1;
+                    if !bytes
+                        .get(i)
+                        .is_some_and(|&d| d.is_ascii_digit() || d == b'.')
+                    {
+                        return Err(LangError::new("unexpected character `-`", line, col));
                     }
                 }
-                while let Some(&c2) = chars.peek() {
-                    if c2.is_ascii_digit()
-                        || c2 == '.'
-                        || c2 == 'e'
-                        || c2 == 'E'
-                        || ((c2 == '+' || c2 == '-')
-                            && matches!(num.chars().last(), Some('e') | Some('E')))
-                    {
-                        num.push(c2);
-                        chars.next();
-                        bump!(c2);
+                // Digits, dots and exponents; a sign only right after an
+                // exponent marker. A trailing 'e' with no exponent ("5e")
+                // stays part of the number and fails to parse.
+                while let Some(&d) = bytes.get(i) {
+                    let exponent_sign =
+                        (d == b'+' || d == b'-') && matches!(bytes[i - 1], b'e' | b'E');
+                    if d.is_ascii_digit() || matches!(d, b'.' | b'e' | b'E') || exponent_sign {
+                        i += 1;
                     } else {
                         break;
                     }
                 }
-                // An exponent-less trailing 'e' actually starts a suffix
-                // (e.g. "5e" is invalid anyway; "5" + "GB" is typical).
+                let num = &source[start..i];
                 let value: f64 = num
                     .parse()
-                    .map_err(|_| LangError::new(format!("invalid number `{num}`"), tline, tcol))?;
+                    .map_err(|_| LangError::new(format!("invalid number `{num}`"), line, col))?;
                 // Optional unit suffix, directly attached.
-                let mut suffix = String::new();
-                while let Some(&c2) = chars.peek() {
-                    if c2.is_ascii_alphabetic() || c2 == '/' {
-                        suffix.push(c2);
-                        chars.next();
-                        bump!(c2);
-                    } else {
-                        break;
-                    }
-                }
-                let kind = if suffix.is_empty() {
+                let suffix_start = i;
+                i = skip_while(i, |c| c.is_ascii_alphabetic() || c == b'/');
+                let suffix = &source[suffix_start..i];
+                if suffix.is_empty() {
                     TokenKind::Number { value, unit: None }
                 } else {
-                    match unit_of(&suffix) {
-                        Some((scale, unit)) => TokenKind::Number {
-                            value: value * scale,
-                            unit: Some(unit),
-                        },
-                        None => {
-                            return Err(LangError::new(
-                                format!("unknown unit suffix `{suffix}`"),
-                                tline,
-                                tcol,
-                            ))
-                        }
-                    }
-                };
-                tokens.push(Token {
-                    kind,
-                    line: tline,
-                    col: tcol,
-                    offset: tstart,
-                    len: offset - tstart,
-                });
-            }
-            c2 if c2.is_ascii_alphabetic() || c2 == '_' => {
-                let mut ident = String::new();
-                while let Some(&c3) = chars.peek() {
-                    if c3.is_ascii_alphanumeric() || c3 == '_' || c3 == '.' || c3 == '-' {
-                        ident.push(c3);
-                        chars.next();
-                        bump!(c3);
-                    } else {
-                        break;
+                    let Some((scale, unit)) = unit_of(suffix) else {
+                        return Err(LangError::new(
+                            format!("unknown unit suffix `{suffix}`"),
+                            line,
+                            col,
+                        ));
+                    };
+                    TokenKind::Number {
+                        value: value * scale,
+                        unit: Some(unit),
                     }
                 }
-                tokens.push(Token {
-                    kind: TokenKind::Ident(ident),
-                    line: tline,
-                    col: tcol,
-                    offset: tstart,
-                    len: offset - tstart,
-                });
             }
-            other => {
+            c if c.is_ascii_alphabetic() || c == b'_' => {
+                i = skip_while(i, |c| {
+                    c.is_ascii_alphanumeric() || c == b'_' || c == b'.' || c == b'-'
+                });
+                TokenKind::Ident(&source[start..i])
+            }
+            _ => {
+                let other = source[i..].chars().next().expect("i is a char boundary");
                 return Err(LangError::new(
                     format!("unexpected character `{other}`"),
-                    tline,
-                    tcol,
+                    line,
+                    col,
                 ));
             }
-        }
+        };
+        // Every token is ASCII: one column per byte.
+        tokens.push(Token {
+            kind,
+            line,
+            col,
+            offset: start,
+            len: i - start,
+        });
+        col += i - start;
     }
     tokens.push(Token {
         kind: TokenKind::Eof,
         line,
         col,
-        offset,
+        offset: i,
         len: 0,
     });
     Ok(tokens)
@@ -264,7 +227,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -274,11 +237,11 @@ mod tests {
         assert_eq!(
             k,
             vec![
-                TokenKind::Ident("workflow".into()),
-                TokenKind::Ident("lcls".into()),
+                TokenKind::Ident("workflow"),
+                TokenKind::Ident("lcls"),
                 TokenKind::LBrace,
-                TokenKind::Ident("task".into()),
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("task"),
+                TokenKind::Ident("a"),
                 TokenKind::LBracket,
                 TokenKind::Number {
                     value: 5.0,
@@ -354,7 +317,7 @@ mod tests {
         for t in &toks {
             let text = &src[t.offset..t.end_offset()];
             match &t.kind {
-                TokenKind::Ident(s) => assert_eq!(text, s),
+                TokenKind::Ident(s) => assert_eq!(text, *s),
                 TokenKind::Number { .. } => assert!(text == "5" || text == "32"),
                 TokenKind::LBrace => assert_eq!(text, "{"),
                 TokenKind::RBrace => assert_eq!(text, "}"),
@@ -383,7 +346,7 @@ mod tests {
         assert_eq!(
             k,
             vec![
-                TokenKind::Ident("lognormal".into()),
+                TokenKind::Ident("lognormal"),
                 TokenKind::LParen,
                 TokenKind::Number {
                     value: 120.0,
@@ -424,8 +387,8 @@ mod tests {
     #[test]
     fn identifiers_allow_dots_and_dashes() {
         let k = kinds("pm-gpu cori_hsw ids.fs");
-        assert_eq!(k[0], TokenKind::Ident("pm-gpu".into()));
-        assert_eq!(k[1], TokenKind::Ident("cori_hsw".into()));
-        assert_eq!(k[2], TokenKind::Ident("ids.fs".into()));
+        assert_eq!(k[0], TokenKind::Ident("pm-gpu"));
+        assert_eq!(k[1], TokenKind::Ident("cori_hsw"));
+        assert_eq!(k[2], TokenKind::Ident("ids.fs"));
     }
 }

@@ -4,8 +4,8 @@
 //! parallelism, node requirements) from its description — sbatch scripts
 //! or WDL. This crate provides the equivalent for this reproduction: a
 //! small declarative language that compiles to a simulator spec
-//! (`wrm_sim::WorkflowSpec`), a planning DAG, and a roofline
-//! characterization.
+//! (`wrm_sim::WorkflowSpec`, whose `to_dag` gives the planning DAG) and
+//! a roofline characterization.
 //!
 //! ```text
 //! workflow lcls on cori-hsw {

@@ -41,13 +41,13 @@ use crate::ast::{AfterRef, DistAst, MachineAst, PhaseAst, Span, TargetsAst, Task
 use crate::lexer::lex;
 use crate::token::{LangError, Token, TokenKind, Unit};
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'src> {
+    tokens: Vec<Token<'src>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
+impl<'src> Parser<'src> {
+    fn peek(&self) -> &Token<'src> {
         &self.tokens[self.pos]
     }
 
@@ -62,8 +62,8 @@ impl Parser {
         self.tokens[self.pos.saturating_sub(1)].end_offset()
     }
 
-    fn next(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    fn next(&mut self) -> Token<'src> {
+        let t = self.tokens[self.pos];
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
@@ -75,7 +75,7 @@ impl Parser {
         LangError::new(msg, t.line, t.col)
     }
 
-    fn expect_ident(&mut self) -> Result<String, LangError> {
+    fn expect_ident(&mut self) -> Result<&'src str, LangError> {
         match self.next() {
             Token {
                 kind: TokenKind::Ident(s),
@@ -90,14 +90,14 @@ impl Parser {
     }
 
     /// An identifier plus its source position.
-    fn expect_ident_spanned(&mut self) -> Result<(String, Span), LangError> {
+    fn expect_ident_spanned(&mut self) -> Result<(&'src str, Span), LangError> {
         let span = self.pos_span();
         Ok((self.expect_ident()?, span))
     }
 
     fn expect_keyword(&mut self, kw: &str) -> Result<(), LangError> {
         let t = self.next();
-        match &t.kind {
+        match t.kind {
             TokenKind::Ident(s) if s == kw => Ok(()),
             other => Err(LangError::new(
                 format!("expected `{kw}`, found {other}"),
@@ -107,7 +107,7 @@ impl Parser {
         }
     }
 
-    fn expect_token(&mut self, kind: TokenKind) -> Result<(), LangError> {
+    fn expect_token(&mut self, kind: TokenKind<'src>) -> Result<(), LangError> {
         let t = self.next();
         if t.kind == kind {
             Ok(())
@@ -143,7 +143,7 @@ impl Parser {
     }
 
     fn expect_uint(&mut self, what: &str) -> Result<u64, LangError> {
-        let t = self.peek().clone();
+        let t = *self.peek();
         let v = self.expect_number(None, what)?;
         if v.fract() != 0.0 || v < 0.0 || v > u64::MAX as f64 {
             return Err(LangError::new(
@@ -156,7 +156,7 @@ impl Parser {
     }
 
     fn peek_keyword(&self, kw: &str) -> bool {
-        matches!(&self.peek().kind, TokenKind::Ident(s) if s == kw)
+        matches!(self.peek().kind, TokenKind::Ident(s) if s == kw)
     }
 
     /// A phase quantity: a plain number, or a distribution call
@@ -171,11 +171,8 @@ impl Parser {
         unit: Option<Unit>,
         what: &str,
     ) -> Result<(f64, Option<DistAst>), LangError> {
-        if let TokenKind::Ident(name) = &self.peek().kind {
-            let is_dist = matches!(
-                name.as_str(),
-                "uniform" | "lognormal" | "triangular" | "empirical"
-            );
+        if let TokenKind::Ident(name) = self.peek().kind {
+            let is_dist = matches!(name, "uniform" | "lognormal" | "triangular" | "empirical");
             let next_is_paren =
                 matches!(self.tokens.get(self.pos + 1), Some(t) if t.kind == TokenKind::LParen);
             if is_dist && next_is_paren {
@@ -196,7 +193,7 @@ impl Parser {
         let kw_span = self.pos_span();
         let name = self.expect_ident()?;
         self.expect_token(TokenKind::LParen)?;
-        let ast = match name.as_str() {
+        let ast = match name {
             "uniform" => {
                 let lo = self.expect_number(unit, what)?;
                 let hi = self.expect_number(unit, what)?;
@@ -302,7 +299,7 @@ impl Parser {
         };
         self.expect_token(TokenKind::LBrace)?;
         let mut task = TaskAst {
-            name,
+            name: name.to_owned(),
             span: name_span,
             count,
             count_span,
@@ -313,16 +310,15 @@ impl Parser {
             after: Vec::new(),
         };
         loop {
-            match &self.peek().kind {
+            match self.peek().kind {
                 TokenKind::RBrace => {
                     self.next();
                     break;
                 }
                 TokenKind::Ident(kw) => {
-                    let kw = kw.clone();
                     let kw_span = self.pos_span();
                     self.next();
-                    match kw.as_str() {
+                    match kw {
                         "nodes" => {
                             task.nodes_span = self.pos_span();
                             task.nodes = self.expect_uint("nodes")?;
@@ -340,7 +336,7 @@ impl Parser {
                             });
                         }
                         "node_bytes" => {
-                            let resource = self.expect_ident()?;
+                            let resource = self.expect_ident()?.to_owned();
                             let (bytes, dist) =
                                 self.expect_quantity(Some(Unit::Bytes), "node_bytes")?;
                             let (eff, eff_span) = self.parse_optional_eff()?;
@@ -354,7 +350,7 @@ impl Parser {
                             });
                         }
                         "system_bytes" => {
-                            let resource = self.expect_ident()?;
+                            let resource = self.expect_ident()?.to_owned();
                             let (bytes, dist) =
                                 self.expect_quantity(Some(Unit::Bytes), "system_bytes")?;
                             let cap = if self.peek_keyword("cap") {
@@ -372,7 +368,7 @@ impl Parser {
                             });
                         }
                         "overhead" => {
-                            let label = self.expect_ident()?;
+                            let label = self.expect_ident()?.to_owned();
                             let (seconds, dist) =
                                 self.expect_quantity(Some(Unit::Seconds), "overhead")?;
                             task.phases.push(PhaseAst::Overhead {
@@ -399,7 +395,7 @@ impl Parser {
                                 self.prev_end() - kw_span.offset,
                             );
                             task.after.push(AfterRef {
-                                name,
+                                name: name.to_owned(),
                                 index,
                                 span,
                                 stmt_span,
@@ -448,30 +444,29 @@ impl Parser {
         let (name, span) = self.expect_ident_spanned()?;
         self.expect_token(TokenKind::LBrace)?;
         let mut m = MachineAst {
-            name,
+            name: name.to_owned(),
             span,
             nodes: 1,
             node_resources: Vec::new(),
             system_resources: Vec::new(),
         };
         loop {
-            match &self.peek().kind {
+            match self.peek().kind {
                 TokenKind::RBrace => {
                     self.next();
                     break;
                 }
                 TokenKind::Ident(kw) => {
-                    let kw = kw.clone();
                     self.next();
-                    match kw.as_str() {
+                    match kw {
                         "nodes" => m.nodes = self.expect_uint("nodes")?,
                         "node" => {
-                            let id = self.expect_ident()?;
+                            let id = self.expect_ident()?.to_owned();
                             let (rate, is_flops) = self.expect_rate("node peak")?;
                             m.node_resources.push((id, rate, is_flops));
                         }
                         "system" => {
-                            let id = self.expect_ident()?;
+                            let id = self.expect_ident()?.to_owned();
                             let (rate, is_flops) = self.expect_rate("system peak")?;
                             if is_flops {
                                 return Err(self.err("system peaks are bandwidths (B/s)"));
@@ -479,7 +474,7 @@ impl Parser {
                             m.system_resources.push((id, rate, false));
                         }
                         "system_per_node" => {
-                            let id = self.expect_ident()?;
+                            let id = self.expect_ident()?.to_owned();
                             let (rate, is_flops) = self.expect_rate("system peak")?;
                             if is_flops {
                                 return Err(self.err("system peaks are bandwidths (B/s)"));
@@ -488,7 +483,8 @@ impl Parser {
                         }
                         other => {
                             return Err(self.err(format!(
-                                "unknown machine statement `{other}` (expected nodes, node,                                  system, or system_per_node)"
+                                "unknown machine statement `{other}` (expected nodes, node, \
+                                 system, or system_per_node)"
                             )));
                         }
                     }
@@ -505,17 +501,17 @@ impl Parser {
         self.expect_token(TokenKind::LBrace)?;
         let mut t = TargetsAst::default();
         loop {
-            match &self.peek().kind {
+            match self.peek().kind {
                 TokenKind::RBrace => {
                     self.next();
                     break;
                 }
-                TokenKind::Ident(kw) if kw == "makespan" => {
+                TokenKind::Ident("makespan") => {
                     self.next();
                     t.makespan_span = self.pos_span();
                     t.makespan = Some(self.expect_number(Some(Unit::Seconds), "makespan")?);
                 }
-                TokenKind::Ident(kw) if kw == "throughput" => {
+                TokenKind::Ident("throughput") => {
                     self.next();
                     t.throughput_span = self.pos_span();
                     let n = self.expect_number(None, "throughput")?;
@@ -555,13 +551,13 @@ pub fn parse(source: &str) -> Result<WorkflowAst, LangError> {
     let (machine, machine_span) = if p.peek_keyword("on") {
         p.next();
         let (m, span) = p.expect_ident_spanned()?;
-        (Some(m), span)
+        (Some(m.to_owned()), span)
     } else {
         (None, Span::default())
     };
     p.expect_token(TokenKind::LBrace)?;
     let mut ast = WorkflowAst {
-        name,
+        name: name.to_owned(),
         name_span,
         machine,
         machine_span,
@@ -570,16 +566,16 @@ pub fn parse(source: &str) -> Result<WorkflowAst, LangError> {
         machines,
     };
     loop {
-        match &p.peek().kind {
+        match p.peek().kind {
             TokenKind::RBrace => {
                 p.next();
                 break;
             }
-            TokenKind::Ident(kw) if kw == "task" => {
+            TokenKind::Ident("task") => {
                 p.next();
                 ast.tasks.push(p.parse_task()?);
             }
-            TokenKind::Ident(kw) if kw == "targets" => {
+            TokenKind::Ident("targets") => {
                 p.next();
                 ast.targets = p.parse_targets()?;
             }

@@ -2,12 +2,13 @@
 
 use std::fmt;
 
-/// A token with its source position (1-based line/column) and byte
-/// range.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+/// A token with its source position (1-based line/column, counted in
+/// characters) and byte range. Identifiers borrow their text from the
+/// source, so a token is `Copy`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'src> {
     /// The token kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'src>,
     /// 1-based source line.
     pub line: usize,
     /// 1-based source column.
@@ -18,7 +19,7 @@ pub struct Token {
     pub len: usize,
 }
 
-impl Token {
+impl Token<'_> {
     /// One past the last byte of the token text.
     pub fn end_offset(&self) -> usize {
         self.offset + self.len
@@ -26,10 +27,11 @@ impl Token {
 }
 
 /// Token kinds.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
-    /// Identifier or keyword (`workflow`, `task`, `nodes`, resource ids).
-    Ident(String),
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TokenKind<'src> {
+    /// Identifier or keyword (`workflow`, `task`, `nodes`, resource ids),
+    /// borrowed from the source.
+    Ident(&'src str),
     /// A number with an optional unit suffix, normalized to base units:
     /// bytes, flops, seconds, or bytes/s. A bare number has `unit: None`.
     Number {
@@ -50,8 +52,6 @@ pub enum TokenKind {
     LParen,
     /// `)`
     RParen,
-    /// `per` keyword used in throughput expressions (also an Ident, but
-    /// the lexer keeps it as Ident; listed here for documentation only).
     /// End of input.
     Eof,
 }
@@ -69,7 +69,7 @@ pub enum Unit {
     BytesPerSec,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "identifier `{s}`"),

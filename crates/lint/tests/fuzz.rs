@@ -28,10 +28,63 @@ fn gate_matches_full_lint(src: &str) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Fails unless every token the lexer returns starts on a character
+/// boundary at the line and column that counting characters in the
+/// source before it gives.
+fn token_positions_count_chars(src: &str) -> Result<(), TestCaseError> {
+    let Ok(tokens) = wrm_lang::lexer::lex(src) else {
+        return Ok(());
+    };
+    for t in &tokens {
+        prop_assert!(src.is_char_boundary(t.offset) && src.is_char_boundary(t.end_offset()));
+        let before = &src[..t.offset];
+        let line = 1 + before.matches('\n').count();
+        let col = 1 + before.rsplit('\n').next().map_or(0, |l| l.chars().count());
+        prop_assert!(
+            (t.line, t.col) == (line, col),
+            "{:?} at {}:{}, counted {line}:{col} in {src:?}",
+            t.kind,
+            t.line,
+            t.col
+        );
+    }
+    Ok(())
+}
+
+/// A character from one draw: one in four is ASCII (control characters
+/// and newlines included), the rest spread over the two-, three- and
+/// four-byte UTF-8 ranges.
+fn unicode_char(x: u32) -> char {
+    let end = [0x80, 0x800, 0x1_0000, 0x11_0000][(x % 4) as usize];
+    char::from_u32((x >> 2) % end).unwrap_or('\u{FFFD}')
+}
+
+/// Arbitrary Unicode text of `len` characters.
+fn unicode_text(len: std::ops::Range<usize>) -> impl Strategy<Value = String> {
+    proptest::collection::vec(any::<u32>(), len)
+        .prop_map(|draws| draws.into_iter().map(unicode_char).collect())
+}
+
+/// Printable-ASCII lines, each ending in a comment of arbitrary
+/// Unicode, so the scan gets past the first character it rejects. The
+/// last comment has no newline: end of input follows it on its line.
+fn commented_lines() -> impl Strategy<Value = String> {
+    proptest::collection::vec(("[ -~]{0,30}", unicode_text(0..20)), 0..8).prop_map(|lines| {
+        lines
+            .iter()
+            .map(|(code, comment)| format!("{code}#{comment}"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    })
+}
+
 proptest! {
+    /// The lexer scans bytes, so a multi-byte character must never
+    /// split a slice or shift a column.
     #[test]
-    fn never_panics_on_arbitrary_text(src in "[ -~\n]{0,200}") {
+    fn never_panics_on_arbitrary_text(src in prop_oneof![unicode_text(0..200), commented_lines()]) {
         let _ = lint_source(&src);
+        token_positions_count_chars(&src)?;
     }
 
     #[test]

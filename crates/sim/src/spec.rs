@@ -283,9 +283,11 @@ impl DepCsr {
         }
     }
 
-    /// Kahn's scan. `false` on a cycle, a self-dependency included (its
+    /// Kahn's scan, calling `edge(v, s)` for each dependent `s` of a task
+    /// `v` as `v` leaves the queue, so every task leaves after all its
+    /// dependencies. `false` on a cycle, a self-dependency included (its
     /// task never reaches indegree zero).
-    fn is_acyclic(&self) -> bool {
+    fn kahn(&self, mut edge: impl FnMut(usize, usize)) -> bool {
         let mut indegree = self.dep_count.clone();
         let mut queue: Vec<u32> = (0..indegree.len() as u32)
             .filter(|&i| indegree[i as usize] == 0)
@@ -297,6 +299,7 @@ impl DepCsr {
             let succs = &self.dependents
                 [self.dependents_off[v] as usize..self.dependents_off[v + 1] as usize];
             for &s in succs {
+                edge(v, s as usize);
                 indegree[s as usize] -= 1;
                 if indegree[s as usize] == 0 {
                     queue.push(s);
@@ -304,6 +307,24 @@ impl DepCsr {
             }
         }
         queue.len() == indegree.len()
+    }
+
+    fn is_acyclic(&self) -> bool {
+        self.kahn(|_, _| {})
+    }
+
+    /// The most tasks on one dependency level of an acyclic graph: roots
+    /// are level 0, any other task one past its deepest dependency.
+    fn max_width(&self) -> usize {
+        let mut level = vec![0u32; self.dep_count.len()];
+        let acyclic = self.kahn(|v, s| level[s] = level[s].max(level[v] + 1));
+        debug_assert!(acyclic, "resolve rejects cycles");
+        let depth = level.iter().max().map_or(0, |&d| d as usize + 1);
+        let mut width = vec![0usize; depth];
+        for &l in &level {
+            width[l as usize] += 1;
+        }
+        width.into_iter().max().unwrap_or(0)
     }
 }
 
@@ -334,6 +355,15 @@ impl WorkflowSpec {
     /// have always seen.
     pub fn validate(&self) -> Result<(), SpecError> {
         self.resolve().map(drop)
+    }
+
+    /// [`Self::validate`], then the structural parallelism: the most
+    /// tasks on one dependency level, where roots are level 0 and any
+    /// other task sits one past its deepest dependency (0 for an empty
+    /// workflow). Equals [`Dag::max_width`] of [`Self::to_dag_with`]
+    /// without building the [`Dag`].
+    pub fn max_width(&self) -> Result<usize, SpecError> {
+        Ok(self.resolve()?.max_width())
     }
 
     /// [`Self::validate`], keeping the dependency lists it resolves to

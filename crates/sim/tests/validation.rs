@@ -6,6 +6,9 @@
 //! 2. then, task by task: zero nodes, an invalid phase, an invalid
 //!    distribution, an unknown dependency;
 //! 3. then a self-dependency or cycle, as `to_dag_with` names it.
+//!
+//! `WorkflowSpec::max_width` fails exactly as `validate` does and
+//! otherwise equals the width of the spec's `Dag`.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -208,6 +211,22 @@ proptest! {
             let (got, want) = (wf.validate(), oracle(&wf));
             prop_assert!(got == want, "validate {:?} != oracle {:?} on {:?}", got, want, wf);
         }
+    }
+
+    /// On a valid spec or one with a planted fault (kind 7: none), the
+    /// width pass returns `validate`'s error or the `Dag`'s width.
+    #[test]
+    fn max_width_is_the_dag_width_of_a_valid_spec(seed in any::<u64>(), kind in 0..8u8) {
+        let mut s = seed;
+        let mut wf = layered_spec(&mut s);
+        if kind < 7 {
+            let j = pick(&mut s, wf.tasks.len());
+            plant(&mut wf, kind, j, &mut s);
+        }
+        let want = wf
+            .validate()
+            .and_then(|()| Ok(wf.to_dag_with(|_| 0.0)?.max_width()?));
+        prop_assert_eq!(wf.max_width(), want);
     }
 }
 
