@@ -334,6 +334,13 @@ fn sweep_grid_json_and_csv() {
         .expect("runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--resource"));
+    // Sweeps print csv, json or jsonl; `text` is lint's format.
+    let out = wrm()
+        .args(["sweep", "bgw", "--format", "text"])
+        .output()
+        .expect("runs");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown --format `text`"));
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -659,6 +666,71 @@ fn sweep_matches_per_point_simulation() {
     assert_eq!(rows.len(), 12);
     let expected = render::sweep_json(rows).expect("serializes");
     assert_eq!(String::from_utf8(out.stdout).expect("utf8"), expected);
+}
+
+#[test]
+fn sweep_under_contention_matches_per_point_simulate() {
+    // `--contention` is part of the sweep's base scenario, as it is of
+    // every other query: each row equals simulating its point under the
+    // same contention, bit for bit.
+    let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../workflows/lcls_cori.wrm");
+    let args = ["--contention", "ext=0.2", "--nodes", "64,161"];
+    let out = wrm()
+        .args(["sweep", spec, "--format", "json"])
+        .args(args)
+        .output()
+        .expect("runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let source = std::fs::read_to_string(spec).expect("spec");
+    let base = wrm_serve::resolve::from_source(spec, &source, None)
+        .expect("compiles")
+        .scenario;
+    let rows: Vec<serde_json::Value> = [64, 161]
+        .into_iter()
+        .map(|nodes| {
+            let mut point = base.clone();
+            point.options = point.options.with_contention("ext", 0.2);
+            point.options.node_limit = Some(nodes);
+            let cell = render::SweepCell {
+                factor: 1.0,
+                node_limit: Some(nodes),
+                policy: SchedulerPolicy::Fifo,
+            };
+            let result = wrm_sim::simulate(&point);
+            render::sweep_row_value(&base.workflow.name, &base.machine.name, "", &cell, &result)
+        })
+        .collect();
+    let expected = render::sweep_json(rows).expect("serializes");
+    let text = String::from_utf8(out.stdout).expect("utf8");
+    assert_eq!(text, expected);
+
+    // The paper's 5x bad day: the pool of 161 nodes runs every task at
+    // once, so that row is the plain `wrm simulate --contention` run.
+    let out = wrm()
+        .args(["simulate", spec, "--contention", "ext=0.2"])
+        .output()
+        .expect("runs");
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert!(report.contains("makespan 5000.26 s"), "{report}");
+    assert!(text.contains("\"makespan_s\": 5000.259051"), "{text}");
+
+    // Contention on the swept resource would be overridden by the factor
+    // axis, so it is refused.
+    let out = wrm()
+        .args(["sweep", spec, "--resource", "ext", "--factors", "0.5"])
+        .args(args)
+        .output()
+        .expect("runs");
+    assert!(!out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "wrm: --contention names the swept resource `ext`; its factors go in --factors\n"
+    );
 }
 
 /// Each task's `(start, end, nodes)` in a `--jsonl` trace: its first

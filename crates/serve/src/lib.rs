@@ -22,11 +22,16 @@
 //!   replay/cold/reuse path mix, exposed at `/metrics` (Prometheus
 //!   text) and `/metrics/json`.
 //!
-//! Responses are assembled by the same [`render`] functions the CLI
-//! prints through, so a server response body is byte-identical to the
-//! corresponding `wrm` invocation's stdout — cold cache, warm cache, or
-//! under concurrent clients (`crates/cli/tests/serve_e2e.rs` enforces
-//! this end to end).
+//! * one **query layer** ([`query`]) behind both front ends: `wrm
+//!   simulate | certify | sweep | lint` and the `/v1` endpoints parse
+//!   into the same [`query::Query`] through one set of validators, and
+//!   [`query::execute`] (for sweeps, [`query::SweepRows`]) answers it
+//!   through the [`render`] functions.
+//!
+//! So a server response body is byte-identical to the corresponding
+//! `wrm` invocation's stdout — cold cache, warm cache, or under
+//! concurrent clients (`crates/cli/tests/serve_e2e.rs` enforces this
+//! end to end).
 //!
 //! See `docs/SERVE.md` for the request/response schemas.
 
@@ -36,6 +41,7 @@ pub mod client;
 pub mod http;
 pub mod metrics;
 pub mod pool;
+pub mod query;
 pub mod render;
 pub mod resolve;
 mod server;

@@ -229,17 +229,14 @@ where
 /// Assembles the buffered `--format json` sweep document (pretty array
 /// plus trailing newline).
 pub fn sweep_json(rows: Vec<serde_json::Value>) -> Result<String, String> {
-    let mut text =
-        serde_json::to_string_pretty(&serde_json::Value::Array(rows)).map_err(|e| e.to_string())?;
-    text.push('\n');
-    Ok(text)
+    pretty(&rows)
 }
 
-/// Renders one sweep row as a compact JSON line (`--format jsonl`).
-pub fn sweep_row_jsonl(row: &serde_json::Value) -> Result<String, String> {
-    let mut line = serde_json::to_string(row).map_err(|e| e.to_string())?;
-    line.push('\n');
-    Ok(line)
+/// A JSON document: pretty-printed, plus a trailing newline.
+fn pretty(value: &impl serde::Serialize) -> Result<String, String> {
+    let mut text = serde_json::to_string_pretty(value).map_err(|e| e.to_string())?;
+    text.push('\n');
+    Ok(text)
 }
 
 /// The full `wrm simulate` report: makespan line, throughput, time
@@ -359,9 +356,7 @@ pub fn mc_report(spec_name: &str, machine_name: &str, mc: &McResult, percentiles
 /// The `wrm certify` document: the certificate as pretty JSON plus a
 /// trailing newline.
 pub fn certificate_json(cert: &Certificate) -> Result<String, String> {
-    let mut text = serde_json::to_string_pretty(cert).map_err(|e| e.to_string())?;
-    text.push('\n');
-    Ok(text)
+    pretty(cert)
 }
 
 /// A linted file: `(path, source, diagnostics)`.
@@ -433,9 +428,7 @@ pub fn lint_json(
             })
         })
         .collect();
-    let mut text = serde_json::to_string_pretty(&files).map_err(|e| e.to_string())?;
-    text.push('\n');
-    Ok(text)
+    pretty(&files)
 }
 
 /// The `wrm lint --format sarif` report.
@@ -444,10 +437,7 @@ pub fn lint_sarif(batch: &LintBatch) -> Result<String, String> {
         .iter()
         .map(|(path, _, diags)| (path.clone(), diags.clone()))
         .collect();
-    let log = wrm_lint::to_sarif(&files);
-    let mut text = serde_json::to_string_pretty(&log).map_err(|e| e.to_string())?;
-    text.push('\n');
-    Ok(text)
+    pretty(&wrm_lint::to_sarif(&files))
 }
 
 #[cfg(test)]

@@ -128,6 +128,21 @@ fn sweep_is_byte_stable_across_cache_states_and_clients() {
     assert_eq!(r.status, 200);
     assert!(r.text().trim_start().starts_with('{'), "{}", r.text());
 
+    // Contention on the swept resource would be overridden by the factor
+    // axis, so it is refused before any work.
+    let clash = source_body(
+        LCLS_WRM,
+        ",\"resource\":\"ext\",\"factors\":[0.5],\"contention\":{\"ext\":0.2}",
+    );
+    let r = client::request(&addr, "POST", "/v1/sweep", Some(&clash)).expect("clash");
+    assert_eq!(
+        (r.status, r.text().as_str()),
+        (
+            400,
+            "field `contention` names the swept resource `ext`; its factors go in `factors`\n"
+        )
+    );
+
     server.shutdown();
 }
 

@@ -59,7 +59,7 @@ use wrm_core::Dist;
 const REP_CHUNK: usize = 8;
 
 /// Monte-Carlo run options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct McOptions {
     /// Number of replications (floored at 1).
     pub reps: usize,
