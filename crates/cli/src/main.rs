@@ -549,7 +549,10 @@ fn cmd_query(command: &str, args: &[String]) -> Result<(), String> {
         }
     }
     let entry = load_entry(&flags)?;
-    let answer = execute(&query, Input::Indexed(&entry, &mut SimArena::new()))?;
+    let answer = execute(
+        &query,
+        Input::<String>::Indexed(&entry, &mut SimArena::new()),
+    )?;
     print!("{}", answer.body);
     let Some(result) = &answer.run else {
         return Ok(());

@@ -3,9 +3,10 @@
 //! Builds the cartesian grid of contention factor x node limit x
 //! scheduler policy over the workflow under `--contention` and
 //! simulates every cell on the incremental sweep engine
-//! (`wrm_sim::sweep_grid_points`) — one shared base index and
-//! checkpoint/replay along the factor axis, each cell keeping only its
-//! row — printing one row per cell as JSON, JSON lines, or CSV. Every
+//! (`wrm_sim::sweep_grid_points`) — one shared base index,
+//! checkpoint/replay along the factor axis and one run per distinct
+//! column, each cell keeping only its row — printing one row per cell
+//! as JSON, JSON lines, or CSV. Every
 //! row is bit-identical to per-point simulation, which the
 //! `sweep_matches_per_point_simulation` CLI test checks end to end.
 //! Scenario errors land in the row's `error` column instead of aborting
@@ -53,8 +54,11 @@ pub fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let base = query.scenario(&workflow);
     let (grid, mut rows) = query.sweep(&base)?;
     let threads = flags.query.mc.threads;
-    let wrm_sim::SweepOutcome { results, stats } =
-        wrm_sim::sweep_grid_points(&base, &grid, threads);
+    let wrm_sim::SweepOutcome {
+        results,
+        stats,
+        runs,
+    } = wrm_sim::sweep_grid_points(&base, &grid, threads);
     let mut output = rows.feed(results.into_iter().enumerate())?;
     output.push_str(&rows.finish()?);
 
@@ -69,18 +73,17 @@ pub fn cmd_sweep(args: &[String]) -> Result<(), String> {
     // worker count reported is the resolved one (0 = auto, explicit
     // values capped at the host core count and the job count).
     if !flags.quiet {
-        // The engine parallelizes over (node, policy) columns,
-        // replaying the factor axis within each.
-        let columns = grid.node_limits.len() * grid.policies.len();
-        let workers = wrm_sim::effective_workers(threads, columns);
+        // The engine parallelizes over runs, one per distinct
+        // (node, policy) column, replaying the factor axis within each.
+        let workers = wrm_sim::effective_workers(threads, runs);
         let rows = match &flags.out {
             Some(path) => format!("wrote {} sweep row(s) to {path}", grid.len()),
             None => format!("swept {} row(s)", grid.len()),
         };
         eprintln!(
             "{rows} ({workers} thread(s); incremental: {} replayed, {} cold, {} reused, \
-             {} error(s))",
-            stats.replayed, stats.cold, stats.reused, stats.errors
+             {} shared, {} error(s))",
+            stats.replayed, stats.cold, stats.reused, stats.shared, stats.errors
         );
     }
     Ok(())

@@ -333,7 +333,12 @@ fn sweep_grid_json_and_csv() {
         .output()
         .expect("runs");
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--resource"));
+    assert!(
+        String::from_utf8_lossy(&out.stderr)
+            .contains("--factors needs --resource <shared resource id>"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     // Sweeps print csv, json or jsonl; `text` is lint's format.
     let out = wrm()
         .args(["sweep", "bgw", "--format", "text"])
@@ -666,6 +671,13 @@ fn sweep_matches_per_point_simulation() {
     assert_eq!(rows.len(), 12);
     let expected = render::sweep_json(rows).expect("serializes");
     assert_eq!(String::from_utf8(out.stdout).expect("utf8"), expected);
+    // LCLS needs 161 nodes in all: at a 161-node pool both policies run
+    // alike, so that column runs once and the backfill cells are copies.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("6 replayed, 3 cold, 0 reused, 3 shared, 0 error(s)"),
+        "{stderr}"
+    );
 }
 
 #[test]

@@ -6,8 +6,8 @@
 //! shared worker pool. `wrm` runs the same query layer, so a 200 body
 //! is byte-identical to the matching `wrm` invocation's stdout. What is
 //! left here is transport: routing, status codes, and the sweep's
-//! stream — one pool job per column, each canonical-order row group
-//! going out chunked (`csv`, `jsonl`) the moment it is complete.
+//! stream — one pool job per distinct column, each canonical-order row
+//! group going out chunked (`csv`, `jsonl`) the moment it is complete.
 
 use crate::cache::{cache_key, IndexCache, ServeEntry};
 use crate::http::{write_response, ChunkedWriter, Request};
@@ -156,7 +156,7 @@ fn answer<W: Write>(
     let label = field("path").unwrap_or("<request>");
     let answer = if let Op::Lint { .. } = query.op {
         let (diags, ctx) = wrm_lint::lint_source_with_context(workflow);
-        let batch = [(label.to_owned(), workflow.to_owned(), diags)];
+        let batch = [(label, workflow, diags)];
         let certificates = [ctx.and_then(|c| c.certificate)];
         execute(&query, Input::Linted(&batch, &certificates))
             .map(|answer| (answer.content_type, answer.body))
@@ -173,7 +173,7 @@ fn answer<W: Write>(
         }
         let (tx, rx) = mpsc::channel();
         state.pool.submit(Box::new(move |arena| {
-            let answer = execute(&query, Input::Indexed(&entry, arena));
+            let answer = execute(&query, Input::<&str>::Indexed(&entry, arena));
             let _ = tx.send(answer.map(|answer| (answer.content_type, answer.body)));
         }));
         rx.recv()
@@ -184,11 +184,13 @@ fn answer<W: Write>(
     Ok(keep)
 }
 
-/// `POST /v1/sweep`: one pool job per (node limit, policy) column, the
-/// body streamed chunked as [`SweepRows`](crate::query::SweepRows)
-/// renders it. `csv` and `jsonl`
-/// rows go out once every row before them is known; a `json` document
-/// (a pretty array has no row boundaries) goes out whole at the end.
+/// `POST /v1/sweep`: one pool job per run of
+/// [`plan_columns`](wrm_sim::plan_columns) (a (node limit, policy)
+/// column and the columns that copy its cells), the body streamed
+/// chunked as [`SweepRows`](crate::query::SweepRows) renders it. `csv`
+/// and `jsonl` rows go out once every row before them is known; a
+/// `json` document (a pretty array has no row boundaries) goes out
+/// whole at the end.
 fn sweep<W: Write>(
     state: &AppState,
     query: &Query,
@@ -204,28 +206,26 @@ fn sweep<W: Write>(
         Cow::Owned(scenario) => Some(Arc::new(scenario)),
         Cow::Borrowed(_) => None,
     };
+    let plan = wrm_sim::plan_columns(&grid, &entry.base);
     let grid = Arc::new(grid);
     let (tx, rx) = mpsc::channel();
-    for ni in 0..grid.node_limits.len() {
-        for pi in 0..grid.policies.len() {
-            let (tx, entry, grid) = (tx.clone(), Arc::clone(entry), Arc::clone(&grid));
-            let contended = contended.clone();
-            state.pool.submit(Box::new(move |arena| {
-                let scenario = contended.as_deref().unwrap_or(&entry.scenario);
-                let column =
-                    wrm_sim::sweep_column_points(scenario, &grid, &entry.base, ni, pi, arena);
-                let _ = tx.send(column);
-            }));
-        }
+    for group in plan {
+        let (tx, entry, grid) = (tx.clone(), Arc::clone(entry), Arc::clone(&grid));
+        let contended = contended.clone();
+        state.pool.submit(Box::new(move |arena| {
+            let scenario = contended.as_deref().unwrap_or(&entry.scenario);
+            let cells = wrm_sim::sweep_group_points(scenario, &grid, &entry.base, &group, arena);
+            let _ = tx.send(cells);
+        }));
     }
     drop(tx);
-    let columns = rx.into_iter().map(|(results, stats)| {
+    let runs = rx.into_iter().map(|(results, stats)| {
         state.metrics.absorb_sweep(&stats);
         results
     });
 
     let mut writer = ChunkedWriter::begin(out, rows.content_type(), keep)?;
-    for results in columns {
+    for results in runs {
         let ready = rows.feed(results).map_err(std::io::Error::other)?;
         writer.chunk(ready.as_bytes())?;
     }

@@ -30,6 +30,7 @@ pub struct Metrics {
     replayed: AtomicU64,
     cold: AtomicU64,
     reused: AtomicU64,
+    shared: AtomicU64,
     sweep_errors: AtomicU64,
 }
 
@@ -48,6 +49,7 @@ impl Metrics {
             replayed: AtomicU64::new(0),
             cold: AtomicU64::new(0),
             reused: AtomicU64::new(0),
+            shared: AtomicU64::new(0),
             sweep_errors: AtomicU64::new(0),
         }
     }
@@ -81,6 +83,8 @@ impl Metrics {
         self.cold.fetch_add(stats.cold as u64, Ordering::Relaxed);
         self.reused
             .fetch_add(stats.reused as u64, Ordering::Relaxed);
+        self.shared
+            .fetch_add(stats.shared as u64, Ordering::Relaxed);
         self.sweep_errors
             .fetch_add(stats.errors as u64, Ordering::Relaxed);
     }
@@ -123,6 +127,7 @@ impl Metrics {
             ("replayed", &self.replayed),
             ("cold", &self.cold),
             ("reused", &self.reused),
+            ("shared", &self.shared),
             ("error", &self.sweep_errors),
         ] {
             out.push_str(&format!(
@@ -182,6 +187,7 @@ impl Metrics {
                 "replayed": self.replayed.load(Ordering::Relaxed),
                 "cold": self.cold.load(Ordering::Relaxed),
                 "reused": self.reused.load(Ordering::Relaxed),
+                "shared": self.shared.load(Ordering::Relaxed),
                 "errors": self.sweep_errors.load(Ordering::Relaxed),
             }),
         })
@@ -222,6 +228,7 @@ mod tests {
             replayed: 2,
             cold: 1,
             reused: 4,
+            shared: 3,
             ..SweepStats::default()
         });
         let snap = metrics.snapshot(&cache);
@@ -247,10 +254,15 @@ mod tests {
             paths.get("reused").and_then(serde_json::Value::as_u64),
             Some(4)
         );
+        assert_eq!(
+            paths.get("shared").and_then(serde_json::Value::as_u64),
+            Some(3)
+        );
         assert!(paths.get("fastpath").is_none());
         let text = metrics.prometheus(&cache);
         assert!(text.contains("wrm_requests_total{endpoint=\"sweep\"} 2"));
         assert!(text.contains("wrm_sweep_points_total{path=\"replayed\"} 2"));
+        assert!(text.contains("wrm_sweep_points_total{path=\"shared\"} 3"));
         assert!(!text.contains("fastpath"));
     }
 }

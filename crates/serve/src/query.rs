@@ -170,6 +170,13 @@ fn json_bool(body: &Value, key: &str, default: bool) -> bool {
     body.get(key).and_then(Value::as_bool).unwrap_or(default)
 }
 
+/// How a front end names the fields a cross-field check reports.
+struct Fields {
+    contention: &'static str,
+    factors: &'static str,
+    resource: &'static str,
+}
+
 /// The query flags of a `wrm` command line: [`Flags::parse`] checks
 /// each value as it is read, [`Query::from_flags`] the rest.
 #[derive(Debug, Clone)]
@@ -269,8 +276,12 @@ impl Query {
             },
             other => return Err(format!("`wrm {other}` is not a query")),
         };
-        let fields = ["--contention", "--factors"];
-        Self::new(op, flags.contention.clone(), fields)
+        let fields = Fields {
+            contention: "--contention",
+            factors: "--factors",
+            resource: "--resource <shared resource id>",
+        };
+        Self::new(op, flags.contention.clone(), &fields)
     }
 
     /// The query of `POST /v1/<endpoint>` with body `body`.
@@ -333,22 +344,37 @@ impl Query {
                 })
                 .collect::<Result<_, _>>()?,
         };
-        Self::new(op, contention, ["field `contention`", "`factors`"])
+        let fields = Fields {
+            contention: "field `contention`",
+            factors: "`factors`",
+            resource: "`resource` (a shared resource id)",
+        };
+        Self::new(op, contention, &fields)
     }
 
-    /// Checks what spans fields: contention may not name the swept
-    /// resource, whose factor the sweep's own axis sets. `fields` names
-    /// the contention and factors fields.
-    fn new(op: Op, contention: Vec<(String, f64)>, fields: [&str; 2]) -> Result<Self, String> {
-        let swept = match &op {
-            Op::Sweep { axes, .. } => axes.resource.as_deref(),
-            _ => None,
-        };
-        if let Some(swept) = swept.filter(|&r| contention.iter().any(|(res, _)| res == r)) {
-            let [contention, factors] = fields;
-            return Err(format!(
-                "{contention} names the swept resource `{swept}`; its factors go in {factors}"
-            ));
+    /// Checks what spans fields: a sweep's factors need its resource,
+    /// and contention may not name the swept resource, whose factor the
+    /// sweep's own axis sets. `fields` names the fields as the front
+    /// end calls them.
+    fn new(op: Op, contention: Vec<(String, f64)>, fields: &Fields) -> Result<Self, String> {
+        if let Op::Sweep { axes, .. } = &op {
+            let Fields {
+                contention: contention_field,
+                factors,
+                resource,
+            } = fields;
+            match axes.resource.as_deref() {
+                None if !axes.factors.is_empty() => {
+                    return Err(format!("{factors} needs {resource}"));
+                }
+                Some(swept) if contention.iter().any(|(res, _)| res == swept) => {
+                    return Err(format!(
+                        "{contention_field} names the swept resource `{swept}`; \
+                         its factors go in {factors}"
+                    ));
+                }
+                _ => {}
+            }
         }
         Ok(Self { op, contention })
     }
@@ -399,13 +425,15 @@ impl Query {
     }
 }
 
-/// What [`execute`] answers a query on.
-pub enum Input<'a> {
+/// What [`execute`] answers a query on. `S` is the linted files'
+/// string type: `String` for `wrm lint`'s files, `&str` for a request
+/// body's workflow, which a lint answer borrows.
+pub enum Input<'a, S = String> {
     /// A resolved workflow with its index, and the arena to run in.
     Indexed(&'a ServeEntry, &'a mut SimArena),
     /// Linted files and their certificates, `certificates[i]` for
     /// `batch[i]`.
-    Linted(&'a LintBatch, &'a [Option<Certificate>]),
+    Linted(&'a LintBatch<S>, &'a [Option<Certificate>]),
 }
 
 /// A query's answer.
@@ -428,7 +456,7 @@ fn answer(content_type: &'static str, body: String) -> Answer {
 /// Answers a simulate, Monte-Carlo or certify query on an indexed
 /// workflow, or a lint query on linted files. Sweeps stream their rows
 /// through [`SweepRows`] instead.
-pub fn execute(query: &Query, input: Input<'_>) -> Result<Answer, String> {
+pub fn execute<S: AsRef<str>>(query: &Query, input: Input<'_, S>) -> Result<Answer, String> {
     let mismatch = || format!("{:?} does not run on this input", query.op);
     let (entry, arena) = match input {
         Input::Indexed(entry, arena) => (entry, arena),
@@ -804,6 +832,16 @@ mod tests {
                 "contention on the swept resource",
                 server("sweep", r#"{"resource": "ext", "contention": {"ext": 0.2}}"#),
                 Err("field `contention` names the swept resource `ext`; its factors go in `factors`"),
+            ),
+            (
+                "factors without a resource",
+                cli("sweep", &["--factors", "0.5"]),
+                Err("--factors needs --resource <shared resource id>"),
+            ),
+            (
+                "factors without a resource",
+                server("sweep", r#"{"factors": [0.5]}"#),
+                Err("`factors` needs `resource` (a shared resource id)"),
             ),
             (
                 "contention elsewhere",

@@ -53,10 +53,13 @@ pub struct SweepCell {
     pub policy: SchedulerPolicy,
 }
 
-/// Builds the canonical sweep grid for a base scenario: validates the
-/// axes, fills defaults from the scenario's options, and sorts and
-/// dedups every axis into canonical order so output bytes are
-/// independent of input order and repetition.
+/// Builds the canonical sweep grid for a base scenario: checks the
+/// resource against the machine, fills defaults from the scenario's
+/// options, and sorts and dedups every axis into canonical order so
+/// output bytes are independent of input order and repetition. That
+/// factors come with a resource is the query's check
+/// (`Query::from_flags`, `Query::from_json`), in each front end's
+/// words; without one the factor axis changes nothing.
 pub fn build_grid(
     base: &Scenario,
     resource: Option<String>,
@@ -64,9 +67,6 @@ pub fn build_grid(
     nodes: &[u64],
     policies: &[SchedulerPolicy],
 ) -> Result<SweepGrid, String> {
-    if !factors.is_empty() && resource.is_none() {
-        return Err("--factors needs --resource <shared resource id>".to_owned());
-    }
     if let Some(res) = &resource {
         if base.machine.system_resource(res).is_none() {
             return Err(format!(
@@ -359,18 +359,20 @@ pub fn certificate_json(cert: &Certificate) -> Result<String, String> {
     pretty(cert)
 }
 
-/// A linted file: `(path, source, diagnostics)`.
-pub type LintBatch = [(String, String, Vec<wrm_lint::Diagnostic>)];
+/// Linted files: `(path, source, diagnostics)` each, the strings owned
+/// (`wrm lint`'s files) or borrowed (a request's body).
+pub type LintBatch<S = String> = [(S, S, Vec<wrm_lint::Diagnostic>)];
 
 /// The `wrm lint` text report.
 #[must_use]
-pub fn lint_text(batch: &LintBatch) -> String {
+pub fn lint_text<S: AsRef<str>>(batch: &LintBatch<S>) -> String {
     let mut out = String::new();
     let mut total_errors = 0;
     let mut total_warnings = 0;
     for (path, source, diags) in batch {
+        let path = path.as_ref();
         for d in diags {
-            out.push_str(&format!("{}\n\n", d.render(source)));
+            out.push_str(&format!("{}\n\n", d.render(source.as_ref())));
         }
         let errors = diags
             .iter()
@@ -402,8 +404,8 @@ pub fn lint_text(batch: &LintBatch) -> String {
 /// onto a known machine and `null` otherwise (syntax errors, unknown
 /// machines, invalid resources), so consumers can rely on the key
 /// existing.
-pub fn lint_json(
-    batch: &LintBatch,
+pub fn lint_json<S: AsRef<str>>(
+    batch: &LintBatch<S>,
     certificates: &[Option<Certificate>],
 ) -> Result<String, String> {
     if batch.len() != certificates.len() {
@@ -422,7 +424,7 @@ pub fn lint_json(
                 .and_then(|c| serde_json::to_value(c).ok())
                 .unwrap_or(serde_json::Value::Null);
             serde_json::json!({
-                "file": path,
+                "file": path.as_ref(),
                 "diagnostics": diags,
                 "certification": cert,
             })
@@ -432,10 +434,10 @@ pub fn lint_json(
 }
 
 /// The `wrm lint --format sarif` report.
-pub fn lint_sarif(batch: &LintBatch) -> Result<String, String> {
+pub fn lint_sarif<S: AsRef<str>>(batch: &LintBatch<S>) -> Result<String, String> {
     let files: Vec<(String, Vec<wrm_lint::Diagnostic>)> = batch
         .iter()
-        .map(|(path, _, diags)| (path.clone(), diags.clone()))
+        .map(|(path, _, diags)| (path.as_ref().to_owned(), diags.clone()))
         .collect();
     pretty(&wrm_lint::to_sarif(&files))
 }

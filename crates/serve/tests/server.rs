@@ -83,6 +83,18 @@ fn sweep_is_byte_stable_across_cache_states_and_clients() {
         .expect("warm");
     assert_eq!(cold.status, 200);
     assert_eq!(cold.body, warm.body, "cache hit changed the bytes");
+    // The 161 nodes of LCLS fit the machine's pool, so the policy never
+    // decides anything: the backfill column copies the fifo column's
+    // cells, once per sweep.
+    let r = client::request(&addr, "GET", "/metrics/json", None).expect("metrics");
+    let snapshot: serde_json::Value = serde_json::from_str(&r.text()).expect("json");
+    let path = |field: &str| snapshot["sweep_paths"][field].as_u64();
+    assert_eq!(
+        ["cold", "replayed", "shared", "errors"].map(path),
+        [Some(2), Some(2), Some(4), Some(0)],
+        "{}",
+        r.text()
+    );
     let text = cold.text();
     assert!(
         text.starts_with("workflow,machine,resource,factor,node_limit,policy"),
@@ -141,6 +153,14 @@ fn sweep_is_byte_stable_across_cache_states_and_clients() {
             400,
             "field `contention` names the swept resource `ext`; its factors go in `factors`\n"
         )
+    );
+    // Factors need the resource they scale; the message names the
+    // request's fields, not the CLI's flags.
+    let unscaled = source_body(LCLS_WRM, ",\"factors\":[0.5]");
+    let r = client::request(&addr, "POST", "/v1/sweep", Some(&unscaled)).expect("no resource");
+    assert_eq!(
+        (r.status, r.text().as_str()),
+        (400, "`factors` needs `resource` (a shared resource id)\n")
     );
 
     server.shutdown();

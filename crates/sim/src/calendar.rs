@@ -50,7 +50,7 @@ const MIN_BUCKETS: usize = 16;
 /// factor leaves `[1/4, 2]`. A resize keeps every bucket's allocation:
 /// a shrink parks the buckets it drops in `spare`, a grow takes them
 /// back, so a warm queue stops allocating once its buckets have grown.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct CalendarQueue {
     buckets: Vec<Vec<CalEv>>,
     /// Empty buckets, capacity kept, that the ring dropped on a shrink.
@@ -92,6 +92,45 @@ impl Default for CalendarQueue {
             min_cache: None,
             #[cfg(test)]
             examined: 0,
+        }
+    }
+}
+
+/// `clone_from` copies the events into the target's own buckets, in
+/// the same order: a bucket the source ring lacks goes to `spare`
+/// emptied, one it needs comes from there, as in a resize. `spare` and
+/// `moving` hold no events between calls, so they are not copied.
+impl Clone for CalendarQueue {
+    fn clone(&self) -> Self {
+        let mut q = CalendarQueue::default();
+        q.clone_from(self);
+        q
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let n = src.buckets.len();
+        if n < self.buckets.len() {
+            self.spare.extend(self.buckets.drain(n..).map(|mut b| {
+                b.clear();
+                b
+            }));
+        } else {
+            let spare = &mut self.spare;
+            self.buckets
+                .resize_with(n, || spare.pop().unwrap_or_default());
+        }
+        for (to, from) in self.buckets.iter_mut().zip(&src.buckets) {
+            to.clone_from(from);
+        }
+        self.mask = src.mask;
+        self.width = src.width;
+        self.len = src.len;
+        self.cur = src.cur;
+        self.bucket_top = src.bucket_top;
+        self.min_cache = src.min_cache;
+        #[cfg(test)]
+        {
+            self.examined = src.examined;
         }
     }
 }
@@ -618,5 +657,36 @@ mod tests {
         }
         assert_eq!(count, 200);
         assert!(last.is_infinite());
+    }
+
+    /// `clone_from` into a queue whose ring is larger or smaller than
+    /// the source's gives the same pops as a fresh clone, and keeps the
+    /// target's bucket allocations (a ring it shrinks parks them in
+    /// `spare`).
+    #[test]
+    fn clone_from_matches_clone_and_keeps_buckets() {
+        let mut state = 7u64;
+        let mut src = CalendarQueue::default();
+        for t in 0..300u32 {
+            src.push(ev((mix(&mut state) % 1000) as f64 / 8.0, t));
+        }
+        for _ in 0..120 {
+            src.pop();
+        }
+        let want = drain(&mut src.clone());
+        for n_events in [0u32, 5, 3000] {
+            let mut to = CalendarQueue::default();
+            for t in 0..n_events {
+                to.push(ev(f64::from(t), t));
+            }
+            // A cached minimum of the target's own must not survive.
+            to.peek();
+            let buckets = to.buckets.len() + to.spare.len();
+            to.clone_from(&src);
+            assert_eq!(to.buckets.len(), src.buckets.len());
+            assert!(to.buckets.len() + to.spare.len() >= buckets);
+            assert!(to.spare.iter().all(Vec::is_empty));
+            assert_eq!(drain(&mut to), want, "target of {n_events} events");
+        }
     }
 }

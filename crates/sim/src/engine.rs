@@ -302,7 +302,7 @@ const TAIL_CAP: usize = 32;
 /// `channel[i] == DEAD` marks a fixed-duration phase (its float columns
 /// are unused placeholders); `member_slot[i] == DEAD` marks a flow that
 /// never joined its channel (born finished inside a completion scan).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct RunSoa {
     token: Vec<u32>,
     task: Vec<u32>,
@@ -321,6 +321,29 @@ struct RunSoa {
     /// stale and skipped.
     end: Vec<f64>,
     member_slot: Vec<u32>,
+}
+
+/// `clone_from` copies column by column into the target's own vectors.
+impl Clone for RunSoa {
+    fn clone(&self) -> Self {
+        let mut run = RunSoa::default();
+        run.clone_from(self);
+        run
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.token.clone_from(&src.token);
+        self.task.clone_from(&src.task);
+        self.phase.clone_from(&src.phase);
+        self.phase_start.clone_from(&src.phase_start);
+        self.channel.clone_from(&src.channel);
+        self.remaining.clone_from(&src.remaining);
+        self.cap.clone_from(&src.cap);
+        self.rate.clone_from(&src.rate);
+        self.last_set.clone_from(&src.last_set);
+        self.end.clone_from(&src.end);
+        self.member_slot.clone_from(&src.member_slot);
+    }
 }
 
 impl RunSoa {
@@ -449,7 +472,7 @@ impl CapSum {
 /// lists, fair-share scratch via the `rates_into` variants, and the
 /// calendar's buckets, kept across its resizes) stop growing (see
 /// docs/PERF.md for the measured counts).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct EngineState {
     run: RunSoa,
     /// Token -> current position in `run` ([`DEAD`] once removed).
@@ -502,6 +525,73 @@ pub(crate) struct EngineState {
     /// Max–min solves run (not skipped) since the last reset.
     #[cfg(test)]
     full_solves: u64,
+}
+
+/// A clone copies the run's state field by field into the target's own
+/// buffers (the calendar's buckets included), so a replay resumed into
+/// a recycled state allocates only where the checkpoint outgrew it.
+/// The per-call scratch buffers hold nothing between loop bodies; they
+/// are cleared, not copied.
+impl Clone for EngineState {
+    fn clone(&self) -> Self {
+        let mut st = EngineState::default();
+        st.clone_from(self);
+        st
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        let EngineState {
+            run,
+            pos_of,
+            calendar,
+            members,
+            dirty,
+            dirty_list,
+            cap_sums,
+            at_caps,
+            joiners,
+            ready,
+            deferred,
+            skipped,
+            pending,
+            due,
+            due_pos,
+            dep_count,
+            starts,
+            ends,
+            released_by,
+            demand_scratch,
+            rates_out,
+            rate_scratch: _,
+            #[cfg(test)]
+            full_solves,
+        } = self;
+        run.clone_from(&src.run);
+        pos_of.clone_from(&src.pos_of);
+        calendar.clone_from(&src.calendar);
+        members.clone_from(&src.members);
+        dirty.clone_from(&src.dirty);
+        dirty_list.clone_from(&src.dirty_list);
+        cap_sums.clone_from(&src.cap_sums);
+        at_caps.clone_from(&src.at_caps);
+        joiners.clone_from(&src.joiners);
+        ready.clone_from(&src.ready);
+        deferred.clone_from(&src.deferred);
+        pending.clone_from(&src.pending);
+        dep_count.clone_from(&src.dep_count);
+        starts.clone_from(&src.starts);
+        ends.clone_from(&src.ends);
+        released_by.clone_from(&src.released_by);
+        skipped.clear();
+        due.clear();
+        due_pos.clear();
+        demand_scratch.clear();
+        rates_out.clear();
+        #[cfg(test)]
+        {
+            *full_solves = src.full_solves;
+        }
+    }
 }
 
 impl EngineState {
@@ -567,6 +657,9 @@ impl EngineState {
 #[derive(Debug, Default)]
 pub struct SimArena {
     pub(crate) state: EngineState,
+    /// A sweep column's replay buffers, kept warm while `state` holds
+    /// the column's checkpoint (see `incremental::column`).
+    pub(crate) spare: EngineState,
 }
 
 impl SimArena {
@@ -942,7 +1035,7 @@ pub(crate) enum Step<'a, S: Sink<'a>> {
     /// The run ended: its sink's output, or the error that stopped it.
     Done(Result<S::Output, SimError>),
     /// Paused at the watch, buffers and all: the checkpoint
-    /// [`Engine::resume_with`] clones.
+    /// [`Engine::resume_with`] copies.
     Paused(Box<Engine<'a, S>>),
 }
 
@@ -984,13 +1077,12 @@ pub(crate) enum Outcome {
 ///   quadratic `qi = 0` rescan is equivalent to continuing the scan —
 ///   which is what this engine does.
 ///
-/// The engine borrows its immutable inputs (`base`, `overlay`) and is
-/// `Clone`, which is what the incremental sweep's delta re-simulation
-/// uses: run until a flow first joins a watched channel
-/// ([`Engine::with_watch`]), pause before the solve that would read it,
-/// then clone the paused state per grid point with a different overlay
+/// The engine borrows its immutable inputs (`base`, `overlay`), which
+/// is what the incremental sweep's delta re-simulation uses: run until
+/// a flow first joins a watched channel ([`Engine::with_watch`]), pause
+/// before the solve that would read it, then copy the paused state per
+/// grid point, with a different overlay, into recycled buffers
 /// ([`Engine::resume_with`]) and replay only the suffix.
-#[derive(Clone)]
 pub(crate) struct Engine<'a, S> {
     opts: &'a SimOptions,
     base: &'a BaseIndex,
@@ -1506,19 +1598,25 @@ impl<'a, S: Sink<'a>> Engine<'a, S> {
         }
     }
 
-    /// Clones an engine paused by its watch with a different overlay,
-    /// disarmed, ready to replay the suffix. Sound only when the overlays
-    /// differ in the watched channel's capacity and factor alone (one
-    /// sweep column): before the pause no solve has read that capacity,
-    /// and the factor has only set the caps of the channel's members,
-    /// which are re-derived here with the spawn expression.
-    pub(crate) fn resume_with(&self, overlay: &'a IndexOverlay) -> Self {
-        let mut e = self.clone();
-        e.overlay = overlay;
-        let ch = e
-            .watch
-            .take()
-            .expect("resume_with needs a watch-paused engine");
+    /// Copies an engine paused by its watch into `arena`'s buffers with
+    /// a different overlay, disarmed, ready to replay the suffix
+    /// ([`Engine::run`] hands the buffers back to `arena`). Sound only
+    /// when the overlays differ in the watched channel's capacity and
+    /// factor alone (one sweep column): before the pause no solve has
+    /// read that capacity, and the factor has only set the caps of the
+    /// channel's members, which are re-derived here with the spawn
+    /// expression.
+    pub(crate) fn resume_with(&self, overlay: &'a IndexOverlay, arena: &mut SimArena) -> Self {
+        let ch = self.watch.expect("resume_with needs a watch-paused engine");
+        let mut st = std::mem::take(&mut arena.state);
+        st.clone_from(&self.st);
+        let mut e = Engine {
+            overlay,
+            sink: self.sink.clone(),
+            st,
+            watch: None,
+            ..*self
+        };
         for &tok in &e.st.members[ch as usize] {
             let p = e.st.pos_of[tok as usize] as usize;
             let slot = (e.base.phase_off[e.st.run.task[p] as usize] + e.st.run.phase[p]) as usize;
@@ -1689,7 +1787,8 @@ mod tests {
                         let p = eng.st.pos_of[tok as usize] as usize;
                         assert_eq!(eng.st.run.rate[p], 0.0, "seed {seed}: solved before pause");
                     }
-                    let resumed = eng.resume_with(&overlay).run(&mut SimArena::new());
+                    let mut arena = SimArena::new();
+                    let resumed = eng.resume_with(&overlay, &mut arena).run(&mut arena);
                     assert_eq!(resumed, cold, "seed {seed}");
                 }
                 Step::Done(result) => assert_eq!(result, cold, "seed {seed}"),

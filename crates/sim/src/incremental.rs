@@ -6,7 +6,7 @@
 //! grid point through [`crate::simulate`] repeats almost all of the
 //! work: the topology/duration index is identical everywhere, and
 //! adjacent points differ in a single knob. [`sweep_grid`] exploits that
-//! structure two ways:
+//! structure three ways:
 //!
 //! 1. **One base index per sweep.** [`BaseIndex`] (topology, the
 //!    dependents CSR, durations) is built once; each point only builds
@@ -20,15 +20,27 @@
 //!    swept channel and pauses, in the same pass, just before the first
 //!    fair-share solve after a flow joins it: until then no solve has
 //!    read the channel's capacity, and its factor has only set its
-//!    members' caps. Every later point of the column clones that one
-//!    checkpoint, re-derives those caps for its own factor and replays
-//!    only the suffix (`Engine::resume_with`). When the watched channel
+//!    members' caps. Every point of the column copies that one
+//!    checkpoint into the arena's recycled replay buffers, re-derives
+//!    those caps for its own factor and replays only the suffix
+//!    (`Engine::resume_with`). When the watched channel
 //!    never joins, the run completes, the factor provably never
 //!    matters, and its result is reused outright.
 //!
 //! Changing the *node limit* re-runs the DES cold (at most once per
 //! column): a pool change can matter from the very first allocation, so
 //! there is no comparable prefix to share.
+//!
+//! 3. **One run per distinct column.** [`plan_columns`] keys each
+//!    column by its usable pool (the node limit clamped to the machine,
+//!    as `IndexOverlay::build` clamps it) and, only when the tasks'
+//!    nodes summed exceed that pool, by its policy. Columns with equal
+//!    keys run identically: equal pools build equal overlays, and when
+//!    every task fits at once no start scan ever leaves a ready task
+//!    waiting, so it never reaches the FIFO/backfill branches. One
+//!    member of each key runs; the others copy its cells, errors
+//!    included. The plan depends only on the grid and the base, so the
+//!    path statistics do not depend on the thread count.
 //!
 //! Every path runs the one DES engine, so [`SweepOutcome::results`] is
 //! equal, span order included, to running [`crate::simulate`] per point
@@ -47,7 +59,7 @@ use crate::engine::{
     Step, SweepPoint,
 };
 use crate::index::BaseIndex;
-use crate::overlay::IndexOverlay;
+use crate::overlay::{usable_pool, IndexOverlay};
 use crate::sweep::fan_out;
 
 /// The cross product a sweep evaluates: `factors x node_limits x
@@ -122,8 +134,12 @@ pub struct SweepStats {
     /// Points that reused a cold result verbatim (the swept channel
     /// never acquired a member, so the factor provably had no effect).
     pub reused: usize,
-    /// Points that failed validation (per-point error in `results`).
+    /// Points that failed validation (per-point error in `results`),
+    /// copied ones included.
     pub errors: usize,
+    /// Valid points copied from another column with the same run (see
+    /// [`plan_columns`]).
+    pub shared: usize,
 }
 
 impl SweepStats {
@@ -132,6 +148,7 @@ impl SweepStats {
         self.cold += other.cold;
         self.reused += other.reused;
         self.errors += other.errors;
+        self.shared += other.shared;
     }
 }
 
@@ -146,6 +163,20 @@ pub struct SweepOutcome<R = SimResult> {
     pub results: Vec<Result<R, SimError>>,
     /// How the points were evaluated.
     pub stats: SweepStats,
+    /// Column runs the grid took, one per distinct key of
+    /// [`plan_columns`]: the jobs its workers shared.
+    pub runs: usize,
+}
+
+/// The outcome of an empty grid.
+impl<R> Default for SweepOutcome<R> {
+    fn default() -> Self {
+        SweepOutcome {
+            results: Vec::new(),
+            stats: SweepStats::default(),
+            runs: 0,
+        }
+    }
 }
 
 /// What a sweep cell keeps, and the sink that produces it: the one
@@ -164,10 +195,11 @@ impl Cell for SweepPoint {
 }
 
 /// Evaluates the full grid over `scenario`, using up to `threads` worker
-/// threads (one column — a `(node_limit, policy)` pair — per work unit).
+/// threads (one run of [`plan_columns`] — a `(node_limit, policy)`
+/// column and the columns that copy it — per work unit).
 ///
 /// `threads == 0` means auto: one worker per available CPU, capped at
-/// the column count; explicit values are also capped at the host's
+/// the run count; explicit values are also capped at the host's
 /// available parallelism (see [`crate::sweep::effective_workers`]).
 ///
 /// Results are returned in [`SweepGrid::index_of`] order regardless of
@@ -195,10 +227,7 @@ pub fn sweep_grid_points(
 fn grid_cold<R: Cell>(scenario: &Scenario, grid: &SweepGrid, threads: usize) -> SweepOutcome<R> {
     let n = grid.len();
     if n == 0 {
-        return SweepOutcome {
-            results: Vec::new(),
-            stats: SweepStats::default(),
-        };
+        return SweepOutcome::default();
     }
 
     let base = match BaseIndex::build(&scenario.machine, &scenario.workflow) {
@@ -212,6 +241,7 @@ fn grid_cold<R: Cell>(scenario: &Scenario, grid: &SweepGrid, threads: usize) -> 
                     errors: n,
                     ..SweepStats::default()
                 },
+                runs: 0,
             };
         }
     };
@@ -232,8 +262,8 @@ pub fn sweep_grid_with_base(
     grid_with_base(scenario, grid, threads, base)
 }
 
-/// The grid driver: fans the columns out over [`column`] and merges
-/// their cells into [`SweepGrid::index_of`] order.
+/// The grid driver: fans the runs of [`plan_columns`] out over
+/// [`group`] and merges their cells into [`SweepGrid::index_of`] order.
 fn grid_with_base<R: Cell>(
     scenario: &Scenario,
     grid: &SweepGrid,
@@ -242,23 +272,19 @@ fn grid_with_base<R: Cell>(
 ) -> SweepOutcome<R> {
     let n = grid.len();
     if n == 0 {
-        return SweepOutcome {
-            results: Vec::new(),
-            stats: SweepStats::default(),
-        };
+        return SweepOutcome::default();
     }
 
-    // One `(node_limit, policy)` column per job, node-limit major; the
-    // cold DES runs across one worker's columns share a warm arena.
-    let n_policies = grid.policies.len();
-    let columns = grid.node_limits.len() * n_policies;
-    let column_outputs = fan_out(columns, threads, 1, SimArena::new, |arena, c| {
-        column::<R>(scenario, grid, base, c / n_policies, c % n_policies, arena)
+    // One run per job, in column order; the cold DES runs across one
+    // worker's jobs share a warm arena.
+    let plan = plan_columns(grid, base);
+    let outputs = fan_out(plan.len(), threads, 1, SimArena::new, |arena, k| {
+        group::<R>(scenario, grid, base, &plan[k], arena)
     });
     let mut results: Vec<Option<Result<R, SimError>>> = (0..n).map(|_| None).collect();
     let mut stats = SweepStats::default();
-    for (out, col_stats) in column_outputs {
-        stats.absorb(col_stats);
+    for (out, group_stats) in outputs {
+        stats.absorb(group_stats);
         for (i, r) in out {
             results[i] = Some(r);
         }
@@ -270,7 +296,39 @@ fn grid_with_base<R: Cell>(
             .map(|r| r.expect("every grid point was evaluated"))
             .collect(),
         stats,
+        runs: plan.len(),
     }
+}
+
+/// A grid's columns grouped into runs: each group lists `(ni, pi)`
+/// columns, in column order (node-limit major), that answer alike. The
+/// first member runs; the others copy its cells.
+///
+/// Two columns share a run when their usable pools (node limit clamped
+/// to the machine) are equal and either their policies are equal or
+/// the tasks' nodes summed fit that pool: then every ready task starts
+/// at its first scan, so the policy never decides anything. Pools that
+/// differ always run apart. `base` must have been built from the
+/// sweep's `(machine, workflow)` pair.
+#[must_use]
+pub fn plan_columns(grid: &SweepGrid, base: &BaseIndex) -> Vec<Vec<(usize, usize)>> {
+    let total = base.task_nodes_total();
+    let mut keys: Vec<(u64, Option<SchedulerPolicy>)> = Vec::new();
+    let mut groups: Vec<Vec<(usize, usize)>> = Vec::new();
+    for (ni, &limit) in grid.node_limits.iter().enumerate() {
+        let pool = usable_pool(base, limit);
+        for (pi, &policy) in grid.policies.iter().enumerate() {
+            let key = (pool, (total > pool).then_some(policy));
+            match keys.iter().position(|&k| k == key) {
+                Some(g) => groups[g].push((ni, pi)),
+                None => {
+                    keys.push(key);
+                    groups.push(vec![(ni, pi)]);
+                }
+            }
+        }
+    }
+    groups
 }
 
 /// One evaluated grid point: its `SweepGrid::index_of` slot and result
@@ -282,9 +340,8 @@ pub type IndexedResult<R = SimResult> = (usize, Result<R, SimError>);
 /// reuse its result, the checkpoint in `arena`'s buffers. Returns
 /// `(SweepGrid::index_of slot, result)` pairs plus path statistics.
 ///
-/// Public so external schedulers (the `wrm serve` worker pool) can
-/// dispatch one column per job against a shared cached [`BaseIndex`]
-/// and stream results as columns complete; `base` must have been built
+/// Public so external callers can time or schedule single columns
+/// against a shared cached [`BaseIndex`]; `base` must have been built
 /// from this scenario's `(machine, workflow)` pair.
 pub fn sweep_column(
     scenario: &Scenario,
@@ -300,8 +357,7 @@ pub fn sweep_column(
 /// [`sweep_column`] keeping only each cell's row: the same paths,
 /// stats and errors, every [`SweepPoint`] bit-identical to
 /// `SweepPoint::from(&simulate(point))`, without a trace or per-task
-/// maps per cell. What the `wrm serve` worker pool runs per
-/// `POST /v1/sweep` column.
+/// maps per cell.
 pub fn sweep_column_points(
     scenario: &Scenario,
     grid: &SweepGrid,
@@ -311,6 +367,49 @@ pub fn sweep_column_points(
     arena: &mut SimArena,
 ) -> (Vec<IndexedResult<SweepPoint>>, SweepStats) {
     column(scenario, grid, base, ni, pi, arena)
+}
+
+/// One run of [`plan_columns`] keeping only each cell's row: its first
+/// column runs through [`sweep_column_points`], and every other member
+/// copies those cells, errors included. Returns the cells of every
+/// member column, plus path statistics (a copied valid cell counts as
+/// `shared`). What the `wrm serve` worker pool runs per
+/// `POST /v1/sweep` job.
+pub fn sweep_group_points(
+    scenario: &Scenario,
+    grid: &SweepGrid,
+    base: &BaseIndex,
+    group: &[(usize, usize)],
+    arena: &mut SimArena,
+) -> (Vec<IndexedResult<SweepPoint>>, SweepStats) {
+    self::group(scenario, grid, base, group, arena)
+}
+
+/// The run driver behind [`grid_with_base`] and [`sweep_group_points`]:
+/// the first member column runs, the rest copy its cells.
+fn group<R: Cell>(
+    scenario: &Scenario,
+    grid: &SweepGrid,
+    base: &BaseIndex,
+    members: &[(usize, usize)],
+    arena: &mut SimArena,
+) -> (Vec<IndexedResult<R>>, SweepStats) {
+    let (&(ni, pi), copies) = members.split_first().expect("a run has a column");
+    let (mut out, mut stats) = column::<R>(scenario, grid, base, ni, pi, arena);
+    // `column` returns its cells in factor order.
+    let ran = out.len();
+    for &(nj, pj) in copies {
+        for fi in 0..ran {
+            let r = out[fi].1.clone();
+            if r.is_ok() {
+                stats.shared += 1;
+            } else {
+                stats.errors += 1;
+            }
+            out.push((grid.index_of(fi, nj, pj), r));
+        }
+    }
+    (out, stats)
 }
 
 /// The column driver behind [`sweep_column`] and
@@ -359,12 +458,12 @@ fn column<R: Cell>(
                     .get_or_insert_with(|| first_point(scenario, opts, base, ov, watch, arena))
                 {
                     // Checkpointed just before the first solve that reads
-                    // the swept channel: replay the suffix on a clone per
-                    // overlay. The clone's buffers are freed at once, so
-                    // the next clone reuses their memory.
+                    // the swept channel: replay the suffix per overlay,
+                    // each copy of the checkpoint made into the buffers
+                    // the previous replay ran in.
                     Step::Paused(p) => {
                         stats.replayed += usize::from(!first);
-                        p.resume_with(ov).run(&mut SimArena::new())
+                        p.resume_with(ov, arena).run(arena)
                     }
                     // The watched channel never joined: the factor cannot
                     // matter, reuse the first result.
@@ -378,7 +477,9 @@ fn column<R: Cell>(
         out.push((ix, r));
     }
     if let Some(Step::Paused(p)) = state {
-        arena.state = p.recycle();
+        // Both buffer sets stay warm for the next column: the
+        // checkpoint's for its first point, the replays' for its replays.
+        arena.spare = std::mem::replace(&mut arena.state, p.recycle());
     }
     (out, stats)
 }
@@ -402,17 +503,24 @@ fn first_point<'e, S: Sink<'e>>(
         overlay,
         arena,
     );
-    match watch {
+    let step = match watch {
         Some(ch) => eng.with_watch(ch),
         None => eng,
     }
-    .drive(arena)
+    .drive(arena);
+    if let Step::Paused(_) = step {
+        // The checkpoint holds the arena's buffers; the replays run in
+        // the spare set.
+        std::mem::swap(&mut arena.state, &mut arena.spare);
+    }
+    step
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use super::{sweep_grid, sweep_grid_points, SweepGrid, SweepStats};
+    use super::{plan_columns, sweep_grid, sweep_grid_points, SweepGrid, SweepStats};
     use crate::engine::{simulate, Scenario, SchedulerPolicy, SimOptions, SweepPoint};
+    use crate::index::BaseIndex;
     use crate::reference::simulate_reference;
     use crate::spec::{Phase, TaskSpec, WorkflowSpec};
     use proptest::prelude::*;
@@ -427,7 +535,8 @@ pub(crate) mod tests {
         let n_paths = outcome.stats.replayed
             + outcome.stats.cold
             + outcome.stats.reused
-            + outcome.stats.errors;
+            + outcome.stats.errors
+            + outcome.stats.shared;
         assert_eq!(n_paths, grid.len(), "stats cover every point");
         for fi in 0..grid.factors.len() {
             for ni in 0..grid.node_limits.len() {
@@ -585,6 +694,75 @@ pub(crate) mod tests {
         assert_eq!(serial.results, parallel.results);
     }
 
+    /// The planner's boundary: at a pool one node short of the tasks'
+    /// total the policy keeps its own run, at the total and above it
+    /// does not, and limits that clamp to the same pool (here the whole
+    /// machine, given as `None` and as a limit past it) share one run.
+    /// Every cell, copies included, equals per-point `simulate` and the
+    /// reference engine, and the stats do not depend on the threads.
+    #[test]
+    fn shared_columns_match_simulate_at_the_pool_boundary() {
+        let scenario = Scenario::new(machines::cori_haswell(), mixed_workflow());
+        let base = BaseIndex::build(&scenario.machine, &scenario.workflow).expect("valid");
+        let total = base.task_nodes_total();
+        assert_eq!(total, 6 * 16 + 5 * 4);
+        let (fifo, backfill) = (SchedulerPolicy::Fifo, SchedulerPolicy::Backfill);
+        let grid = SweepGrid {
+            resource: Some(wrm_core::ids::EXTERNAL.into()),
+            factors: vec![0.5, 1.0, 2.0],
+            node_limits: vec![Some(total - 1), Some(total), None, Some(1 << 40)],
+            policies: vec![fifo, backfill],
+        };
+        assert_eq!(
+            plan_columns(&grid, &base),
+            [
+                vec![(0, 0)],
+                vec![(0, 1)],
+                vec![(1, 0), (1, 1)],
+                vec![(2, 0), (2, 1), (3, 0), (3, 1)],
+            ]
+        );
+        assert_oracle(&scenario, &grid, 1);
+        let want = SweepStats {
+            replayed: 8,
+            cold: 4,
+            shared: 12,
+            ..SweepStats::default()
+        };
+        for threads in [1, 4] {
+            let outcome = sweep_grid(&scenario, &grid, threads);
+            assert_eq!(outcome.stats, want, "threads {threads}");
+            assert_eq!(outcome.runs, 4);
+            assert_eq!(assert_points(&scenario, &grid, threads), want);
+        }
+    }
+
+    /// A copied column copies its errors too, and they count as errors:
+    /// factor 0 is invalid at every point, and one run answers the four
+    /// columns (two limits clamping to the whole machine, both policies).
+    #[test]
+    fn copied_errors_count_as_errors() {
+        let scenario = Scenario::new(machines::cori_haswell(), mixed_workflow());
+        let grid = SweepGrid {
+            resource: Some(wrm_core::ids::EXTERNAL.into()),
+            factors: vec![0.0, 1.0],
+            node_limits: vec![None, Some(1 << 40)],
+            policies: vec![SchedulerPolicy::Fifo, SchedulerPolicy::Backfill],
+        };
+        let outcome = sweep_grid(&scenario, &grid, 1);
+        assert_eq!(outcome.runs, 1);
+        assert_eq!(
+            outcome.stats,
+            SweepStats {
+                cold: 1,
+                errors: 4,
+                shared: 3,
+                ..SweepStats::default()
+            }
+        );
+        assert_oracle(&scenario, &grid, 1);
+    }
+
     #[test]
     fn invalid_spec_errors_every_point() {
         let wf = WorkflowSpec::new("dangling").task(
@@ -703,6 +881,8 @@ pub(crate) mod tests {
             sweep_fs in any::<bool>(),
             threads in 1usize..4,
             tight_pool in any::<bool>(),
+            under in 0u64..3,
+            over in 0u64..2,
         ) {
             // Cori has no file system channel; its flows and sweep stay
             // on the external link.
@@ -715,10 +895,21 @@ pub(crate) mod tests {
             let wf = random_workflow(seed, n_tasks, &channels);
             let scenario = Scenario::new(machine, wf).with_options(SimOptions::default());
             let node_limit = if tight_pool { Some(64) } else { None };
+            // Limits around the tasks' total nodes, where the planner
+            // switches between one run per policy and one shared run.
+            let total: u64 = scenario.workflow.tasks.iter().map(|t| t.nodes).sum();
+            let mut node_limits = vec![
+                None,
+                node_limit,
+                Some(total.saturating_sub(under)),
+                Some(total + over),
+            ];
+            node_limits.sort_unstable();
+            node_limits.dedup();
             let grid = SweepGrid {
                 resource: Some(resource.into()),
                 factors: vec![0.5, 1.0, 1.7],
-                node_limits: vec![None, node_limit],
+                node_limits,
                 policies: vec![SchedulerPolicy::Fifo, SchedulerPolicy::Backfill],
             };
             assert_oracle(&scenario, &grid, threads);
@@ -740,7 +931,8 @@ pub(crate) mod tests {
                 prop_oneof![Just(0.1), Just(0.5), Just(1.0), Just(1.7), Just(4.0)],
                 1..5,
             ),
-            node_mask in 1u8..16,
+            node_mask in 1u8..32,
+            shortfall in 0u64..2,
             policy_mask in 1u8..4,
         ) {
             let (machine, channels) = if machine_ix == 0 {
@@ -750,6 +942,8 @@ pub(crate) mod tests {
             };
             let resource = if sweep_fs { *channels.last().unwrap() } else { EXTERNAL };
             let wf = random_workflow(seed, n_tasks, &channels);
+            let nodes: u64 = wf.tasks.iter().map(|t| t.nodes).sum();
+            let total = Some(nodes.saturating_sub(shortfall));
             let scenario = Scenario::new(machine, wf);
             // Non-empty subsets of each axis, picked by bit mask.
             fn pick<T: Copy>(mask: u8, all: &[T]) -> Vec<T> {
@@ -762,7 +956,7 @@ pub(crate) mod tests {
             let grid = SweepGrid {
                 resource: Some(resource.into()),
                 factors,
-                node_limits: pick(node_mask, &[None, Some(24), Some(64), Some(4096)]),
+                node_limits: pick(node_mask, &[None, Some(24), Some(64), Some(4096), total]),
                 policies: pick(policy_mask, &[SchedulerPolicy::Fifo, SchedulerPolicy::Backfill]),
             };
             assert_points(&scenario, &grid, threads);

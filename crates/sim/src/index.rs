@@ -323,6 +323,12 @@ impl BaseIndex {
         self.nodes.len()
     }
 
+    /// Nodes summed over every task (saturating): a pool at least this
+    /// large never leaves a ready task waiting for nodes.
+    pub(crate) fn task_nodes_total(&self) -> u64 {
+        self.nodes.iter().fold(0, |sum, &n| sum.saturating_add(n))
+    }
+
     /// Number of phases of task `t`.
     pub(crate) fn n_phases(&self, t: usize) -> u32 {
         self.phase_off[t + 1] - self.phase_off[t]

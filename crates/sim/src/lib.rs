@@ -62,8 +62,8 @@ pub use engine::{
     Scenario, SchedulerPolicy, SimArena, SimError, SimOptions, SimResult, SimSummary, SweepPoint,
 };
 pub use incremental::{
-    sweep_column, sweep_column_points, sweep_grid, sweep_grid_points, sweep_grid_with_base,
-    IndexedResult, SweepGrid, SweepOutcome, SweepStats,
+    plan_columns, sweep_column, sweep_column_points, sweep_grid, sweep_grid_points,
+    sweep_grid_with_base, sweep_group_points, IndexedResult, SweepGrid, SweepOutcome, SweepStats,
 };
 pub use index::BaseIndex;
 pub use mc::{mc_run, mc_run_with_base, McOptions, McResult, Percentile};

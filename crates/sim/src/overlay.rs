@@ -30,6 +30,12 @@ pub(crate) struct IndexOverlay {
     pub channel_factor: Vec<f64>,
 }
 
+/// The pool a run under `node_limit` schedules against: the limit,
+/// clamped to the machine (`None` = the whole machine).
+pub(crate) fn usable_pool(base: &BaseIndex, node_limit: Option<u64>) -> u64 {
+    node_limit.unwrap_or(base.total_nodes).min(base.total_nodes)
+}
+
 impl IndexOverlay {
     /// Validates the option-dependent parts of a scenario against a
     /// prebuilt base and lowers them. Error kinds and ordering mirror
@@ -47,10 +53,7 @@ impl IndexOverlay {
             }
         }
 
-        let pool_total = opts
-            .node_limit
-            .unwrap_or(base.total_nodes)
-            .min(base.total_nodes);
+        let pool_total = usable_pool(base, opts.node_limit);
 
         // The reference scans tasks forward, checking TaskTooLarge
         // before that task's resource references. The first too-large
