@@ -745,6 +745,35 @@ fn sweep_under_contention_matches_per_point_simulate() {
     );
 }
 
+#[test]
+fn analyze_and_profile_apply_contention_as_simulate_does() {
+    // `analyze` and `profile` take `--contention` through the same query
+    // as `simulate`: the paper's 5x bad day reads 5000.26 s in all three.
+    let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../workflows/lcls_cori.wrm");
+    let run = |args: &[&str]| {
+        let out = wrm()
+            .args(args)
+            .args([spec, "--contention", "ext=0.2"])
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("utf8")
+    };
+    let report = run(&["simulate"]);
+    assert!(report.contains("makespan 5000.26 s"), "{report}");
+    let report = run(&["analyze", "--simulate"]);
+    assert!(
+        report.contains("simulated makespan: 5000.26 s\n"),
+        "{report}"
+    );
+    let report = run(&["profile"]);
+    assert!(report.contains(": makespan 5000.26 s\n"), "{report}");
+}
+
 /// Each task's `(start, end, nodes)` in a `--jsonl` trace: its first
 /// span's start to its last span's end.
 fn trace_intervals(trace: &wrm_trace::Trace) -> BTreeMap<String, (f64, f64, u64)> {

@@ -34,10 +34,12 @@
 pub mod ast;
 pub mod compile;
 pub mod lexer;
+pub mod names;
 pub mod parser;
 pub mod token;
 
 pub use ast::{Span, WorkflowAst};
-pub use compile::{compile, compile_source, Compiled};
+pub use compile::{compile, compile_source, compile_with, Compiled};
+pub use names::TaskNames;
 pub use parser::parse;
 pub use token::LangError;

@@ -48,9 +48,9 @@ static GLOBAL: Counting = Counting;
 const PARSE_ALLOCATIONS: usize = 12_340;
 
 /// Allocations `compile` makes on the test's spec: the spec's names and
-/// phases, validation's name map and dependency lists, and the width
+/// phases, the task-name table and dependency lists, and the width
 /// pass, which builds no `Dag`.
-const COMPILE_ALLOCATIONS: usize = 14_731;
+const COMPILE_ALLOCATIONS: usize = 12_427;
 
 /// A 2,000-task layered spec on a 32-channel machine, in the shape of
 /// the benchmark's generated pipelines: every task has an overhead,

@@ -4,8 +4,7 @@
 use super::AnalysisContext;
 use crate::diagnostics::{Diagnostic, SuggestedEdit};
 use crate::ir::AnalysisIr;
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use wrm_lang::ast::{AfterRef, WorkflowAst};
 
 /// E009: tasks that sit *downstream* of a dependency cycle. The cycle
@@ -101,11 +100,6 @@ pub fn redundant_edges(ast: &WorkflowAst, ctx: &AnalysisContext, out: &mut Vec<D
     };
     let redundant: BTreeSet<(usize, usize)> =
         redundant.into_iter().map(|(u, v)| (u.0, v.0)).collect();
-    let counts: BTreeMap<&str, usize> = ast
-        .tasks
-        .iter()
-        .map(|t| (t.name.as_str(), t.count.max(1)))
-        .collect();
     let replica = |base: &str, i: usize, count: usize| -> String {
         if count == 1 {
             base.to_owned()
@@ -113,28 +107,28 @@ pub fn redundant_edges(ast: &WorkflowAst, ctx: &AnalysisContext, out: &mut Vec<D
             format!("{base}[{i}]")
         }
     };
-    for t in &ast.tasks {
+    // The spec compiled, so no name is declared twice and every `after`
+    // entry resolved: the IR's deps pair up with the entries.
+    for (t, group) in ast.tasks.iter().zip(&ctx.ir.tasks) {
         if t.after.is_empty() {
             continue;
         }
-        let count = t.count.max(1);
+        let count = group.count;
         // Each replica name is resolved once, through the DAG's index.
         let tos: Vec<_> = (0..count)
             .map(|i| dag.task_by_name(&replica(&t.name, i, count)))
             .collect();
-        let mut seen: BTreeSet<(&str, Option<usize>)> = BTreeSet::new();
-        for dep in &t.after {
+        let mut seen: BTreeSet<(usize, Option<usize>)> = BTreeSet::new();
+        for (dep, &to_group) in t.after.iter().zip(&group.deps) {
             let shown = match dep.index {
                 Some(i) => format!("{}[{i}]", dep.name),
                 None => dep.name.clone(),
             };
-            if !seen.insert((dep.name.as_str(), dep.index)) {
+            if !seen.insert((to_group, dep.index)) {
                 out.push(duplicate_edge(t.name.as_str(), &shown, dep));
                 continue;
             }
-            let Some(&dep_count) = counts.get(dep.name.as_str()) else {
-                continue;
-            };
+            let dep_count = ctx.ir.tasks[to_group].count;
             if dep.name == t.name {
                 continue;
             }
@@ -220,6 +214,7 @@ mod tests {
              }",
         )
         .unwrap();
-        assert_eq!(stuck(&AnalysisIr::lower(&ast, None)), vec![0, 1, 2]);
+        let ir = AnalysisIr::lower(&ast, &wrm_lang::TaskNames::new(&ast), None);
+        assert_eq!(stuck(&ir), vec![0, 1, 2]);
     }
 }

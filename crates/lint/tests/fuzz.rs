@@ -6,10 +6,14 @@
 //! hostile dependency graphs without crashing. On every generated spec
 //! that parses, the error gate (`lint_errors`) must return exactly the
 //! full lint's errors, in the same order.
+//!
+//! The shared task-name table is checked against [`per_pass`], the
+//! resolution each pass used to make with a map of its own.
 
 use proptest::prelude::*;
 use wrm_lint::{
-    apply_fixes, collect_edits, lint_ast, lint_errors, lint_source, max_severity, Severity,
+    apply_fixes, collect_edits, lint_ast, lint_errors, lint_errors_with_context, lint_source,
+    max_severity, Severity,
 };
 
 /// Fails unless `lint_errors` equals `lint_ast` filtered to errors,
@@ -76,6 +80,328 @@ fn commented_lines() -> impl Strategy<Value = String> {
             .collect::<Vec<_>>()
             .join("\n")
     })
+}
+
+/// The name resolution each pass made with its own ordered map before
+/// the passes shared one table, kept as the oracle the table must
+/// reproduce. E002, E003 and E004 resolve a name declared twice to its
+/// last declaration (collecting into a map keeps the last value), the
+/// analysis IR to its first, and the compiler refuses it.
+mod per_pass {
+    use std::collections::{BTreeMap, BTreeSet};
+    use wrm_lang::ast::WorkflowAst;
+    use wrm_lang::LangError;
+    use wrm_lint::Diagnostic;
+    use wrm_sim::{Phase, TaskSpec, WorkflowSpec};
+
+    /// E008 for tasks.
+    pub fn duplicates(ast: &WorkflowAst) -> Vec<Diagnostic> {
+        let mut seen = BTreeSet::new();
+        let mut out = Vec::new();
+        for t in &ast.tasks {
+            if !seen.insert(&t.name) {
+                out.push(Diagnostic::error(
+                    "E008",
+                    t.span.into(),
+                    format!("task `{}` is declared twice", t.name),
+                ));
+            }
+        }
+        out
+    }
+
+    /// E002 and E003, with E002's help capped at twenty names.
+    pub fn dependencies(ast: &WorkflowAst) -> Vec<Diagnostic> {
+        let counts: BTreeMap<&str, usize> = ast
+            .tasks
+            .iter()
+            .map(|t| (t.name.as_str(), t.count))
+            .collect();
+        let mut help: Vec<String> = counts.keys().take(20).map(|k| format!("`{k}`")).collect();
+        if counts.len() > 20 {
+            help.push(format!("… and {} more", counts.len() - 20));
+        }
+        let help = format!("declared tasks: {}", help.join(", "));
+        let mut out = Vec::new();
+        for t in &ast.tasks {
+            for dep in &t.after {
+                match counts.get(dep.name.as_str()) {
+                    None => out.push(
+                        Diagnostic::error(
+                            "E002",
+                            dep.span.into(),
+                            format!(
+                                "task `{}` depends on undeclared task `{}`",
+                                t.name, dep.name
+                            ),
+                        )
+                        .with_help(help.clone()),
+                    ),
+                    Some(&count) => match dep.index {
+                        Some(idx) if idx >= count => out.push(
+                            Diagnostic::error(
+                                "E003",
+                                dep.span.into(),
+                                format!(
+                                    "task `{}` references `{}[{idx}]` but only {count} \
+                                     replica(s) exist",
+                                    t.name, dep.name
+                                ),
+                            )
+                            .with_help("replica indices are 0-based"),
+                        ),
+                        _ => {}
+                    },
+                }
+            }
+        }
+        out
+    }
+
+    /// E004: the depth-first cycle search over the last declarations.
+    pub fn cycles(ast: &WorkflowAst) -> Vec<Diagnostic> {
+        let index: BTreeMap<&str, usize> = ast
+            .tasks
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (t.name.as_str(), i))
+            .collect();
+        let n = ast.tasks.len();
+        let mut settled = vec![false; n];
+        let mut on_path = vec![false; n];
+        let (mut path, mut edge_pos): (Vec<usize>, Vec<usize>) = (Vec::new(), Vec::new());
+        let mut out = Vec::new();
+        for start in 0..n {
+            if settled[start] {
+                continue;
+            }
+            path.push(start);
+            edge_pos.push(0);
+            on_path[start] = true;
+            while let Some(&node) = path.last() {
+                let deps = &ast.tasks[node].after;
+                let cursor = edge_pos[path.len() - 1];
+                let next = deps[cursor..].iter().enumerate().find_map(|(off, dep)| {
+                    index
+                        .get(dep.name.as_str())
+                        .map(|&to| (cursor + off + 1, to, dep))
+                });
+                match next {
+                    Some((resume, to, dep)) if on_path[to] && !settled[to] => {
+                        let from = path.iter().position(|&v| v == to).unwrap();
+                        let mut names: Vec<&str> = path[from..]
+                            .iter()
+                            .map(|&v| ast.tasks[v].name.as_str())
+                            .collect();
+                        names.push(ast.tasks[to].name.as_str());
+                        for &v in &path[from..] {
+                            settled[v] = true;
+                        }
+                        out.push(
+                            Diagnostic::error(
+                                "E004",
+                                dep.span.into(),
+                                format!("dependency cycle: {}", names.join(" -> ")),
+                            )
+                            .with_help("no schedule exists; remove one of these `after` edges"),
+                        );
+                        edge_pos[path.len() - 1] = resume;
+                    }
+                    Some((resume, to, _)) => {
+                        edge_pos[path.len() - 1] = resume;
+                        if !settled[to] {
+                            path.push(to);
+                            edge_pos.push(0);
+                            on_path[to] = true;
+                        }
+                    }
+                    None => {
+                        settled[node] = true;
+                        on_path[node] = false;
+                        path.pop();
+                        edge_pos.pop();
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The analysis IR's dependencies: each resolved `after` entry's
+    /// first declaration.
+    pub fn ir_deps(ast: &WorkflowAst) -> Vec<Vec<usize>> {
+        let first: BTreeMap<&str, usize> = ast
+            .tasks
+            .iter()
+            .enumerate()
+            .rev()
+            .map(|(i, t)| (t.name.as_str(), i))
+            .collect();
+        ast.tasks
+            .iter()
+            .map(|t| {
+                t.after
+                    .iter()
+                    .filter_map(|a| first.get(a.name.as_str()).copied())
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn replica(base: &str, index: usize, count: usize) -> String {
+        if count == 1 {
+            base.to_owned()
+        } else {
+            format!("{base}[{index}]")
+        }
+    }
+
+    /// The compiled spec of a generated graph (every task one overhead
+    /// phase, replica counts at least 1), or the compiler's first error.
+    pub fn compile(ast: &WorkflowAst) -> Result<WorkflowSpec, LangError> {
+        let mut counts = BTreeMap::new();
+        for t in &ast.tasks {
+            if counts.insert(t.name.clone(), t.count).is_some() {
+                let msg = format!("task `{}` is declared twice", t.name);
+                return Err(LangError::new(msg, t.span.line, t.span.col));
+            }
+        }
+        let mut spec = WorkflowSpec::new(ast.name.clone());
+        for t in &ast.tasks {
+            for i in 0..t.count {
+                let mut task = TaskSpec::new(replica(&t.name, i, t.count), t.nodes.max(1))
+                    .phase(Phase::overhead("o", 1.0));
+                if t.chain && i > 0 {
+                    task = task.after(replica(&t.name, i - 1, t.count));
+                }
+                for dep in &t.after {
+                    let (line, col) = (dep.span.line, dep.span.col);
+                    let Some(&n) = counts.get(&dep.name) else {
+                        let msg =
+                            format!("task `{}` depends on unknown task `{}`", t.name, dep.name);
+                        return Err(LangError::new(msg, line, col));
+                    };
+                    match dep.index {
+                        Some(idx) if idx >= n => {
+                            let msg = format!(
+                                "task `{}` references `{}[{idx}]` but only {n} replicas exist",
+                                t.name, dep.name
+                            );
+                            return Err(LangError::new(msg, line, col));
+                        }
+                        Some(idx) => task = task.after(replica(&dep.name, idx, n)),
+                        None => {
+                            for j in 0..n {
+                                task = task.after(replica(&dep.name, j, n));
+                            }
+                        }
+                    }
+                }
+                spec = spec.task(task);
+            }
+        }
+        spec.max_width()
+            .map_err(|e| LangError::new(format!("invalid workflow: {e}"), 0, 0))?;
+        Ok(spec)
+    }
+}
+
+/// One generated `task` declaration: its name (`n<k>`), replica count,
+/// `chain`, and `after` entries as (name, replica index).
+type Decl = (usize, usize, bool, Vec<(usize, Option<usize>)>);
+
+/// Task graphs in three kinds: names drawn from a pool (so they repeat),
+/// unique names, and unique names whose `after`s name only earlier
+/// tasks at in-range replicas (so most compile). Across them, `after`s
+/// name undeclared tasks, index past a replica count, point at their
+/// own task and close cycles, and long graphs declare more names than
+/// E002's help lists.
+fn name_graphs() -> impl Strategy<Value = Vec<Decl>> {
+    let after = (0usize..40, proptest::option::of(0usize..4));
+    let decl = (
+        0usize..26,
+        1usize..4,
+        any::<bool>(),
+        proptest::collection::vec(after, 0..4),
+    );
+    (0usize..3, proptest::collection::vec(decl, 1..36)).prop_map(|(kind, mut decls)| {
+        let counts: Vec<usize> = decls.iter().map(|d| d.1).collect();
+        for (i, (name, _, _, after)) in decls.iter_mut().enumerate() {
+            if kind > 0 {
+                *name = i;
+            }
+            if kind == 2 {
+                after.retain(|_| i > 0);
+                for (dep, index) in after.iter_mut() {
+                    *dep %= i.max(1);
+                    *index = index.map(|k| k % counts[*dep]);
+                }
+            }
+        }
+        decls
+    })
+}
+
+fn graph_source(decls: &[Decl]) -> String {
+    let mut src = String::from("workflow w on pm-cpu {\n");
+    for (name, count, chain, after) in decls {
+        let bracket = if *count == 1 {
+            String::new()
+        } else {
+            format!("[{count}]")
+        };
+        let chain = if *chain { " chain" } else { "" };
+        src.push_str(&format!("  task n{name}{bracket}{chain} {{ overhead o 1s"));
+        for (dep, index) in after {
+            match index {
+                Some(i) => src.push_str(&format!(" after n{dep}[{i}]")),
+                None => src.push_str(&format!(" after n{dep}")),
+            }
+        }
+        src.push_str(" }\n");
+    }
+    src.push_str("}\n");
+    src
+}
+
+/// Fails unless the diagnostics, IR and compile of `src` that resolve
+/// names through the shared table equal [`per_pass`]'s.
+fn names_match_per_pass_maps(src: &str) -> Result<(), TestCaseError> {
+    let ast = wrm_lang::parse(src).expect("generated graphs parse");
+    let (errors, ctx) = lint_errors_with_context(&ast);
+    let resolved: Vec<_> = errors
+        .into_iter()
+        .filter(|d| ["E002", "E003", "E004", "E008"].contains(&d.code.as_str()))
+        .collect();
+    let mut expected = per_pass::duplicates(&ast);
+    expected.extend(per_pass::dependencies(&ast));
+    expected.extend(per_pass::cycles(&ast));
+    expected.sort_by(|a, b| (a.span, &a.code, &a.message).cmp(&(b.span, &b.code, &b.message)));
+    prop_assert!(
+        resolved == expected,
+        "{src}\ntable: {resolved:#?}\nmaps: {expected:#?}"
+    );
+
+    let deps: Vec<Vec<usize>> = ctx.ir.tasks.iter().map(|t| t.deps.clone()).collect();
+    let oracle_deps = per_pass::ir_deps(&ast);
+    prop_assert!(
+        deps == oracle_deps,
+        "{src}\ntable: {deps:?}\nmaps: {oracle_deps:?}"
+    );
+
+    let oracle = per_pass::compile(&ast);
+    match (wrm_lang::compile(&ast), &oracle) {
+        (Ok(c), Ok(spec)) => prop_assert!(&c.spec == spec, "{src}"),
+        (Err(e), Err(o)) => prop_assert!(
+            (&e.message, e.line, e.col) == (&o.message, o.line, o.col),
+            "{src}\ncompile: {e:?}\noracle: {o:?}"
+        ),
+        (got, _) => prop_assert!(false, "{src}\ncompile: {got:?}\noracle: {oracle:?}"),
+    }
+    if let Some(c) = &ctx.compiled {
+        prop_assert!(oracle.as_ref().is_ok_and(|spec| &c.spec == spec), "{src}");
+    }
+    Ok(())
 }
 
 proptest! {
@@ -212,5 +538,15 @@ proptest! {
                 );
             }
         }
+    }
+
+    /// The shared name table resolves every name as each pass's own map
+    /// did: E002, E003, E004 and E008 element for element, the IR's
+    /// dependencies, and the compiler's errors and specs.
+    #[test]
+    fn the_name_table_resolves_as_the_per_pass_maps_did(decls in name_graphs()) {
+        let src = graph_source(&decls);
+        names_match_per_pass_maps(&src)?;
+        gate_matches_full_lint(&src)?;
     }
 }

@@ -1,7 +1,9 @@
-//! W006 on a spec with tens of thousands of tasks: every task name
+//! Specs with tens of thousands of tasks. W006: every task name
 //! resolves through the DAG's index and the reachability sweep runs in
-//! blocks, so the lint stays near-linear. The test pins the findings,
-//! not a time.
+//! blocks, so the lint stays near-linear. E002: the help lists a fixed
+//! number of declared names, so the output grows linearly with the
+//! number of dangling `after`s. The tests pin the findings and bound
+//! the output, not a time.
 
 use wrm_lint::lint_source;
 
@@ -52,4 +54,45 @@ fn twenty_thousand_tasks_yield_exactly_the_planted_w006_findings() {
     );
     assert_eq!(diags[1].span.line, duplicate);
     assert_eq!(diags[1].message, "duplicate `after t4_7` on task `t5_7`");
+}
+
+/// Tasks in the dangling-dependency spec, each with one `after` naming
+/// a task nobody declares.
+const DANGLING: usize = 20_000;
+
+/// An upper bound on one E002's message and help: the message names two
+/// tasks, the help at most twenty declared names and a count.
+const E002_BYTES: usize = 400;
+
+#[test]
+fn twenty_thousand_dangling_afters_yield_output_linear_in_their_count() {
+    let mut src = String::from("workflow dangling {\n");
+    for i in 0..DANGLING {
+        src.push_str(&format!(
+            "  task t{i} {{ nodes 1 overhead work 1s after g{i} }}\n"
+        ));
+    }
+    src.push_str("}\n");
+    let diags = lint_source(&src);
+    assert_eq!(diags.len(), DANGLING);
+
+    let mut declared: Vec<String> = (0..DANGLING).map(|i| format!("t{i}")).collect();
+    declared.sort();
+    let listed: Vec<String> = declared[..20].iter().map(|n| format!("`{n}`")).collect();
+    let help = format!(
+        "declared tasks: {}, … and {} more",
+        listed.join(", "),
+        DANGLING - 20
+    );
+    for (i, d) in diags.iter().enumerate() {
+        assert_eq!(d.code, "E002");
+        assert_eq!(d.span.line, i + 2);
+        assert_eq!(
+            d.message,
+            format!("task `t{i}` depends on undeclared task `g{i}`")
+        );
+        assert_eq!(d.help.as_deref(), Some(help.as_str()));
+        let len = d.message.len() + help.len();
+        assert!(len <= E002_BYTES, "{len} bytes: {d:?}");
+    }
 }
