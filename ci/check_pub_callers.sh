@@ -7,7 +7,7 @@
 # first `#[cfg(test)]` (test modules sit at the end of their files).
 #
 # Counted as callers: the non-test part of every file under
-# crates/*/src, crates/*/benches, src/, examples/ and wrm-benchmark/src
+# crates/*/src, src/, examples/ and wrm-benchmark/src
 # (read only: the repo benchmark calls the public API too). A caller is
 # the function's name as a whole word. Comment lines, trailing `//`
 # comments, `pub use` re-exports (multi-line ones too), `mod`
@@ -49,7 +49,7 @@ declare -A called
 while read -r name; do
   called[$name]=1
 done < <(
-  find crates/*/src crates/*/benches src examples wrm-benchmark/src -name '*.rs' |
+  find crates/*/src src examples wrm-benchmark/src -name '*.rs' |
     sort | while read -r f; do non_test "$f"; done |
     sed -E "s/\\bfn[[:space:]]+$ident//g" | grep -oE "$ident" | sort -u
 )

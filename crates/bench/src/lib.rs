@@ -1,63 +1,16 @@
-//! # wrm-bench — performance benchmarks for the simulator and the model
+//! # wrm-bench — generated scenarios for the engine tests and the repo benchmark
 //!
-//! The criterion benches in `benches/`:
-//!
-//! * `engine` — simulator performance: event throughput vs. task count,
-//!   fair-share solver scaling, scheduler ablation (FIFO vs. backfill).
-//! * `model` — roofline construction/evaluation throughput, envelope
-//!   sweeps and the bottleneck advisor.
-//!
-//! The paper's figures and their headline numbers come from
-//! `wrm figures all` (diffed against `figures/` in CI) and are asserted
-//! by `tests/end_to_end.rs`; server latency is measured by the repo
-//! benchmark's `serve-mixed` workload (`wrm-benchmark/`).
-//!
-//! This library crate hosts the shared workload builders so the two
-//! bench binaries stay small and consistent.
+//! Deterministic, seeded workload builders: layered and fork–join DAGs
+//! over many shared channels ([`generated_scenario`],
+//! [`generated_fork_join_scenario`]), a distributional Monte-Carlo
+//! workload ([`mc_scenario`]) and the incremental-sweep pipeline
+//! ([`sweep_scenario`]). The repo benchmark (`wrm-benchmark/`, run by
+//! `bash wrm-benchmark/run.sh`) builds its `whatif-batch` sweep from
+//! [`sweep_scenario`] and checks its emitted specs against the others;
+//! this crate's tests hold the engine to them at scale.
 
 use wrm_core::{ids, BytesPerSec, Dist, Machine};
 use wrm_sim::{Phase, Scenario, TaskSpec, WorkflowSpec};
-
-/// A synthetic bag of `n` tasks, each with an overhead phase and a
-/// shared-file-system read, on a 256-node machine with a 100 GB/s FS.
-pub fn bag_scenario(n: usize) -> Scenario {
-    let machine = Machine::builder("bench", 256)
-        .system(ids::FILE_SYSTEM, "FS", BytesPerSec::gbps(100.0))
-        .build()
-        .expect("valid machine");
-    let mut wf = WorkflowSpec::new(format!("bag[{n}]"));
-    for i in 0..n {
-        wf = wf.task(
-            TaskSpec::new(format!("t{i}"), 1)
-                .phase(Phase::overhead("setup", 1.0))
-                .phase(Phase::system_data(ids::FILE_SYSTEM, 10e9)),
-        );
-    }
-    Scenario::new(machine, wf)
-}
-
-/// A chain of `depth` stages, each a `width`-wide layer gated on the
-/// previous layer (layered pipeline), stressing dependency handling.
-pub fn layered_scenario(depth: usize, width: usize) -> Scenario {
-    let machine = Machine::builder("bench", 512)
-        .system(ids::FILE_SYSTEM, "FS", BytesPerSec::gbps(100.0))
-        .build()
-        .expect("valid machine");
-    let mut wf = WorkflowSpec::new(format!("layers[{depth}x{width}]"));
-    for d in 0..depth {
-        for w in 0..width {
-            let mut t = TaskSpec::new(format!("t{d}.{w}"), 1)
-                .phase(Phase::system_data(ids::FILE_SYSTEM, 1e9));
-            if d > 0 {
-                for p in 0..width {
-                    t = t.after(format!("t{}.{p}", d - 1));
-                }
-            }
-            wf = wf.task(t);
-        }
-    }
-    Scenario::new(machine, wf)
-}
 
 /// A generated large-scale layered workload: `n_tasks` tasks (from
 /// [`wrm_dag::generate::random_layered_tasks`]) on an 8192-node machine
@@ -269,15 +222,6 @@ mod tests {
     use wrm_sim::simulate;
 
     #[test]
-    fn bag_scenario_simulates() {
-        let r = simulate(&bag_scenario(32)).unwrap();
-        assert_eq!(r.task_times.len(), 32);
-        // 32 x 10 GB through 100 GB/s (all fit in the 256-node pool):
-        // 3.2 s of I/O after the 1 s overhead.
-        assert!((r.makespan - 4.2).abs() < 0.1, "makespan {}", r.makespan);
-    }
-
-    #[test]
     fn generated_scenario_simulates_and_matches_reference() {
         let s = generated_scenario(400, 8, 7);
         let r = simulate(&s).unwrap();
@@ -328,7 +272,8 @@ mod tests {
     /// factors on `ext` by 8 node limits, FIFO. Every column pays one
     /// cold run and replays the other seven factors from its
     /// checkpoint. A change that sends cells down another path shows up
-    /// here as a count, without a wall clock.
+    /// here as a count, without a wall clock; a replay that drifts from
+    /// a cold run shows up as a cell unequal to per-point simulation.
     #[test]
     fn whatif_grid_path_mix() {
         let grid = wrm_sim::SweepGrid {
@@ -346,7 +291,8 @@ mod tests {
             ],
             policies: vec![wrm_sim::SchedulerPolicy::Fifo],
         };
-        let outcome = wrm_sim::sweep_grid(&sweep_scenario(600), &grid, 1);
+        let scenario = sweep_scenario(600);
+        let outcome = wrm_sim::sweep_grid(&scenario, &grid, 1);
         assert_eq!(
             outcome.stats,
             wrm_sim::SweepStats {
@@ -357,13 +303,42 @@ mod tests {
                 ..wrm_sim::SweepStats::default()
             }
         );
+        assert_eq!(outcome.results.len(), 64);
+        for fi in 0..grid.factors.len() {
+            for ni in 0..grid.node_limits.len() {
+                let opts = grid.point_options(&scenario.options, fi, ni, 0);
+                let want = simulate(&scenario.clone().with_options(opts));
+                let got = &outcome.results[grid.index_of(fi, ni, 0)];
+                assert_eq!(*got, want, "cell (factor {fi}, node limit {ni})");
+            }
+        }
     }
 
+    /// The generated 100k-task layered workload in streaming summary
+    /// mode: it counts every task, reproduces the full engine's makespan
+    /// bit for bit, lands on the pinned makespan, and finishes inside a
+    /// generous single-CPU wall-clock budget.
     #[test]
-    fn layered_scenario_simulates() {
-        let r = simulate(&layered_scenario(4, 8)).unwrap();
-        assert_eq!(r.task_times.len(), 32);
-        // Each layer drains 8 GB at 100 GB/s = 0.08 s; four layers.
-        assert!((r.makespan - 0.32).abs() < 0.01, "makespan {}", r.makespan);
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "100k-task workload; run with --release (CI's bracketing step does)"
+    )]
+    fn hundred_k_task_summary_run_matches_the_full_engine() {
+        let scenario = generated_scenario(100_000, 32, 42);
+        let start = std::time::Instant::now();
+        let sum = wrm_sim::simulate_summary(&scenario).unwrap();
+        let summary_ms = start.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(sum.n_tasks, 100_000);
+        let full = simulate(&scenario).unwrap();
+        assert_eq!(
+            full.makespan.to_bits(),
+            sum.makespan.to_bits(),
+            "summary-mode makespan must match the full engine"
+        );
+        assert_eq!(sum.makespan, 1_483.254_747_163_704_5, "pinned makespan (s)");
+        assert!(
+            summary_ms < 60_000.0,
+            "100k-task summary run blew the smoke budget: {summary_ms:.0} ms"
+        );
     }
 }

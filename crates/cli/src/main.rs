@@ -382,7 +382,7 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
     let (compiled, machine) = load(&flags)?;
     let mut wf = compiled.characterization().map_err(|e| e.to_string())?;
     let base = Scenario::new(machine, compiled.spec);
-    let scenario = query.scenario(&base);
+    let scenario = query.scenario(&base)?;
     let machine = &scenario.machine;
 
     if flags.simulate {
@@ -652,7 +652,7 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let query = Query::from_flags("simulate", &flags.query)?;
     let (compiled, machine) = load(&flags)?;
     let base = Scenario::new(machine, compiled.spec);
-    let scenario = query.scenario(&base);
+    let scenario = query.scenario(&base)?;
     let result = simulate(&scenario).map_err(|e| e.to_string())?;
 
     let (dag, intervals) = run_intervals(&scenario, &result)?;

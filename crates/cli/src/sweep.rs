@@ -51,7 +51,7 @@ pub fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let flags = crate::parse_flags(args)?;
     let query = Query::from_flags("sweep", &flags.query)?;
     let workflow = base_scenario(&flags)?;
-    let base = query.scenario(&workflow);
+    let base = query.scenario(&workflow)?;
     let (grid, mut rows) = query.sweep(&base)?;
     let threads = flags.query.mc.threads;
     let wrm_sim::SweepOutcome {

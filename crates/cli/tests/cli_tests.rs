@@ -216,6 +216,31 @@ fn error_paths_are_reported() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("res=factor"));
 
+    // Contention on a resource the machine does not share is refused,
+    // in the words `sweep --resource` uses, by every command taking it.
+    let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../workflows/lcls_cori.wrm");
+    for command in [
+        &["simulate"][..],
+        &["simulate", "--reps", "4"],
+        &["certify"],
+        &["sweep"],
+        &["analyze"],
+        &["profile"],
+    ] {
+        let out = wrm()
+            .args([command[0], spec, "--contention", "EXT=0.5"])
+            .args(&command[1..])
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(1), "{command:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            "wrm: machine `Cori Haswell` has no shared resource `EXT`\n",
+            "{command:?}"
+        );
+        assert!(out.stdout.is_empty(), "{command:?}");
+    }
+
     std::fs::remove_dir_all(&dir).ok();
 }
 

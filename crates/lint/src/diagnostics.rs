@@ -1,5 +1,5 @@
 //! Diagnostic data model: severities, stable rule codes, source spans,
-//! and rendered caret snippets.
+//! and caret snippets rendered from a source's line index.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -210,7 +210,8 @@ impl Diagnostic {
         }
     }
 
-    /// Multi-line rendering with a caret snippet pointing into `source`:
+    /// Multi-line rendering with a caret snippet pointing into the
+    /// indexed source:
     ///
     /// ```text
     /// error[E001] 3:9: unknown machine `pm-gpuu`
@@ -219,10 +220,10 @@ impl Diagnostic {
     ///   |         ^
     ///   = help: did you mean `pm-gpu`?
     /// ```
-    pub fn render(&self, source: &str) -> String {
+    pub fn render(&self, source: &LineIndex<'_>) -> String {
         let mut out = self.one_line();
         if self.span.is_known() {
-            if let Some(line_text) = source.lines().nth(self.span.line - 1) {
+            if let Some(line_text) = source.line(self.span.line) {
                 let number = self.span.line.to_string();
                 let gutter = " ".repeat(number.len());
                 out.push_str(&format!("\n{gutter} |\n{number} | {line_text}"));
@@ -234,6 +235,39 @@ impl Diagnostic {
             out.push_str(&format!("\n  = help: {help}"));
         }
         out
+    }
+}
+
+/// Where each line of a source starts, built once so that rendering
+/// many diagnostics of one file looks each snippet up directly instead
+/// of scanning from the top. Lines are those of [`str::lines`].
+#[derive(Debug)]
+pub struct LineIndex<'a> {
+    source: &'a str,
+    /// Byte offset of each line's first byte.
+    starts: Vec<usize>,
+}
+
+impl<'a> LineIndex<'a> {
+    /// Indexes `source`.
+    pub fn new(source: &'a str) -> Self {
+        let starts = std::iter::once(0)
+            .chain(source.match_indices('\n').map(|(i, _)| i + 1))
+            .filter(|&start| start < source.len())
+            .collect();
+        Self { source, starts }
+    }
+
+    /// The text of 1-based line `line` without its terminator (`\n`, or
+    /// `\r\n`), or `None` past the last line.
+    pub fn line(&self, line: usize) -> Option<&'a str> {
+        let start = *self.starts.get(line.checked_sub(1)?)?;
+        let end = self.starts.get(line).copied().unwrap_or(self.source.len());
+        let text = &self.source[start..end];
+        Some(match text.strip_suffix('\n') {
+            Some(text) => text.strip_suffix('\r').unwrap_or(text),
+            None => text,
+        })
     }
 }
 
@@ -252,7 +286,7 @@ mod tests {
         let src = "workflow w\nmachine pm-gpuu\n";
         let d = Diagnostic::error("E001", Span::new(2, 9), "unknown machine `pm-gpuu`")
             .with_help("did you mean `pm-gpu`?");
-        let r = d.render(src);
+        let r = d.render(&LineIndex::new(src));
         assert!(r.contains("2 | machine pm-gpuu"), "{r}");
         assert!(r.contains("  |         ^"), "{r}");
         assert!(r.contains("= help: did you mean `pm-gpu`?"), "{r}");

@@ -18,7 +18,7 @@ pub mod passes;
 pub mod rules;
 pub mod sarif;
 
-pub use diagnostics::{Diagnostic, Severity, Span, SuggestedEdit};
+pub use diagnostics::{Diagnostic, LineIndex, Severity, Span, SuggestedEdit};
 pub use fixit::{apply as apply_fixes, collect_edits, FixOutcome};
 pub use ir::AnalysisIr;
 pub use rules::{

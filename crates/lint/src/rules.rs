@@ -1116,7 +1116,8 @@ workflow w on m {
         assert_eq!(errors.len(), 1);
         assert_eq!(full.len(), 1);
         assert_eq!(errors[0], full[0]);
-        assert_eq!(errors[0].render(&source), full[0].render(&source));
+        let lines = crate::LineIndex::new(&source);
+        assert_eq!(errors[0].render(&lines), full[0].render(&lines));
     }
 
     #[test]

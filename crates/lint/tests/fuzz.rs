@@ -8,12 +8,14 @@
 //! full lint's errors, in the same order.
 //!
 //! The shared task-name table is checked against [`per_pass`], the
-//! resolution each pass used to make with a map of its own.
+//! resolution each pass used to make with a map of its own, and the
+//! line index that renders snippets against [`scanned_render`], the
+//! rendering that found each line by scanning from the top.
 
 use proptest::prelude::*;
 use wrm_lint::{
     apply_fixes, collect_edits, lint_ast, lint_errors, lint_errors_with_context, lint_source,
-    max_severity, Severity,
+    max_severity, Diagnostic, LineIndex, Severity, Span,
 };
 
 /// Fails unless `lint_errors` equals `lint_ast` filtered to errors,
@@ -30,6 +32,25 @@ fn gate_matches_full_lint(src: &str) -> Result<(), TestCaseError> {
     let gate = lint_errors(&ast);
     prop_assert!(gate == full, "{src}\ngate: {gate:?}\nfull: {full:?}");
     Ok(())
+}
+
+/// `d` rendered with its snippet line found by `source.lines().nth`,
+/// as every diagnostic was rendered before sources had a line index.
+fn scanned_render(d: &Diagnostic, source: &str) -> String {
+    let mut out = d.one_line();
+    if d.span.is_known() {
+        if let Some(line_text) = source.lines().nth(d.span.line - 1) {
+            let number = d.span.line.to_string();
+            let gutter = " ".repeat(number.len());
+            out.push_str(&format!("\n{gutter} |\n{number} | {line_text}"));
+            let caret_pad = " ".repeat(d.span.col.saturating_sub(1));
+            out.push_str(&format!("\n{gutter} | {caret_pad}^"));
+        }
+    }
+    if let Some(help) = &d.help {
+        out.push_str(&format!("\n  = help: {help}"));
+    }
+    out
 }
 
 /// Fails unless every token the lexer returns starts on a character
@@ -548,5 +569,26 @@ proptest! {
         let src = graph_source(&decls);
         names_match_per_pass_maps(&src)?;
         gate_matches_full_lint(&src)?;
+    }
+
+    /// The line index gives every line `str::lines` gives, terminators
+    /// (`\n`, `\r\n`) stripped and a bare `\r` kept, with or without a
+    /// final newline, and nothing before the first line or past the
+    /// last; a rendered snippet equals the scanned one.
+    #[test]
+    fn snippets_from_the_line_index_match_a_scan(pieces in proptest::collection::vec(prop_oneof![
+        Just("a"), Just("task t"), Just("é"), Just(" "), Just(""),
+        Just("\n"), Just("\n"), Just("\r\n"), Just("\r"), Just("\n\n"),
+    ], 0..30)) {
+        let src = pieces.concat();
+        let index = LineIndex::new(&src);
+        let count = src.lines().count();
+        for line in 0..count + 3 {
+            let (got, want) = (index.line(line), line.checked_sub(1).and_then(|n| src.lines().nth(n)));
+            prop_assert!(got == want, "line {line} of {src:?}: {got:?}, want {want:?}");
+            let d = Diagnostic::error("E002", Span::new(line, 3), "m").with_help("h");
+            let (got, want) = (d.render(&index), scanned_render(&d, &src));
+            prop_assert!(got == want, "{src:?}: {got:?}, want {want:?}");
+        }
     }
 }

@@ -608,7 +608,7 @@ fn certification_fixtures_render_to_valid_sarif() {
 #[test]
 fn rendered_snippets_point_at_the_offending_column() {
     let (source, diags) = lint_file("bad/unknown_machine.wrm");
-    let rendered = diags[0].render(&source);
+    let rendered = diags[0].render(&wrm_lint::LineIndex::new(&source));
     assert!(rendered.contains("error[E001] 2:15: unknown machine `summit`"));
     assert!(rendered.contains("workflow w on summit {"));
     // The caret sits under column 15, where `summit` starts. The

@@ -2,10 +2,11 @@
 //! resolves through the DAG's index and the reachability sweep runs in
 //! blocks, so the lint stays near-linear. E002: the help lists a fixed
 //! number of declared names, so the output grows linearly with the
-//! number of dangling `after`s. The tests pin the findings and bound
-//! the output, not a time.
+//! number of dangling `after`s, and each caret snippet is looked up in
+//! the source's line index rather than scanned for. The tests pin the
+//! findings, their snippets and a bound on the output, not a time.
 
-use wrm_lint::lint_source;
+use wrm_lint::{lint_source, LineIndex};
 
 const LAYERS: usize = 200;
 const WIDTH: usize = 100;
@@ -66,15 +67,13 @@ const E002_BYTES: usize = 400;
 
 #[test]
 fn twenty_thousand_dangling_afters_yield_output_linear_in_their_count() {
-    let mut src = String::from("workflow dangling {\n");
-    for i in 0..DANGLING {
-        src.push_str(&format!(
-            "  task t{i} {{ nodes 1 overhead work 1s after g{i} }}\n"
-        ));
-    }
-    src.push_str("}\n");
+    let written: Vec<String> = (0..DANGLING)
+        .map(|i| format!("  task t{i} {{ nodes 1 overhead work 1s after g{i} }}"))
+        .collect();
+    let src = format!("workflow dangling {{\n{}\n}}\n", written.join("\n"));
     let diags = lint_source(&src);
     assert_eq!(diags.len(), DANGLING);
+    let lines = LineIndex::new(&src);
 
     let mut declared: Vec<String> = (0..DANGLING).map(|i| format!("t{i}")).collect();
     declared.sort();
@@ -94,5 +93,8 @@ fn twenty_thousand_dangling_afters_yield_output_linear_in_their_count() {
         assert_eq!(d.help.as_deref(), Some(help.as_str()));
         let len = d.message.len() + help.len();
         assert!(len <= E002_BYTES, "{len} bytes: {d:?}");
+        let rendered = d.render(&lines);
+        let snippet = rendered.lines().nth(2).expect("snippet line");
+        assert_eq!(snippet, format!("{} | {}", i + 2, written[i]));
     }
 }

@@ -198,7 +198,7 @@ fn sweep<W: Write>(
     out: &mut W,
     keep: bool,
 ) -> Result<bool, Abort> {
-    let scenario = query.scenario(&entry.scenario);
+    let scenario = query.scenario(&entry.scenario).map_err(bad)?;
     let (grid, mut rows) = query.sweep(&scenario).map_err(bad)?;
     // A contended base is built once and shared by the columns; without
     // contention they read the cached one.

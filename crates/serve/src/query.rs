@@ -380,17 +380,21 @@ impl Query {
     }
 
     /// `base` under the query's contention: borrowed when there is
-    /// none, so a cache hit copies no workflow.
-    #[must_use]
-    pub fn scenario<'s>(&self, base: &'s Scenario) -> Cow<'s, Scenario> {
+    /// none, so a cache hit copies no workflow. A contention key that
+    /// is not a shared resource of `base`'s machine is refused.
+    pub fn scenario<'s>(&self, base: &'s Scenario) -> Result<Cow<'s, Scenario>, String> {
         if self.contention.is_empty() {
-            return Cow::Borrowed(base);
+            return Ok(Cow::Borrowed(base));
+        }
+        for (res, _) in &self.contention {
+            render::shared_resource(&base.machine, res)?;
         }
         let mut scenario = base.clone();
-        for (res, factor) in &self.contention {
-            scenario.options.contention.insert(res.clone(), *factor);
-        }
-        Cow::Owned(scenario)
+        scenario
+            .options
+            .contention
+            .extend(self.contention.iter().cloned());
+        Ok(Cow::Owned(scenario))
     }
 
     /// A sweep query's grid over `base` (checked against its machine,
@@ -471,7 +475,7 @@ pub fn execute<S: AsRef<str>>(query: &Query, input: Input<'_, S>) -> Result<Answ
             });
         }
     };
-    let scenario = query.scenario(&entry.scenario);
+    let scenario = query.scenario(&entry.scenario)?;
     let (name, machine) = (&scenario.workflow.name, &scenario.machine.name);
     let err = |e: SimError| e.to_string();
     match &query.op {
@@ -885,15 +889,38 @@ mod tests {
         let base = crate::resolve::builtin_scenario("lcls").expect("builtin");
         assert!(matches!(
             query(Op::Certify).scenario(&base),
-            Cow::Borrowed(_)
+            Ok(Cow::Borrowed(_))
         ));
         let q = cli(
             "certify",
             &["--contention", "ext=0.5", "--contention", "ext=0.2"],
         )
         .unwrap();
-        let scenario = q.scenario(&base);
+        let scenario = q.scenario(&base).unwrap();
         assert_eq!(scenario.options.contention.get("ext"), Some(&0.2));
         assert_eq!(scenario.options.node_limit, base.options.node_limit);
+    }
+
+    /// Contention must name a shared resource of the machine, in the
+    /// sweep's words: a mistyped id, another case or a node resource
+    /// is refused rather than ignored.
+    #[test]
+    fn contention_on_an_unknown_resource_is_refused() {
+        let base = crate::resolve::builtin_scenario("lcls").expect("builtin");
+        let machine = &base.machine.name;
+        for res in ["nope", "EXT", "compute"] {
+            let flag = format!("{res}=0.5");
+            let q = cli(
+                "simulate",
+                &["--contention", "ext=0.2", "--contention", &flag],
+            )
+            .unwrap();
+            assert_eq!(
+                q.scenario(&base).map(|_| ()),
+                Err(format!(
+                    "machine `{machine}` has no shared resource `{res}`"
+                ))
+            );
+        }
     }
 }

@@ -15,6 +15,7 @@
 //! with `fifo` first — so output bytes never depend on input order,
 //! thread count, or engine.
 
+use wrm_core::Machine;
 use wrm_sim::{
     Certificate, McResult, Scenario, SchedulerPolicy, SimError, SimResult, SimSummary, SweepGrid,
     SweepPoint,
@@ -68,12 +69,7 @@ pub fn build_grid(
     policies: &[SchedulerPolicy],
 ) -> Result<SweepGrid, String> {
     if let Some(res) = &resource {
-        if base.machine.system_resource(res).is_none() {
-            return Err(format!(
-                "machine `{}` has no shared resource `{res}`",
-                base.machine.name
-            ));
-        }
+        shared_resource(&base.machine, res)?;
     }
     let mut factors = if factors.is_empty() {
         vec![1.0]
@@ -109,6 +105,18 @@ pub fn build_grid(
         node_limits,
         policies,
     })
+}
+
+/// Refuses `res` unless it is a shared resource of `machine`: the one
+/// check behind a sweep's resource and a query's contention keys.
+pub(crate) fn shared_resource(machine: &Machine, res: &str) -> Result<(), String> {
+    match machine.system_resource(res) {
+        Some(_) => Ok(()),
+        None => Err(format!(
+            "machine `{}` has no shared resource `{res}`",
+            machine.name
+        )),
+    }
 }
 
 /// Cell metadata in `SweepGrid::index_of` order — the same nested
@@ -371,8 +379,11 @@ pub fn lint_text<S: AsRef<str>>(batch: &LintBatch<S>) -> String {
     let mut total_warnings = 0;
     for (path, source, diags) in batch {
         let path = path.as_ref();
-        for d in diags {
-            out.push_str(&format!("{}\n\n", d.render(source.as_ref())));
+        if !diags.is_empty() {
+            let lines = wrm_lint::LineIndex::new(source.as_ref());
+            for d in diags {
+                out.push_str(&format!("{}\n\n", d.render(&lines)));
+            }
         }
         let errors = diags
             .iter()

@@ -21,9 +21,10 @@ pub fn compile_checked(path: &str, source: &str) -> Result<wrm_lang::Compiled, S
     let ast = wrm_lang::parse(source).map_err(|e| format!("{path}:{e}"))?;
     let (errors, ctx) = wrm_lint::lint_errors_with_context(&ast);
     if !errors.is_empty() {
+        let lines = wrm_lint::LineIndex::new(source);
         let mut msg = String::new();
         for d in &errors {
-            msg.push_str(&format!("{path}: {}\n", d.render(source)));
+            msg.push_str(&format!("{path}: {}\n", d.render(&lines)));
         }
         msg.push_str(&format!(
             "{} error(s); see `wrm lint {path}` for the full report",
@@ -135,9 +136,10 @@ mod tests {
             .filter(|d| d.severity == wrm_lint::Severity::Error)
             .collect();
         if !errors.is_empty() {
+            let lines = wrm_lint::LineIndex::new(source);
             let mut msg = String::new();
             for d in &errors {
-                msg.push_str(&format!("{path}: {}\n", d.render(source)));
+                msg.push_str(&format!("{path}: {}\n", d.render(&lines)));
             }
             msg.push_str(&format!(
                 "{} error(s); see `wrm lint {path}` for the full report",

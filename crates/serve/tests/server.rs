@@ -235,6 +235,21 @@ fn simulate_certify_and_lint_endpoints() {
     assert_eq!(r.status, 400);
     assert!(r.text().contains("workflow"), "{}", r.text());
 
+    // Contention on a resource the machine does not share is refused,
+    // not ignored, by the buffered and the streamed endpoints alike.
+    let unknown = source_body(LCLS_WRM, ",\"contention\":{\"nope\":0.5}");
+    for endpoint in ["/v1/simulate", "/v1/sweep"] {
+        let r = client::request(&addr, "POST", endpoint, Some(&unknown)).expect("contention");
+        assert_eq!(
+            (r.status, r.text().as_str()),
+            (
+                400,
+                "machine `Cori Haswell` has no shared resource `nope`\n"
+            ),
+            "{endpoint}"
+        );
+    }
+
     server.shutdown();
 }
 

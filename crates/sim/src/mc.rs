@@ -483,6 +483,16 @@ mod tests {
         assert_eq!(one, four);
         assert!(!one.degenerate);
         assert_eq!(one.makespans.len(), 40);
+        // Replication `r` is the one-rep run seeded `seed ^ r`.
+        for (r, &m) in one.makespans.iter().enumerate() {
+            let single = McOptions {
+                reps: 1,
+                seed: 42 ^ r as u64,
+                threads: 1,
+            };
+            let alone = mc_run(&scenario, &single).unwrap().makespans[0];
+            assert_eq!(alone.to_bits(), m.to_bits(), "replication {r}");
+        }
     }
 
     #[test]
