@@ -148,6 +148,19 @@ impl From<SpecError> for SimError {
     }
 }
 
+/// One task's row of a full result ([`SimResult::task_times`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct TaskTime {
+    /// The task's name: the `Arc<str>` its trace spans share.
+    pub name: Arc<str>,
+    /// Start time (after dependencies and node allocation).
+    pub start: f64,
+    /// Wall time (end minus start).
+    pub time: f64,
+    /// Nodes held (echoed from the spec, for accounting).
+    pub nodes: u64,
+}
+
 /// Simulation output.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
@@ -155,33 +168,26 @@ pub struct SimResult {
     pub trace: Trace,
     /// End-to-end makespan in seconds.
     pub makespan: f64,
-    /// Wall time per task. Keys are the `Arc<str>`s the trace spans
-    /// share; `&str` lookups work through `Borrow<str>`.
-    pub task_times: BTreeMap<Arc<str>, f64>,
-    /// Start time per task (after dependencies and node allocation).
-    pub task_starts: BTreeMap<Arc<str>, f64>,
-    /// Nodes held per task (echoed from the spec, for accounting).
-    pub task_nodes: BTreeMap<Arc<str>, u64>,
+    /// One row per task, sorted by name (names are unique, as spec
+    /// validation refuses duplicates); [`SimResult::task`] finds one.
+    pub task_times: Vec<TaskTime>,
     /// The usable pool size the run was scheduled against.
     pub pool_nodes: u64,
 }
 
 impl SimResult {
+    /// The row of the task named `name`, found by binary search.
+    pub fn task(&self, name: &str) -> Option<&TaskTime> {
+        let i = self.task_times.binary_search_by(|t| (*t.name).cmp(name));
+        i.ok().map(|i| &self.task_times[i])
+    }
+
     /// Total node-seconds of allocation (`sum of nodes x wall time`):
-    /// what an accounting system would charge.
-    ///
-    /// Folds in name order, each task's node count found by a merge
-    /// walk of the name-ordered `task_nodes` (a task missing there
-    /// counts one node).
+    /// what an accounting system would charge. Folds in name order.
     pub fn node_seconds(&self) -> f64 {
-        let mut nodes = self.task_nodes.iter().peekable();
         self.task_times
             .iter()
-            .map(|(name, t)| {
-                while nodes.next_if(|&(n, _)| n < name).is_some() {}
-                let n = nodes.next_if(|&(n, _)| n == name).map_or(1, |(_, &n)| n);
-                n as f64 * t
-            })
+            .map(|t| t.nodes as f64 * t.time)
             .sum()
     }
 
@@ -196,12 +202,11 @@ impl SimResult {
     /// [`wrm_dag::TaskId`] and matched by name: what
     /// [`wrm_dag::GanttChart::build`] and
     /// [`wrm_dag::ParallelismProfile::build`] draw. The start is the
-    /// task's [`SimResult::task_starts`] entry. The end is its last
-    /// span's end, the completion instant itself: `start + task_time`
-    /// can round a last ulp away from it and so split a tie the
-    /// critical-chain walk must see. A task without phases ends where
-    /// it starts. `None` when the DAG names a task this run did not
-    /// execute.
+    /// task's [`TaskTime::start`]. The end is its last span's end, the
+    /// completion instant itself: `start + time` can round a last ulp
+    /// away from it and so split a tie the critical-chain walk must see.
+    /// A task without phases ends where it starts. `None` when the DAG
+    /// names a task this run did not execute.
     pub fn task_intervals(&self, dag: &wrm_dag::Dag) -> Option<Vec<(f64, f64)>> {
         let mut ends: BTreeMap<&str, f64> = BTreeMap::new();
         for s in &self.trace.spans {
@@ -211,7 +216,7 @@ impl SimResult {
         dag.tasks()
             .iter()
             .map(|t| {
-                let start = *self.task_starts.get(t.name.as_str())?;
+                let start = self.task(&t.name)?.start;
                 Some((start, ends.get(t.name.as_str()).copied().unwrap_or(start)))
             })
             .collect()
@@ -229,7 +234,7 @@ fn utilization(node_seconds: f64, pool_nodes: u64, makespan: f64) -> f64 {
 
 /// One sweep cell's row: the statistics `wrm sweep` and `POST
 /// /v1/sweep` print per cell. Produced by the point sink without a
-/// trace or per-task maps, every field bit-identical to the same
+/// trace or per-task rows, every field bit-identical to the same
 /// statistic of the full [`SimResult`] (see `From<&SimResult>`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
@@ -651,7 +656,7 @@ impl EngineState {
 /// server workers) reuse them instead of regrowing them per run. A warm
 /// run allocates only its output: on a 2k-task layered DAG, 44 times
 /// for a summary (its channel names and critical tail, the same at 20k
-/// tasks) and 564 for a full result (mostly its maps' B-tree nodes).
+/// tasks) and 7 for a full result (its trace and its task table).
 /// Results never depend on what the arena ran before; [`simulate`] and
 /// [`simulate_summary`] simply pass a fresh one.
 #[derive(Debug, Default)]
@@ -786,7 +791,7 @@ pub(crate) trait Sink<'a>: Clone {
     fn finish(self, st: &EngineState, pool_nodes: u64) -> Self::Output;
 }
 
-/// The full sink: a trace span per phase plus per-task maps
+/// The full sink: a trace span per phase plus the task table
 /// ([`SimResult`]), every name an `Arc` clone of the base's name table.
 pub(crate) struct FullSink<'a> {
     base: &'a BaseIndex,
@@ -825,17 +830,26 @@ impl<'a> Sink<'a> for FullSink<'a> {
         ));
     }
 
-    /// One pass in the name table's name order fills each map, so
-    /// `BTreeMap::from_iter` bulk-builds each tree from a pre-sorted
-    /// stream in O(n).
+    /// One pass in the name table's name order fills the task table.
     fn finish(self, st: &EngineState, pool_nodes: u64) -> SimResult {
-        let (starts, ends) = (&st.starts, &st.ends);
+        let task_times = self
+            .names
+            .by_name
+            .iter()
+            .map(|&i| {
+                let i = i as usize;
+                TaskTime {
+                    name: self.names.tasks[i].clone(),
+                    start: st.starts[i],
+                    time: st.ends[i] - st.starts[i],
+                    nodes: self.base.nodes[i],
+                }
+            })
+            .collect();
         SimResult {
             makespan: self.trace.makespan(),
             trace: self.trace,
-            task_times: self.names.keyed(|i| ends[i] - starts[i]),
-            task_starts: self.names.keyed(|i| starts[i]),
-            task_nodes: self.names.keyed(|i| self.base.nodes[i]),
+            task_times,
             pool_nodes,
         }
     }
@@ -974,8 +988,8 @@ impl<'a> Sink<'a> for SummarySink<'a> {
 
 /// The point sink: a sweep cell's row ([`SweepPoint`]) and nothing
 /// else. The makespan folds like the summary's ([`SpanExtent`]); the
-/// node-seconds fold in name order, the order
-/// [`SimResult::node_seconds`] walks its map in, with the same
+/// node-seconds fold in name order, the order of
+/// [`SimResult::node_seconds`]'s task table, with the same
 /// `Iterator::sum`, so both fields are bit-identical to the full
 /// result's.
 #[derive(Clone)]

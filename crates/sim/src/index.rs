@@ -103,12 +103,13 @@ pub struct BaseIndex {
 }
 
 /// The names a full result is built from, each allocated once per base
-/// so every span and result-map key is an `Arc` clone of them.
+/// so every span and task-table row name is an `Arc` clone of them.
 #[derive(Clone)]
 pub(crate) struct NameTable {
     /// Task names, in task order.
     pub(crate) tasks: Vec<Arc<str>>,
-    /// Task indices in name order: the order of the result maps' keys.
+    /// Task indices in name order: the order of a full result's task
+    /// table.
     pub(crate) by_name: Vec<u32>,
     /// Each phase slot's span kind (indexed like [`BaseIndex::phases`]),
     /// its labels and resource ids interned once.
@@ -137,15 +138,6 @@ impl NameTable {
             by_name,
             kinds,
         }
-    }
-
-    /// A map from each task name to `value(task index)`, built from
-    /// the name-ordered stream in one pass.
-    pub(crate) fn keyed<V>(&self, value: impl Fn(usize) -> V) -> BTreeMap<Arc<str>, V> {
-        self.by_name
-            .iter()
-            .map(|&i| (self.tasks[i as usize].clone(), value(i as usize)))
-            .collect()
     }
 }
 

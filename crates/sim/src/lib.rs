@@ -60,6 +60,7 @@ pub use channel::{max_min_rates, max_min_rates_into, FlowDemand, FlowRate, RateS
 pub use engine::{
     simulate, simulate_summary, simulate_summary_with_base, simulate_with_base, ChannelSummary,
     Scenario, SchedulerPolicy, SimArena, SimError, SimOptions, SimResult, SimSummary, SweepPoint,
+    TaskTime,
 };
 pub use incremental::{
     plan_columns, sweep_column, sweep_column_points, sweep_grid, sweep_grid_points,

@@ -36,15 +36,16 @@
 //!   (or there are none), one replication is bit-equal to
 //!   [`crate::simulate`], so exactly one runs and every percentile
 //!   equals that makespan.
-//! * **Analytic bracket**: `certify` on the `[lo, hi]`
-//!   bound-substituted envelope workflows yields an interval that
-//!   provably contains every sampled makespan (the certificate's
-//!   bounds are monotone in phase quantities, and every sample is
-//!   clamped into its distribution's support). The runner
+//! * **Analytic bracket**: the certificate of the `[lo, hi]`
+//!   bound-substituted envelopes (the base with every dist slot
+//!   patched to its support bound) yields an interval that provably
+//!   contains every sampled makespan (the certificate's bounds are
+//!   monotone in phase quantities, and every sample is clamped into
+//!   its distribution's support). The runner
 //!   `debug_assert`s the containment per sample; the proptests and the
 //!   bench assert it with release builds.
 
-use crate::bounds::certify;
+use crate::bounds::certify_with_base;
 use crate::engine::{simulate_summary_with_base, Scenario, SimArena, SimError};
 use crate::index::{BaseIndex, PhaseIx};
 use crate::spec::{Phase, WorkflowSpec};
@@ -126,17 +127,17 @@ pub struct McResult {
 /// distribution's support) becomes `s / divisor` seconds for fixed
 /// phases — the divisor reproduces the index's lowering expression bit
 /// for bit — or `s` bytes for flows.
-struct DistSlot {
+struct DistSlot<'a> {
     slot: usize,
     divisor: f64,
     lo: f64,
     hi: f64,
-    dist: Dist,
+    dist: &'a Dist,
 }
 
 /// Walks the workflow's dist tables into patchable slots, mirroring the
 /// index's task-order/phase-order CSR layout.
-fn lower_slots(scenario: &Scenario) -> Vec<DistSlot> {
+fn lower_slots(scenario: &Scenario) -> Vec<DistSlot<'_>> {
     let machine = &scenario.machine;
     let mut slots = Vec::new();
     let mut off = 0usize;
@@ -170,7 +171,7 @@ fn lower_slots(scenario: &Scenario) -> Vec<DistSlot> {
                 divisor,
                 lo,
                 hi,
-                dist: pd.dist.clone(),
+                dist: &pd.dist,
             });
         }
         off += t.phases.len();
@@ -245,7 +246,7 @@ fn run_rep(
 ) -> Result<f64, SimError> {
     let mut rng = StdRng::seed_from_u64(seed ^ rep as u64);
     for s in slots {
-        let drawn = sample(&s.dist, &mut rng).clamp(s.lo, s.hi);
+        let drawn = sample(s.dist, &mut rng).clamp(s.lo, s.hi);
         patch(base, s, drawn);
     }
     simulate_summary_with_base(scenario, base, arena).map(|sum| sum.makespan)
@@ -281,12 +282,27 @@ pub fn envelope(workflow: &WorkflowSpec, hi: bool) -> WorkflowSpec {
 
 /// Certifies the analytic `[lo, hi]` envelope (see [`envelope`]):
 /// `lo(lo-envelope) <= makespan(sample) <= hi(hi-envelope)` for every
-/// replication.
-fn bracket(scenario: &Scenario) -> Result<(f64, f64), SimError> {
-    let lo_env = envelope(&scenario.workflow, false);
-    let hi_env = envelope(&scenario.workflow, true);
-    let lo = certify(&scenario.machine, &lo_env, &scenario.options)?.lo;
-    let hi = certify(&scenario.machine, &hi_env, &scenario.options)?.hi;
+/// replication. Each envelope is `base` with its dist slots [`patch`]ed
+/// to a support bound, bit-equal to indexing the envelope workflow.
+fn bracket(
+    scenario: &Scenario,
+    base: &BaseIndex,
+    slots: &[DistSlot],
+) -> Result<(f64, f64), SimError> {
+    let mut env = base.clone();
+    let mut certify_at = |bound: fn(&DistSlot) -> f64| {
+        for s in slots {
+            patch(&mut env, s, bound(s));
+        }
+        certify_with_base(&scenario.workflow, &scenario.options, &env)
+    };
+    let lo = certify_at(|s| s.lo)?.lo;
+    // An overflowing upper bound (a wide lognormal's) makes the upper
+    // envelope an invalid spec: fail as its validation does.
+    if slots.iter().any(|s| !s.hi.is_finite()) {
+        envelope(&scenario.workflow, true).validate()?;
+    }
+    let hi = certify_at(|s| s.hi)?.hi;
     Ok((lo, hi))
 }
 
@@ -353,7 +369,7 @@ pub fn mc_run_with_base(
     opts: &McOptions,
 ) -> Result<McResult, SimError> {
     let slots = lower_slots(scenario);
-    let brk = bracket(scenario)?;
+    let brk = bracket(scenario, base, &slots)?;
 
     // Degenerate collapse: every distribution is a point mass (or there
     // are none), so every replication would be identical — run one,

@@ -12,7 +12,9 @@
 //! and by the paper-workflow tests in `wrm-workflows`.
 
 use crate::channel::{max_min_rates, FlowDemand};
-use crate::engine::{flow_finished, time_eps, Scenario, SchedulerPolicy, SimError, SimResult};
+use crate::engine::{
+    flow_finished, time_eps, Scenario, SchedulerPolicy, SimError, SimResult, TaskTime,
+};
 use crate::index::span_kind;
 use crate::spec::{Phase, TaskSpec};
 use std::collections::BTreeMap;
@@ -374,25 +376,20 @@ pub fn simulate_reference(scenario: &Scenario) -> Result<SimResult, SimError> {
     let makespan = trace.makespan();
     let task_times = task_starts
         .iter()
-        .filter_map(|(name, start)| {
-            task_ends
-                .get(name)
-                .map(|end| (Arc::from(name.as_str()), end - start))
+        .filter_map(|(name, &start)| {
+            let end = task_ends.get(name)?;
+            Some(TaskTime {
+                name: Arc::from(name.as_str()),
+                start,
+                time: end - start,
+                nodes: tasks[name_to_idx[name.as_str()]].nodes,
+            })
         })
-        .collect();
-    let task_nodes = tasks
-        .iter()
-        .map(|t| (Arc::from(t.name.as_str()), t.nodes))
         .collect();
     Ok(SimResult {
         trace,
         makespan,
         task_times,
-        task_starts: task_starts
-            .into_iter()
-            .map(|(k, v)| (k.into(), v))
-            .collect(),
-        task_nodes,
         pool_nodes: pool_total,
     })
 }
@@ -548,7 +545,10 @@ mod tests {
             match (&optimized, &simulate(&deduped)) {
                 (Ok(r), Ok(d)) => {
                     prop_assert_eq!(r.makespan.to_bits(), d.makespan.to_bits());
-                    prop_assert_eq!(&r.task_starts, &d.task_starts);
+                    let starts = |r: &crate::SimResult| -> Vec<(String, f64)> {
+                        r.task_times.iter().map(|t| (t.name.to_string(), t.start)).collect()
+                    };
+                    prop_assert_eq!(starts(r), starts(d));
                 }
                 (r, d) => prop_assert_eq!(r.as_ref().err(), d.as_ref().err()),
             }
@@ -575,7 +575,7 @@ mod tests {
         let r = simulate(&scenario).expect("chain completes");
         assert_eq!(r.makespan, 0.0);
         assert_eq!(r.task_times.len(), n);
-        assert!(r.task_times.values().all(|&t| t == 0.0));
+        assert!(r.task_times.iter().all(|t| t.time == 0.0));
         assert_eq!(
             simulate_reference(&scenario).expect("reference completes"),
             r

@@ -1,5 +1,5 @@
-//! Allocation budget of a full-result run, a summary run and a sweep
-//! column of rows on a warm base and arena.
+//! Allocation counts of a full-result run, a summary run and sweep
+//! columns of rows and of full results on a warm base and arena.
 //!
 //! A counting global allocator sees every allocation in this test
 //! binary, so the file holds exactly one test: no other test thread can
@@ -46,6 +46,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Allocations a warm full run of the test's spec makes: the trace's
+/// span buffer and its two names, the task table (one row per task,
+/// each name an `Arc` clone) and a few per-run buffers, the overlay's
+/// channel tables among them. With three name-keyed B-trees in place
+/// of the table it made 564.
+const FULL_BUDGET: usize = 7;
+
 /// Allocations a warm summary run of the test's spec may make: the
 /// count measured once the calendar kept its buckets across resizes
 /// (O(channels) plus the critical tail's names; 286 before).
@@ -54,12 +61,16 @@ const SUMMARY_BUDGET: usize = 44;
 /// Allocations a warm 4-cell column of sweep rows may make (one cold
 /// run, three replays): the measured count once each replay copies the
 /// checkpoint into the arena's recycled replay buffers (615 while every
-/// replay cloned them afresh). The same column of full results makes
-/// 2,271.
+/// replay cloned them afresh).
 const POINT_COLUMN_BUDGET: usize = 24;
 
+/// Allocations the same warm column makes as full results: the rows'
+/// count plus each cell's trace and task table (2,271 while each result
+/// built three B-trees).
+const FULL_COLUMN_BUDGET: usize = 43;
+
 #[test]
-fn a_warm_full_run_allocates_less_than_once_per_task() {
+fn warm_runs_allocate_their_pinned_counts() {
     let n_tasks = 2000;
     let tasks = random_layered_tasks(7, n_tasks, 64, 8, 30.0);
     let mut wf = WorkflowSpec::new("alloc-budget");
@@ -84,16 +95,19 @@ fn a_warm_full_run_allocates_less_than_once_per_task() {
 
     assert_eq!(result, warm);
     assert_eq!(result.task_times.len(), n_tasks);
-    assert!(
-        allocations < n_tasks,
-        "{allocations} allocations for a {n_tasks}-task full run"
+    assert_eq!(
+        allocations, FULL_BUDGET,
+        "allocations of a warm {n_tasks}-task full run"
     );
     for span in &result.trace.spans {
-        let (key, _) = result
-            .task_times
-            .get_key_value(&*span.task)
-            .expect("every span's task has a time");
-        assert!(Arc::ptr_eq(key, &span.task), "{} is a copy", span.task);
+        let row = result
+            .task(&span.task)
+            .expect("every span's task has a row");
+        assert!(
+            Arc::ptr_eq(&row.name, &span.task),
+            "{} is a copy",
+            span.task
+        );
     }
 
     // The summary path on the same warm arena: the calendar keeps its
@@ -133,7 +147,11 @@ fn a_warm_full_run_allocates_less_than_once_per_task() {
     assert_eq!(stats, full_stats);
     assert_eq!((stats.cold, stats.replayed), (1, 3), "{stats:?}");
     assert!(
-        points <= POINT_COLUMN_BUDGET && points * 4 < full,
+        points <= POINT_COLUMN_BUDGET && points < full,
         "{points} allocations for a column of rows, {full} for full results"
+    );
+    assert_eq!(
+        full, FULL_COLUMN_BUDGET,
+        "allocations of a column of full results"
     );
 }

@@ -104,7 +104,7 @@ fn assert_summary_matches(scenario: &Scenario, full: &SimResult) -> SimSummary {
     // index order; replicate the same sequence of operations.
     let mut want_ns = 0.0;
     for t in &scenario.workflow.tasks {
-        want_ns += t.nodes as f64 * full.task_times[t.name.as_str()];
+        want_ns += t.nodes as f64 * full.task(&t.name).unwrap().time;
     }
     assert_eq!(sum.node_seconds, want_ns, "node-seconds fold");
 
@@ -179,10 +179,7 @@ fn assert_summary_matches(scenario: &Scenario, full: &SimResult) -> SimSummary {
             assert_eq!(sum.critical_tail.len(), sum.critical_tail_len);
         }
         for name in &sum.critical_tail {
-            assert!(
-                full.task_times.contains_key(name.as_str()),
-                "tail names a real task: {name}"
-            );
+            assert!(full.task(name).is_some(), "tail names a real task: {name}");
         }
     }
     sum
@@ -277,6 +274,72 @@ proptest! {
         opts = opts.with_contention(ids::FILE_SYSTEM, factor);
         let scenario = Scenario::new(machine(pool, 10.0), wf).with_options(opts);
         assert_equivalent(&scenario, "random");
+    }
+}
+
+proptest! {
+    /// The task table of a full result on random layered and fork–join
+    /// DAGs: strictly sorted by name with one row per task, every task
+    /// found by name and an absent name not, each row's start and time
+    /// the reference engine's, and `task_intervals` the start from the
+    /// row and the end from the task's last span.
+    #[test]
+    fn task_table_is_name_ordered_and_matches_reference(
+        seed in any::<u64>(),
+        n_tasks in 1usize..40,
+        max_width in 1usize..8,
+        fork_join in any::<bool>(),
+        factor in 0.05f64..2.0,
+        backfill in any::<bool>(),
+        limit in any::<bool>(),
+    ) {
+        let wf = workload(seed, n_tasks, max_width, fork_join);
+        let opts = SimOptions {
+            scheduler: if backfill { SchedulerPolicy::Backfill } else { SchedulerPolicy::Fifo },
+            node_limit: limit.then_some(8),
+            ..SimOptions::default()
+        }
+        .with_contention(ids::FILE_SYSTEM, factor);
+        let scenario = Scenario::new(machine(32, 10.0), wf).with_options(opts);
+        let (Ok(full), Ok(reference)) = (simulate(&scenario), simulate_reference(&scenario))
+        else {
+            return Ok(());
+        };
+        let rows = &full.task_times;
+        prop_assert_eq!(rows.len(), scenario.workflow.tasks.len());
+        for w in rows.windows(2) {
+            prop_assert!(w[0].name < w[1].name, "{} before {}", w[0].name, w[1].name);
+        }
+        prop_assert_eq!(rows.len(), reference.task_times.len());
+        for (row, want) in rows.iter().zip(&reference.task_times) {
+            prop_assert_eq!(&row.name, &want.name);
+            prop_assert_eq!(row.start.to_bits(), want.start.to_bits());
+            prop_assert_eq!(row.time.to_bits(), want.time.to_bits());
+        }
+        for t in &scenario.workflow.tasks {
+            let row = full.task(&t.name);
+            prop_assert!(row.is_some_and(|r| *r.name == t.name), "{} not found", t.name);
+        }
+        prop_assert!(full.task("no such task").is_none());
+
+        let dag = scenario.workflow.to_dag_with(|_| 0.0).unwrap();
+        let want: Vec<(f64, f64)> = dag
+            .tasks()
+            .iter()
+            .map(|t| {
+                let start = rows.iter().find(|r| *r.name == t.name).unwrap().start;
+                let end = full
+                    .trace
+                    .spans
+                    .iter()
+                    .filter(|s| *s.task == t.name)
+                    .map(|s| s.end)
+                    .reduce(f64::max)
+                    .unwrap_or(start);
+                (start, end)
+            })
+            .collect();
+        prop_assert_eq!(full.task_intervals(&dag), Some(want));
     }
 }
 

@@ -85,14 +85,14 @@ fn staggered_flows_get_leftover_bandwidth() {
         .task(TaskSpec::new("b", 1).phase(Phase::system_data(ids::FILE_SYSTEM, 30e9)));
     let r = simulate(&Scenario::new(m, wf)).unwrap();
     assert!(
-        (r.task_times["a"] - 10.0).abs() < 1e-6,
+        (r.task("a").unwrap().time - 10.0).abs() < 1e-6,
         "a {}",
-        r.task_times["a"]
+        r.task("a").unwrap().time
     );
     assert!(
-        (r.task_times["b"] - 20.0).abs() < 1e-6,
+        (r.task("b").unwrap().time - 20.0).abs() < 1e-6,
         "b {}",
-        r.task_times["b"]
+        r.task("b").unwrap().time
     );
 }
 
@@ -136,7 +136,7 @@ fn bgw_64_nodes_lands_near_the_paper_makespan() {
         r.makespan
     );
     // Sigma dominates.
-    assert!(r.task_times["Sigma"] > r.task_times["Epsilon"]);
+    assert!(r.task("Sigma").unwrap().time > r.task("Epsilon").unwrap().time);
 }
 
 #[test]
@@ -179,8 +179,8 @@ fn fifo_head_blocks_but_backfill_proceeds() {
     }))
     .unwrap();
 
-    assert!((fifo.task_starts["small"] - 100.0).abs() < 1e-6);
-    assert!((backfill.task_starts["small"] - 0.0).abs() < 1e-12);
+    assert!((fifo.task("small").unwrap().start - 100.0).abs() < 1e-6);
+    assert!((backfill.task("small").unwrap().start - 0.0).abs() < 1e-12);
     assert!(backfill.makespan <= fifo.makespan);
 }
 
@@ -348,7 +348,7 @@ fn accounting_metrics() {
     assert!((r.node_seconds() - 40.0).abs() < 1e-9);
     assert!((r.utilization() - 1.0).abs() < 1e-9);
     assert_eq!(r.pool_nodes, 4);
-    assert_eq!(r.task_nodes["a"], 2);
+    assert_eq!(r.task("a").unwrap().nodes, 2);
 
     // Capped to 2 nodes: serialized, 40 node-seconds over 2 x 20 = 100%.
     let r = simulate(

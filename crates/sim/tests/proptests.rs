@@ -2,10 +2,11 @@
 //! Monte-Carlo replication engine's invariants.
 
 use proptest::prelude::*;
-use wrm_core::{ids, BytesPerSec, Dist, Machine};
+use wrm_core::{ids, machines, BytesPerSec, Dist, Machine};
+use wrm_sim::mc::envelope;
 use wrm_sim::{
-    max_min_rates, mc_run, simulate, FlowDemand, McOptions, Phase, Scenario, SchedulerPolicy,
-    SimOptions, TaskSpec, WorkflowSpec,
+    certify, max_min_rates, mc_run, simulate, FlowDemand, McOptions, Phase, Scenario,
+    SchedulerPolicy, SimOptions, TaskSpec, WorkflowSpec,
 };
 
 /// One step of a splitmix64 stream, for seeded uneven test quantities.
@@ -55,6 +56,91 @@ fn layered_mc_scenario(layers: usize, width: usize, bytes: f64, spread: f64) -> 
         }
     }
     Scenario::new(machine, wf)
+}
+
+/// A seeded distributional spec over every phase kind: each task holds
+/// one to three phases (compute and DRAM traffic at efficiencies below
+/// 1, so their lowering divides by a real product; file-system,
+/// network and capped external flows; overheads), and about half the
+/// phases carry a distribution of any family scaled to the phase's
+/// quantity. One phase in about 160 carries a lognormal so wide that
+/// its upper support bound overflows. Tasks hold 1 to 6 nodes and
+/// depend on random earlier tasks.
+fn dist_spec(seed: u64, n_tasks: usize) -> WorkflowSpec {
+    let mut s = seed;
+    let mut next = move |m: u64| splitmix(&mut s) % m;
+    let mut wf = WorkflowSpec::new(format!("dist[{seed}]"));
+    for i in 0..n_tasks {
+        let mut t = TaskSpec::new(format!("t{i}"), 1 + next(6));
+        for ph in 0..1 + next(3) {
+            let scale = (1 + next(1000)) as f64;
+            let efficiency = 0.2 + next(80) as f64 / 100.0;
+            let (phase, q) = match next(6) {
+                0 => (
+                    Phase::Compute {
+                        flops: scale * 1e12,
+                        efficiency,
+                    },
+                    scale * 1e12,
+                ),
+                1 => (
+                    Phase::NodeData {
+                        resource: ids::DRAM.into(),
+                        bytes: scale * 1e9,
+                        efficiency,
+                    },
+                    scale * 1e9,
+                ),
+                2 => (
+                    Phase::system_data(ids::FILE_SYSTEM, scale * 1e10),
+                    scale * 1e10,
+                ),
+                3 => (Phase::system_data(ids::NETWORK, scale * 1e9), scale * 1e9),
+                4 => (
+                    Phase::SystemData {
+                        resource: ids::EXTERNAL.into(),
+                        bytes: scale * 1e9,
+                        stream_cap: Some((1 + next(5)) as f64 * 1e9),
+                    },
+                    scale * 1e9,
+                ),
+                _ => (Phase::overhead("o", scale / 10.0), scale / 10.0),
+            };
+            t = t.phase(phase);
+            let dist = match next(10) {
+                0 => Dist::Point { value: q },
+                1 => Dist::Uniform {
+                    lo: q * 0.5,
+                    hi: q * 1.5,
+                },
+                2 => Dist::LogNormal {
+                    median: if next(4) == 0 { 0.0 } else { q },
+                    sigma: if next(16) == 0 {
+                        100.0
+                    } else {
+                        next(90) as f64 / 100.0
+                    },
+                },
+                3 => Dist::Triangular {
+                    lo: q * 0.25,
+                    mode: q,
+                    hi: q * 3.0,
+                },
+                4 => Dist::Empirical {
+                    samples: vec![(q * 0.7, 1.0), (q, 2.0), (q * 1.9, 0.5)],
+                },
+                _ => continue,
+            };
+            t = t.dist(ph as u32, dist);
+        }
+        if i > 0 {
+            for _ in 0..next(3) {
+                t = t.after(format!("t{}", next(i as u64)));
+            }
+        }
+        wf = wf.task(t);
+    }
+    wf
 }
 
 /// Bit-exact fingerprint of an [`wrm_sim::McResult`]'s user-visible
@@ -316,6 +402,39 @@ proptest! {
                 mc.bracket_lo <= m * (1.0 + 1e-9) && m <= mc.bracket_hi * (1.0 + 1e-9),
                 "makespan {} outside bracket [{}, {}]", m, mc.bracket_lo, mc.bracket_hi
             );
+        }
+    }
+
+    /// The Monte-Carlo bracket, certified on the prebuilt base with
+    /// each dist slot patched to its support bound, equals the
+    /// certificates of the envelope workflows, rebuilt and indexed from
+    /// scratch, bit for bit; where either path fails, both fail alike.
+    #[test]
+    fn mc_bracket_equals_the_envelope_certificates(
+        seed in any::<u64>(),
+        n_tasks in 1usize..12,
+        ext_factor in 0.1f64..2.0,
+        backfill in any::<bool>(),
+        limit in prop::option::of(5u64..16),
+    ) {
+        let options = SimOptions {
+            scheduler: if backfill { SchedulerPolicy::Backfill } else { SchedulerPolicy::Fifo },
+            node_limit: limit,
+            ..SimOptions::default()
+        }
+        .with_contention(ids::EXTERNAL, ext_factor);
+        let scenario = Scenario::new(machines::perlmutter_cpu(), dist_spec(seed, n_tasks))
+            .with_options(options);
+        let (m, wf, opts) = (&scenario.machine, &scenario.workflow, &scenario.options);
+        let oracle = certify(m, &envelope(wf, false), opts)
+            .and_then(|lo| Ok((lo.lo, certify(m, &envelope(wf, true), opts)?.hi)));
+        let mc = mc_run(&scenario, &McOptions { reps: 1, seed, threads: 1 });
+        match (mc, oracle) {
+            (Ok(mc), Ok((lo, hi))) => {
+                prop_assert_eq!(mc.bracket_lo.to_bits(), lo.to_bits());
+                prop_assert_eq!(mc.bracket_hi.to_bits(), hi.to_bits());
+            }
+            (mc, oracle) => prop_assert_eq!(mc.err(), oracle.err()),
         }
     }
 

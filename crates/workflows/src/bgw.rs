@@ -251,7 +251,7 @@ mod tests {
                 cfg.nodes,
                 r.makespan
             );
-            assert!(r.task_times["Sigma"] > r.task_times["Epsilon"]);
+            assert!(r.task("Sigma").unwrap().time > r.task("Epsilon").unwrap().time);
         }
     }
 

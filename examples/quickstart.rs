@@ -24,8 +24,8 @@ fn main() {
         "simulated makespan: {:.1} s (paper measured 4184.86 s)",
         run.makespan
     );
-    for (task, time) in &run.task_times {
-        println!("  {task:<8} {time:>8.1} s");
+    for t in &run.task_times {
+        println!("  {:<8} {:>8.1} s", t.name, t.time);
     }
 
     // Build the Workflow Roofline from the analytical characterization.
