@@ -252,7 +252,7 @@ fn f5b() -> Figure {
     let mut summary_parts = Vec::new();
     for (day, label) in [(Day::Good, "Good days"), (Day::Bad, "Bad days")] {
         let run = simulate(&lcls.scenario(cori.clone(), day)).expect("simulates");
-        let b = run.trace.breakdown();
+        let b = run.to_trace().breakdown();
         // Collapse into the paper's two categories.
         let loading = b.get("io:ext");
         let analysis: f64 = b.total() - loading;

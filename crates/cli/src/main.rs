@@ -490,7 +490,7 @@ fn build_html_report(
         sections.push(Section::Heading("Time breakdown".into()));
         sections.push(Section::Svg(wrm_plot::breakdown_plot::render_svg(
             "phase time by category",
-            &[result.trace.breakdown()],
+            &[result.to_trace().breakdown()],
             680.0,
             420.0,
         )));
@@ -557,7 +557,7 @@ fn cmd_query(command: &str, args: &[String]) -> Result<(), String> {
         println!("\n{}", wrm_plot::ascii::gantt(&chart, 72));
     }
     if let Some(path) = &flags.jsonl {
-        std::fs::write(path, result.trace.to_jsonl())
+        std::fs::write(path, result.to_trace().to_jsonl())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         println!("wrote {path}");
     }

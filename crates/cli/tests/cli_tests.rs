@@ -937,13 +937,23 @@ fn charts_draw_the_simulated_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `--jsonl` traces are pinned byte for byte: span order, float
-/// rendering and every task, resource and label string, across
-/// system-data, node-data and overhead spans.
+/// The runnable specs under `workflows/` (the `bad/` fixtures aside).
+const RUNNABLE_SPECS: [&str; 6] = [
+    "bgw_si998",
+    "custom_machine",
+    "gptune_rci",
+    "lcls_cori",
+    "lcls_mc",
+    "node_pressure",
+];
+
+/// `--jsonl` traces are pinned byte for byte for every runnable spec:
+/// span order, float rendering and every task, resource and label
+/// string, across compute, system-data, node-data and overhead spans.
 #[test]
 fn jsonl_traces_match_golden_files() {
     let dir = tmpdir("golden_jsonl");
-    for name in ["lcls_cori", "node_pressure"] {
+    for name in RUNNABLE_SPECS {
         let spec = format!("{}/../../workflows/{name}.wrm", env!("CARGO_MANIFEST_DIR"));
         let path = dir.join(format!("{name}.jsonl"));
         let out = wrm()
@@ -964,6 +974,34 @@ fn jsonl_traces_match_golden_files() {
         );
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `simulate --gantt` stdout is pinned byte for byte: the report, its
+/// time breakdown and the chart rows, which draw each task's interval
+/// from the run's spans.
+#[test]
+fn gantt_output_matches_golden_files() {
+    for name in ["bgw_si998", "node_pressure"] {
+        let spec = format!("{}/../../workflows/{name}.wrm", env!("CARGO_MANIFEST_DIR"));
+        let out = wrm()
+            .args(["simulate", &spec, "--gantt"])
+            .output()
+            .expect("runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let golden = format!(
+            "{}/tests/golden/gantt_{name}.txt",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        assert_eq!(
+            String::from_utf8(out.stdout).expect("utf-8"),
+            std::fs::read_to_string(&golden).expect("golden"),
+            "{name}"
+        );
+    }
 }
 
 /// `wrm sweep` rows are pinned byte for byte in CSV and JSON: error

@@ -195,7 +195,21 @@ impl Dist {
                 }
             }
         }
-        Ok(())
+        // Finite parameters can still overflow what the sampler and the
+        // analytic envelope compute from them: a wide lognormal's
+        // `exp(8 sigma)` or `exp(sigma^2 / 2)`, or `0 * inf` at median 0.
+        let names = match self {
+            Dist::LogNormal { .. } => [
+                "lower bound median * exp(-8 * sigma)",
+                "upper bound median * exp(8 * sigma)",
+                "mean median * exp(sigma^2 / 2)",
+            ],
+            _ => ["lower bound", "upper bound", "mean"],
+        };
+        let (lo, hi) = self.bounds();
+        finite(names[0], lo)?;
+        finite(names[1], hi)?;
+        finite(names[2], self.mean())
     }
 }
 
@@ -319,6 +333,35 @@ mod tests {
         .validate()
         .is_err());
         assert!(Dist::Uniform { lo: 1.0, hi: 2.0 }.validate().is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_overflowing_bounds_and_means() {
+        let lognormal = |median, sigma| Dist::LogNormal { median, sigma }.validate();
+        assert_eq!(
+            lognormal(1e12, 100.0),
+            Err("upper bound median * exp(8 * sigma) must be finite, got inf".into())
+        );
+        // exp(8 sigma) stays finite at sigma = 40; exp(sigma^2 / 2) does not.
+        assert_eq!(
+            lognormal(1.0, 40.0),
+            Err("mean median * exp(sigma^2 / 2) must be finite, got inf".into())
+        );
+        // Median 0 makes the upper bound `0 * inf`.
+        assert_eq!(
+            lognormal(0.0, 100.0),
+            Err("upper bound median * exp(8 * sigma) must be finite, got NaN".into())
+        );
+        assert!(lognormal(0.0, 0.5).is_ok());
+        assert!(lognormal(1e12, 0.9).is_ok());
+        assert_eq!(
+            Dist::Uniform {
+                lo: f64::MAX,
+                hi: f64::MAX
+            }
+            .validate(),
+            Err("mean must be finite, got inf".into())
+        );
     }
 
     #[test]

@@ -963,6 +963,27 @@ workflow w on m { task big { nodes 8 compute 1PFLOPS } }",
     }
 
     #[test]
+    fn e011_overflowing_lognormal() {
+        let d = find(
+            "workflow w on pm-cpu { task a { nodes 1 compute lognormal(1PFLOPS, 100) } }",
+            "E011",
+        );
+        assert_eq!(
+            d.message,
+            "invalid distribution in task `a`: upper bound median * exp(8 * sigma) must be \
+             finite, got inf"
+        );
+        let d = find(
+            "workflow w on pm-cpu { task a { nodes 1 overhead python lognormal(0s, 100) } }",
+            "E011",
+        );
+        assert!(d.message.ends_with("got NaN"), "{}", d.message);
+        // A wide but representable lognormal stays clean.
+        let clean = "workflow w on pm-cpu { task a { nodes 1 compute lognormal(1PFLOPS, 2) } }";
+        assert!(lint_source(clean).iter().all(|d| d.code != "E011"));
+    }
+
+    #[test]
     fn w001_dead_ceiling() {
         // pm-gpu has no `dram` node resource (it has hbm) and no `bb`.
         let src = "workflow w on pm-gpu { task a { node_bytes dram 1GB system_bytes bb 1GB } }";

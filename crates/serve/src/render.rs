@@ -265,12 +265,13 @@ pub fn simulate_report(
         result.node_seconds(),
         result.utilization() * 100.0
     );
-    let wf = characterize(&result.trace, structure).map_err(|e| e.to_string())?;
+    let trace = result.to_trace();
+    let wf = characterize(&trace, structure).map_err(|e| e.to_string())?;
     if let Ok(tps) = wf.throughput() {
         out.push_str(&format!("throughput: {:.4e} tasks/s\n", tps.get()));
     }
     out.push_str("\ntime breakdown:\n");
-    let b = result.trace.breakdown();
+    let b = trace.breakdown();
     for (cat, secs) in &b.categories {
         out.push_str(&format!("  {cat:<24} {secs:>12.2} s\n"));
     }

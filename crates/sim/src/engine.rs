@@ -4,10 +4,10 @@
 //! simulation: node-local phases run at (efficiency-scaled) peak rates of
 //! the task's allocation; shared-system phases become flows on shared
 //! channels whose rates are re-solved by max–min fair sharing whenever
-//! the flow set changes; a Slurm-like scheduler allocates nodes. The
-//! output is a `wrm_trace::Trace` — the same format real measurements
-//! would use — so the Workflow Roofline dot of a simulated run is derived
-//! exactly like the paper derives its empirical dots.
+//! the flow set changes; a Slurm-like scheduler allocates nodes. A full
+//! result materializes a `wrm_trace::Trace` — the same format real
+//! measurements would use — so the Workflow Roofline dot of a simulated
+//! run is derived exactly like the paper derives its empirical dots.
 //!
 //! Flow progress is *materialized on rate change*: a flow's remaining
 //! byte count is only touched when a fair-share solve assigns it a new
@@ -161,11 +161,16 @@ pub struct TaskTime {
     pub nodes: u64,
 }
 
-/// Simulation output.
+/// Simulation output: the makespan, the task table and the run's spans.
+///
+/// The spans are kept as plain rows of indices over the name table that
+/// the run's [`BaseIndex`] shares with every full result built on it, so
+/// making, checkpointing and dropping a result touches no reference
+/// count per span. [`SimResult::to_trace`] builds the public [`Trace`]
+/// from them when a caller asks for it. Equality compares the rows and
+/// the table's content, so it checks every span.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
-    /// The execution trace (spans for every phase).
-    pub trace: Trace,
     /// End-to-end makespan in seconds.
     pub makespan: f64,
     /// One row per task, sorted by name (names are unique, as spec
@@ -173,9 +178,52 @@ pub struct SimResult {
     pub task_times: Vec<TaskTime>,
     /// The usable pool size the run was scheduled against.
     pub pool_nodes: u64,
+    /// One row per phase run, in completion order.
+    pub(crate) rows: Vec<SpanRow>,
+    /// What the rows' task and slot indices name.
+    pub(crate) names: Arc<NameTable>,
+    pub(crate) workflow: String,
+    pub(crate) machine: String,
+}
+
+/// One span of a full result: indices into its [`NameTable`] plus the
+/// span's times. 24 bytes and `Copy`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct SpanRow {
+    /// Task index, in spec order.
+    pub(crate) task: u32,
+    /// Phase slot: the task's first slot plus the phase's index.
+    pub(crate) slot: u32,
+    pub(crate) start: f64,
+    pub(crate) end: f64,
 }
 
 impl SimResult {
+    /// The execution trace: a span for every phase run, in completion
+    /// order. Each span's task name, resource id and label is an `Arc`
+    /// clone of the base's name table, the allocation the task table's
+    /// names share too. Built on each call, so callers that need only
+    /// the makespan or the task table never pay for it.
+    pub fn to_trace(&self) -> Trace {
+        let names = &*self.names;
+        let mut trace = Trace::new(self.workflow.clone(), self.machine.clone());
+        trace.spans = self
+            .rows
+            .iter()
+            .map(|r| {
+                let t = r.task as usize;
+                TraceSpan::new(
+                    names.tasks[t].clone(),
+                    names.kinds[r.slot as usize].clone(),
+                    r.start,
+                    r.end,
+                    names.nodes[t],
+                )
+            })
+            .collect();
+        trace
+    }
+
     /// The row of the task named `name`, found by binary search.
     pub fn task(&self, name: &str) -> Option<&TaskTime> {
         let i = self.task_times.binary_search_by(|t| (*t.name).cmp(name));
@@ -208,16 +256,23 @@ impl SimResult {
     /// A task without phases ends where it starts. `None` when the DAG
     /// names a task this run did not execute.
     pub fn task_intervals(&self, dag: &wrm_dag::Dag) -> Option<Vec<(f64, f64)>> {
-        let mut ends: BTreeMap<&str, f64> = BTreeMap::new();
-        for s in &self.trace.spans {
-            let end = ends.entry(&s.task).or_insert(s.end);
-            *end = end.max(s.end);
+        let names = &*self.names;
+        // NaN until the task's first span: `NAN.max(end)` is `end`.
+        let mut ends = vec![f64::NAN; names.tasks.len()];
+        for r in &self.rows {
+            let end = &mut ends[r.task as usize];
+            *end = end.max(r.end);
         }
         dag.tasks()
             .iter()
             .map(|t| {
                 let start = self.task(&t.name)?.start;
-                Some((start, ends.get(t.name.as_str()).copied().unwrap_or(start)))
+                let i = names
+                    .by_name
+                    .binary_search_by(|&i| (*names.tasks[i as usize]).cmp(&t.name))
+                    .ok()?;
+                let end = ends[names.by_name[i] as usize];
+                Some((start, if end.is_nan() { start } else { end }))
             })
             .collect()
     }
@@ -656,7 +711,9 @@ impl EngineState {
 /// server workers) reuse them instead of regrowing them per run. A warm
 /// run allocates only its output: on a 2k-task layered DAG, 44 times
 /// for a summary (its channel names and critical tail, the same at 20k
-/// tasks) and 7 for a full result (its trace and its task table).
+/// tasks) and 7 for a full result (its span rows, its workflow and
+/// machine names and its task table); a warm 4-cell sweep column of
+/// full results allocates 41 times.
 /// Results never depend on what the arena ran before; [`simulate`] and
 /// [`simulate_summary`] simply pass a fresh one.
 #[derive(Debug, Default)]
@@ -775,7 +832,7 @@ pub(crate) trait Sink<'a>: Clone {
     type Output;
 
     /// A sink for a fresh run of `workflow` over `base`.
-    fn new(workflow: &'a WorkflowSpec, machine_name: &str, base: &'a BaseIndex) -> Self;
+    fn new(workflow: &'a WorkflowSpec, machine_name: &'a str, base: &'a BaseIndex) -> Self;
 
     /// Channel `ch` went idle -> busy (its first member joined) at `now`.
     fn channel_busy(&mut self, _ch: usize, _now: f64) {}
@@ -791,73 +848,80 @@ pub(crate) trait Sink<'a>: Clone {
     fn finish(self, st: &EngineState, pool_nodes: u64) -> Self::Output;
 }
 
-/// The full sink: a trace span per phase plus the task table
+/// The full sink: a span row per phase plus the task table
 /// ([`SimResult`]), every name an `Arc` clone of the base's name table.
 pub(crate) struct FullSink<'a> {
-    base: &'a BaseIndex,
-    names: &'a NameTable,
-    trace: Trace,
+    workflow: &'a str,
+    machine: &'a str,
+    names: &'a Arc<NameTable>,
+    rows: Vec<SpanRow>,
+    extent: SpanExtent,
 }
 
-/// A clone keeps the span capacity, so an engine resumed from a paused
+/// A clone keeps the row capacity, so an engine resumed from a paused
 /// one (see [`Engine::resume_with`]) pushes its suffix without regrowing.
 impl Clone for FullSink<'_> {
     fn clone(&self) -> Self {
-        let mut trace = Trace::new(self.trace.workflow.clone(), self.trace.machine.clone());
-        trace.spans.reserve_exact(self.trace.spans.capacity());
-        trace.spans.extend_from_slice(&self.trace.spans);
-        FullSink { trace, ..*self }
+        let mut rows = Vec::with_capacity(self.rows.capacity());
+        rows.extend_from_slice(&self.rows);
+        FullSink { rows, ..*self }
     }
 }
 
 impl<'a> Sink<'a> for FullSink<'a> {
     type Output = SimResult;
 
-    fn new(workflow: &'a WorkflowSpec, machine_name: &str, base: &'a BaseIndex) -> Self {
-        let mut trace = Trace::new(workflow.name.clone(), machine_name);
-        trace.spans.reserve_exact(base.phases.len());
-        let names = base.names(workflow);
-        FullSink { base, names, trace }
+    fn new(workflow: &'a WorkflowSpec, machine_name: &'a str, base: &'a BaseIndex) -> Self {
+        FullSink {
+            workflow: &workflow.name,
+            machine: machine_name,
+            names: base.names(workflow),
+            rows: Vec::with_capacity(base.phases.len()),
+            extent: SpanExtent::EMPTY,
+        }
     }
 
     fn phase_end(&mut self, t: usize, slot: usize, start: f64, now: f64) {
-        self.trace.push(TraceSpan::new(
-            self.names.tasks[t].clone(),
-            self.names.kinds[slot].clone(),
+        self.rows.push(SpanRow {
+            task: t as u32,
+            slot: slot as u32,
             start,
-            now,
-            self.base.nodes[t],
-        ));
+            end: now,
+        });
+        self.extent.push(start, now);
     }
 
     /// One pass in the name table's name order fills the task table.
     fn finish(self, st: &EngineState, pool_nodes: u64) -> SimResult {
-        let task_times = self
-            .names
+        let names = self.names;
+        let task_times = names
             .by_name
             .iter()
             .map(|&i| {
                 let i = i as usize;
                 TaskTime {
-                    name: self.names.tasks[i].clone(),
+                    name: names.tasks[i].clone(),
                     start: st.starts[i],
                     time: st.ends[i] - st.starts[i],
-                    nodes: self.base.nodes[i],
+                    nodes: names.nodes[i],
                 }
             })
             .collect();
         SimResult {
-            makespan: self.trace.makespan(),
-            trace: self.trace,
+            makespan: self.extent.makespan(),
             task_times,
             pool_nodes,
+            rows: self.rows,
+            names: names.clone(),
+            workflow: self.workflow.to_owned(),
+            machine: self.machine.to_owned(),
         }
     }
 }
 
 /// The folds `Trace::makespan` performs over the spans, in span order,
-/// kept without the spans: the makespan of the sinks that keep no
-/// trace, bit-equal to the full result's.
+/// kept as the spans end: every sink's makespan, bit-equal to the
+/// materialized trace's.
 #[derive(Clone, Copy)]
 struct SpanExtent {
     min_start: f64,
@@ -905,7 +969,7 @@ pub(crate) struct SummarySink<'a> {
 impl<'a> Sink<'a> for SummarySink<'a> {
     type Output = SimSummary;
 
-    fn new(workflow: &'a WorkflowSpec, _machine_name: &str, base: &'a BaseIndex) -> Self {
+    fn new(workflow: &'a WorkflowSpec, _machine_name: &'a str, base: &'a BaseIndex) -> Self {
         let channel = |id: &String| ChannelSummary {
             resource: id.clone(),
             busy: 0.0,
@@ -1002,7 +1066,7 @@ pub(crate) struct PointSink<'a> {
 impl<'a> Sink<'a> for PointSink<'a> {
     type Output = SweepPoint;
 
-    fn new(workflow: &'a WorkflowSpec, _machine_name: &str, base: &'a BaseIndex) -> Self {
+    fn new(workflow: &'a WorkflowSpec, _machine_name: &'a str, base: &'a BaseIndex) -> Self {
         PointSink {
             base,
             names: base.names(workflow),
@@ -1121,7 +1185,7 @@ impl<'a, S: Sink<'a>> Engine<'a, S> {
     /// An engine at time zero over the arena's recycled buffers.
     pub(crate) fn new_in(
         workflow: &'a WorkflowSpec,
-        machine_name: &str,
+        machine_name: &'a str,
         opts: &'a SimOptions,
         base: &'a BaseIndex,
         overlay: &'a IndexOverlay,

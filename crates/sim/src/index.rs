@@ -97,14 +97,16 @@ pub struct BaseIndex {
     /// `TaskTooLarge` depends on the per-point pool, so the overlay
     /// decides.
     pub(crate) first_resource_error: Option<(usize, SimError)>,
-    /// The strings full results share, built by the first full run
-    /// (see [`BaseIndex::names`]).
-    names: OnceLock<NameTable>,
+    /// The table full results share, built by the first full run (see
+    /// [`BaseIndex::names`]).
+    names: OnceLock<Arc<NameTable>>,
 }
 
-/// The names a full result is built from, each allocated once per base
-/// so every span and task-table row name is an `Arc` clone of them.
-#[derive(Clone)]
+/// The table a full result's span rows index into: names, span kinds
+/// and node counts, each name allocated once per base so every span and
+/// task-table row name is an `Arc` clone of it. Every full result over
+/// the base holds the same table.
+#[derive(Debug, PartialEq)]
 pub(crate) struct NameTable {
     /// Task names, in task order.
     pub(crate) tasks: Vec<Arc<str>>,
@@ -114,10 +116,14 @@ pub(crate) struct NameTable {
     /// Each phase slot's span kind (indexed like [`BaseIndex::phases`]),
     /// its labels and resource ids interned once.
     pub(crate) kinds: Vec<SpanKind>,
+    /// Nodes each task holds, in task order.
+    pub(crate) nodes: Vec<u64>,
 }
 
 impl NameTable {
-    fn build(workflow: &WorkflowSpec) -> Self {
+    /// The table of `workflow`, read from its names, phases and node
+    /// counts alone: the reference engine builds its own this way.
+    pub(crate) fn build(workflow: &WorkflowSpec) -> Self {
         let tasks: Vec<Arc<str>> = workflow
             .tasks
             .iter()
@@ -137,15 +143,13 @@ impl NameTable {
             tasks,
             by_name,
             kinds,
+            nodes: workflow.tasks.iter().map(|t| t.nodes).collect(),
         }
     }
 }
 
 /// The span kind a phase records, its strings made by `intern`.
-pub(crate) fn span_kind<'w>(
-    phase: &'w Phase,
-    intern: &mut impl FnMut(&'w str) -> Arc<str>,
-) -> SpanKind {
+fn span_kind<'w>(phase: &'w Phase, intern: &mut impl FnMut(&'w str) -> Arc<str>) -> SpanKind {
     match phase {
         Phase::Compute { flops, .. } => SpanKind::Compute { flops: *flops },
         Phase::NodeData {
@@ -306,8 +310,9 @@ impl BaseIndex {
     /// The shared names of full results, built on first use: summary
     /// and Monte-Carlo runs never need them. `workflow` must be the one
     /// this base was built from.
-    pub(crate) fn names(&self, workflow: &WorkflowSpec) -> &NameTable {
-        self.names.get_or_init(|| NameTable::build(workflow))
+    pub(crate) fn names(&self, workflow: &WorkflowSpec) -> &Arc<NameTable> {
+        self.names
+            .get_or_init(|| Arc::new(NameTable::build(workflow)))
     }
 
     /// Number of tasks.

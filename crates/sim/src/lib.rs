@@ -17,8 +17,9 @@
 //! * fixed overhead phases model control flow (bash, python, srun) —
 //!   the GPTune pattern.
 //!
-//! Results come back as `wrm_trace::Trace`s, so simulated runs feed the
-//! Workflow Roofline Model exactly like real measurements would.
+//! A full result builds a `wrm_trace::Trace` on demand
+//! (`SimResult::to_trace`), so simulated runs feed the Workflow Roofline
+//! Model exactly like real measurements would.
 //!
 //! ```
 //! use wrm_sim::{simulate, Phase, Scenario, TaskSpec, WorkflowSpec};

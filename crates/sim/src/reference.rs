@@ -13,14 +13,13 @@
 
 use crate::channel::{max_min_rates, FlowDemand};
 use crate::engine::{
-    flow_finished, time_eps, Scenario, SchedulerPolicy, SimError, SimResult, TaskTime,
+    flow_finished, time_eps, Scenario, SchedulerPolicy, SimError, SimResult, SpanRow, TaskTime,
 };
-use crate::index::span_kind;
+use crate::index::NameTable;
 use crate::spec::{Phase, TaskSpec};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use wrm_core::SystemScaling;
-use wrm_trace::{Trace, TraceSpan};
 
 enum Activity {
     /// Fixed-duration phase: ends at a known time.
@@ -173,7 +172,14 @@ pub fn simulate_reference(scenario: &Scenario) -> Result<SimResult, SimError> {
     let mut free = pool_total;
     let mut now = 0.0f64;
     let mut done = 0usize;
-    let mut trace = Trace::new(scenario.workflow.name.clone(), machine.name.clone());
+    // Each task's first phase slot: its own prefix sum of phase counts.
+    let mut first_slot = Vec::with_capacity(tasks.len());
+    let mut slots = 0;
+    for t in tasks {
+        first_slot.push(slots);
+        slots += t.phases.len();
+    }
+    let mut rows: Vec<SpanRow> = Vec::new();
     let mut task_starts: BTreeMap<String, f64> = BTreeMap::new();
     let mut task_ends: BTreeMap<String, f64> = BTreeMap::new();
 
@@ -341,14 +347,13 @@ pub fn simulate_reference(scenario: &Scenario) -> Result<SimResult, SimError> {
             }
             let r = running.swap_remove(i);
             let task = &tasks[r.spec_idx];
-            let phase = &task.phases[r.phase_idx];
-            trace.push(TraceSpan::new(
-                task.name.clone(),
-                span_kind(phase, &mut Arc::from),
-                r.phase_start,
-                now,
-                task.nodes,
-            ));
+            debug_assert!(now >= r.phase_start, "span ends before it starts");
+            rows.push(SpanRow {
+                task: r.spec_idx as u32,
+                slot: (first_slot[r.spec_idx] + r.phase_idx) as u32,
+                start: r.phase_start,
+                end: now,
+            });
             let next_phase = r.phase_idx + 1;
             if next_phase < task.phases.len() {
                 running.push(RunningTask {
@@ -373,7 +378,10 @@ pub fn simulate_reference(scenario: &Scenario) -> Result<SimResult, SimError> {
         }
     }
 
-    let makespan = trace.makespan();
+    // `Trace::makespan`'s folds, over the rows.
+    let first = rows.iter().map(|r| r.start).fold(f64::INFINITY, f64::min);
+    let last = rows.iter().map(|r| r.end).fold(0.0f64, f64::max);
+    let makespan = if first.is_finite() { last - first } else { 0.0 };
     let task_times = task_starts
         .iter()
         .filter_map(|(name, &start)| {
@@ -387,10 +395,13 @@ pub fn simulate_reference(scenario: &Scenario) -> Result<SimResult, SimError> {
         })
         .collect();
     Ok(SimResult {
-        trace,
         makespan,
         task_times,
         pool_nodes: pool_total,
+        rows,
+        names: Arc::new(NameTable::build(&scenario.workflow)),
+        workflow: scenario.workflow.name.clone(),
+        machine: machine.name.clone(),
     })
 }
 

@@ -185,7 +185,7 @@ mod tests {
             let s = s.as_ref().unwrap();
             let p = p.as_ref().unwrap();
             assert_eq!(s.makespan, p.makespan);
-            assert_eq!(s.trace, p.trace);
+            assert_eq!(s.to_trace(), p.to_trace());
         }
     }
 
@@ -240,7 +240,10 @@ mod tests {
         let auto = run_all(&scenarios, 0);
         for (s, a) in serial.iter().zip(auto.iter()) {
             assert_eq!(s.as_ref().unwrap().makespan, a.as_ref().unwrap().makespan);
-            assert_eq!(s.as_ref().unwrap().trace, a.as_ref().unwrap().trace);
+            assert_eq!(
+                s.as_ref().unwrap().to_trace(),
+                a.as_ref().unwrap().to_trace()
+            );
         }
     }
 

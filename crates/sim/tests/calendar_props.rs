@@ -96,7 +96,8 @@ fn assert_summary_matches(scenario: &Scenario, full: &SimResult) -> SimSummary {
         sum.makespan, full.makespan,
         "makespan must match bit for bit"
     );
-    assert_eq!(sum.n_spans as usize, full.trace.spans.len(), "span count");
+    let trace = full.to_trace();
+    assert_eq!(sum.n_spans as usize, trace.spans.len(), "span count");
     assert_eq!(sum.n_tasks, scenario.workflow.tasks.len());
     assert_eq!(sum.pool_nodes, full.pool_nodes);
 
@@ -110,8 +111,7 @@ fn assert_summary_matches(scenario: &Scenario, full: &SimResult) -> SimSummary {
 
     // Per-channel flow aggregates from the trace's flow spans.
     for ch in &sum.channels {
-        let spans: Vec<(f64, f64, f64)> = full
-            .trace
+        let spans: Vec<(f64, f64, f64)> = trace
             .spans
             .iter()
             .filter_map(|s| match &s.kind {
@@ -323,13 +323,13 @@ proptest! {
         prop_assert!(full.task("no such task").is_none());
 
         let dag = scenario.workflow.to_dag_with(|_| 0.0).unwrap();
+        let trace = full.to_trace();
         let want: Vec<(f64, f64)> = dag
             .tasks()
             .iter()
             .map(|t| {
                 let start = rows.iter().find(|r| *r.name == t.name).unwrap().start;
-                let end = full
-                    .trace
+                let end = trace
                     .spans
                     .iter()
                     .filter(|s| *s.task == t.name)
@@ -541,7 +541,7 @@ fn crossing_workloads_cross_capacity_both_ways() {
         let cap_of: std::collections::HashMap<&str, f64> =
             capped.iter().map(|(n, c)| (n.as_str(), *c)).collect();
         let flows: Vec<(f64, f64, f64)> = full
-            .trace
+            .to_trace()
             .spans
             .iter()
             .filter(|s| matches!(s.kind, SpanKind::SystemData { .. }))

@@ -40,7 +40,7 @@ fn lcls_good_day_is_about_17_minutes() {
     );
     // All five streams ran concurrently at their caps: external busy
     // time per task is ~1000 s.
-    let t0 = result.trace.task_time("analyze[0]").unwrap();
+    let t0 = result.to_trace().task_time("analyze[0]").unwrap();
     assert!((t0 - 1000.2).abs() < 1.0, "task time {t0}");
 }
 
@@ -268,7 +268,7 @@ fn trace_has_one_span_per_phase() {
     let wf = lcls();
     let total_phases: usize = wf.tasks.iter().map(|t| t.phases.len()).sum();
     let r = simulate(&Scenario::new(machines::cori_haswell(), wf)).unwrap();
-    assert_eq!(r.trace.spans.len(), total_phases);
+    assert_eq!(r.to_trace().spans.len(), total_phases);
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! `fs` contention, both scheduler policies and node limits:
 //!
 //! - every Gantt row is its task's (first span start, last span end,
-//!   nodes) in `result.trace`, bit for bit;
+//!   nodes) in `result.to_trace()`, bit for bit;
 //! - the profile's concurrency equals the trace's at every span
 //!   boundary, and its peaks equal the trace's peaks;
 //! - wherever no step of the chart's critical-chain walk meets a tie,
@@ -105,12 +105,13 @@ proptest! {
         let scenario = Scenario::new(m, wf).with_options(opts);
         let result = simulate(&scenario).unwrap();
         let intervals = result.task_intervals(&dag).unwrap();
+        let trace = result.to_trace();
         let chart = GanttChart::build(&dag, &intervals).unwrap();
         let profile = ParallelismProfile::build(&dag, &intervals);
 
         // The trace's own (first span start, last span end, nodes).
         let mut traced: BTreeMap<&str, (f64, f64, u64)> = BTreeMap::new();
-        for s in &result.trace.spans {
+        for s in &trace.spans {
             let iv = traced.entry(&s.task).or_insert((s.start, s.end, s.nodes));
             iv.0 = iv.0.min(s.start);
             iv.1 = iv.1.max(s.end);
@@ -123,7 +124,7 @@ proptest! {
 
         // Concurrency at every span boundary, from the trace.
         let mut peak = (0usize, 0u64);
-        for s in &result.trace.spans {
+        for s in &trace.spans {
             for t in [s.start, s.end] {
                 let running = traced.values().filter(|iv| iv.0 <= t && t < iv.1);
                 let (tasks, nodes) = running.fold((0, 0), |(n, k), iv| (n + 1, k + iv.2));

@@ -6,7 +6,7 @@ use wrm_core::{ids, machines, BytesPerSec, Dist, Machine};
 use wrm_sim::mc::envelope;
 use wrm_sim::{
     certify, max_min_rates, mc_run, simulate, FlowDemand, McOptions, Phase, Scenario,
-    SchedulerPolicy, SimOptions, TaskSpec, WorkflowSpec,
+    SchedulerPolicy, SimError, SimOptions, TaskSpec, WorkflowSpec,
 };
 
 /// One step of a splitmix64 stream, for seeded uneven test quantities.
@@ -328,7 +328,7 @@ proptest! {
         };
         let a = simulate(&Scenario::new(machine.clone(), build(seed))).unwrap();
         let b = simulate(&Scenario::new(machine, build(seed))).unwrap();
-        prop_assert_eq!(a.trace, b.trace);
+        prop_assert_eq!(a.to_trace(), b.to_trace());
         prop_assert_eq!(a.makespan, b.makespan);
     }
 
@@ -354,9 +354,10 @@ proptest! {
             wf = wf.task(t);
         }
         let r = simulate(&Scenario::new(machine, wf)).unwrap();
-        prop_assert_eq!(r.trace.spans.len(), n_tasks * n_phases);
+        let trace = r.to_trace();
+        prop_assert_eq!(trace.spans.len(), n_tasks * n_phases);
         // Span times are well-formed and within the makespan.
-        for s in &r.trace.spans {
+        for s in &trace.spans {
             prop_assert!(s.start >= 0.0);
             prop_assert!(s.end >= s.start);
             prop_assert!(s.end <= r.makespan * (1.0 + 1e-9) + 1e-9);
@@ -409,6 +410,9 @@ proptest! {
     /// each dist slot patched to its support bound, equals the
     /// certificates of the envelope workflows, rebuilt and indexed from
     /// scratch, bit for bit; where either path fails, both fail alike.
+    /// A spec whose lognormal overflows its support bound or mean (a
+    /// wide sigma, or `0 * inf` at median 0) is refused by validation,
+    /// naming the distribution, before either path runs.
     #[test]
     fn mc_bracket_equals_the_envelope_certificates(
         seed in any::<u64>(),
@@ -426,15 +430,25 @@ proptest! {
         let scenario = Scenario::new(machines::perlmutter_cpu(), dist_spec(seed, n_tasks))
             .with_options(options);
         let (m, wf, opts) = (&scenario.machine, &scenario.workflow, &scenario.options);
-        let oracle = certify(m, &envelope(wf, false), opts)
-            .and_then(|lo| Ok((lo.lo, certify(m, &envelope(wf, true), opts)?.hi)));
+        let overflows = wf.tasks.iter().flat_map(|t| &t.dists).any(|pd| {
+            let (lo, hi) = pd.dist.bounds();
+            !(lo.is_finite() && hi.is_finite() && pd.dist.mean().is_finite())
+        });
         let mc = mc_run(&scenario, &McOptions { reps: 1, seed, threads: 1 });
-        match (mc, oracle) {
-            (Ok(mc), Ok((lo, hi))) => {
-                prop_assert_eq!(mc.bracket_lo.to_bits(), lo.to_bits());
-                prop_assert_eq!(mc.bracket_hi.to_bits(), hi.to_bits());
+        if overflows {
+            let refused = wf.validate().expect_err("an overflowing distribution is refused");
+            prop_assert!(refused.to_string().contains("must be finite"), "{}", refused);
+            prop_assert_eq!(mc.err(), Some(SimError::Spec(refused)));
+        } else {
+            let oracle = certify(m, &envelope(wf, false), opts)
+                .and_then(|lo| Ok((lo.lo, certify(m, &envelope(wf, true), opts)?.hi)));
+            match (mc, oracle) {
+                (Ok(mc), Ok((lo, hi))) => {
+                    prop_assert_eq!(mc.bracket_lo.to_bits(), lo.to_bits());
+                    prop_assert_eq!(mc.bracket_hi.to_bits(), hi.to_bits());
+                }
+                (mc, oracle) => prop_assert_eq!(mc.err(), oracle.err()),
             }
-            (mc, oracle) => prop_assert_eq!(mc.err(), oracle.err()),
         }
     }
 

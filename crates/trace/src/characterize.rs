@@ -9,6 +9,7 @@
 use crate::span::SpanKind;
 use crate::trace::Trace;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use wrm_core::{Bytes, CoreError, Flops, Seconds, TargetSpec, Work, WorkflowCharacterization};
 
 /// Structural facts the trace alone cannot know: they come from the
@@ -68,24 +69,32 @@ pub fn characterize(
         builder = builder.makespan(Seconds(makespan));
     }
 
+    // Volumes sum per resource in span order under borrowed keys, so
+    // the builder allocates one id per distinct resource, not per span.
+    fn add<'t>(map: &mut BTreeMap<&'t str, f64>, resource: &'t str, v: f64) {
+        *map.entry(resource).or_insert(0.0) += v;
+    }
     let slot = structure.parallel_tasks;
     let mut compute_per_node = 0.0f64;
+    let mut node: BTreeMap<&str, f64> = BTreeMap::new();
+    let mut system: BTreeMap<&str, f64> = BTreeMap::new();
     for span in &trace.spans {
         match &span.kind {
             SpanKind::Compute { flops } => {
                 compute_per_node += flops / span.nodes.max(1) as f64;
             }
             SpanKind::NodeData { resource, bytes } => {
-                builder = builder.node_volume(
-                    &**resource,
-                    Work::Bytes(Bytes(bytes / span.nodes.max(1) as f64 / slot)),
-                );
+                add(&mut node, resource, bytes / span.nodes.max(1) as f64 / slot);
             }
-            SpanKind::SystemData { resource, bytes } => {
-                builder = builder.system_volume(&**resource, Bytes(*bytes));
-            }
+            SpanKind::SystemData { resource, bytes } => add(&mut system, resource, *bytes),
             SpanKind::Overhead { .. } => {}
         }
+    }
+    for (resource, bytes) in node {
+        builder = builder.node_volume(resource, Work::Bytes(Bytes(bytes)));
+    }
+    for (resource, bytes) in system {
+        builder = builder.system_volume(resource, Bytes(bytes));
     }
     if compute_per_node > 0.0 {
         builder = builder.node_volume(

@@ -42,12 +42,22 @@ pub enum SpanKind {
 impl SpanKind {
     /// The breakdown-category name for this kind.
     pub fn category(&self) -> String {
-        match self {
-            SpanKind::Compute { .. } => "compute".to_owned(),
-            SpanKind::NodeData { resource, .. } => format!("node:{resource}"),
-            SpanKind::SystemData { resource, .. } => format!("io:{resource}"),
-            SpanKind::Overhead { label } => label.to_string(),
-        }
+        let mut out = String::new();
+        self.write_category(&mut out);
+        out
+    }
+
+    /// Appends [`SpanKind::category`] to `out`, so a fold over many
+    /// spans can reuse one buffer.
+    pub(crate) fn write_category(&self, out: &mut String) {
+        let (prefix, name) = match self {
+            SpanKind::Compute { .. } => ("", "compute"),
+            SpanKind::NodeData { resource, .. } => ("node:", &**resource),
+            SpanKind::SystemData { resource, .. } => ("io:", &**resource),
+            SpanKind::Overhead { label } => ("", &**label),
+        };
+        out.push_str(prefix);
+        out.push_str(name);
     }
 }
 

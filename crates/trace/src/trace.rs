@@ -78,11 +78,20 @@ impl Trace {
     }
 
     /// Time per breakdown category (the stacked bars of Fig. 5b and
-    /// Fig. 10b). Durations of the same category add up across tasks.
+    /// Fig. 10b). Durations of the same category add up across tasks,
+    /// in span order. Each span's category is formatted into one reused
+    /// buffer; only a category's first span allocates its key.
     pub fn breakdown(&self) -> TimeBreakdown {
         let mut map: BTreeMap<String, f64> = BTreeMap::new();
+        let mut key = String::new();
         for s in &self.spans {
-            *map.entry(s.kind.category()).or_insert(0.0) += s.duration();
+            key.clear();
+            s.kind.write_category(&mut key);
+            let sum = match map.get_mut(key.as_str()) {
+                Some(sum) => sum,
+                None => map.entry(key.clone()).or_insert(0.0),
+            };
+            *sum += s.duration();
         }
         TimeBreakdown {
             label: self.workflow.clone(),

@@ -306,7 +306,7 @@ mod tests {
     fn simulated_breakdown_matches_analytical() {
         let g = GpTune::default();
         let r = simulate(&g.scenario(Mode::Rci)).unwrap();
-        let sim_b = r.trace.breakdown();
+        let sim_b = r.to_trace().breakdown();
         let ana_b = g.breakdown(Mode::Rci);
         assert!((sim_b.get("bash") - ana_b.get("bash")).abs() < 1e-6);
         assert!((sim_b.get("python") - ana_b.get("python")).abs() < 1e-6);

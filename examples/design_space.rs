@@ -95,7 +95,7 @@ fn main() {
     let model = RooflineModel::build(&machine, &wf).expect("valid");
 
     println!("\ntime breakdown at {nodes} nodes/task:");
-    for (cat, secs) in &run.trace.breakdown().categories {
+    for (cat, secs) in &run.to_trace().breakdown().categories {
         println!("  {cat:<16} {secs:>10.1} s");
     }
     println!(

@@ -42,7 +42,7 @@ workflow lcls on cori-hsw {
             compiled.nodes_per_task,
         )
     };
-    let measured = characterize(&run.trace, &structure).expect("characterizes");
+    let measured = characterize(&run.to_trace(), &structure).expect("characterizes");
     assert!((measured.system_volumes[ids::EXTERNAL].get() - 5e12).abs() < 1.0);
 
     // Model + classification.
@@ -88,7 +88,7 @@ workflow pipeline on pm-gpu {
 
     let run = simulate(&Scenario::new(machine, compiled.spec.clone())).expect("simulates");
     let measured = characterize(
-        &run.trace,
+        &run.to_trace(),
         &Structure::new(
             compiled.total_tasks,
             compiled.parallel_tasks,
@@ -226,12 +226,13 @@ fn trace_jsonl_file_round_trip() {
     let dir = std::env::temp_dir().join("wrm_it_trace");
     std::fs::create_dir_all(&dir).expect("tmpdir");
     let path = dir.join("rci.jsonl");
-    std::fs::write(&path, run.trace.to_jsonl()).expect("write");
+    let trace = run.to_trace();
+    std::fs::write(&path, trace.to_jsonl()).expect("write");
     let text = std::fs::read_to_string(&path).expect("read");
     let back = Trace::from_jsonl(&text).expect("parse");
-    assert_eq!(back, run.trace);
+    assert_eq!(back, trace);
     let a = characterize(&back, &Structure::serial(1)).expect("charz");
-    let b = characterize(&run.trace, &Structure::serial(1)).expect("charz");
+    let b = characterize(&trace, &Structure::serial(1)).expect("charz");
     assert_eq!(a, b);
     std::fs::remove_file(&path).ok();
 }
